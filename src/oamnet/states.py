@@ -14,13 +14,18 @@ operator sends every occupied label to a single label (all composite devices
 in this package do); driving two slots onto one label raises
 :class:`~oamnet.errors.BunchingError` instead of silently producing wrong
 interference terms.
+
+Ensemble evolution computes each occupied label's image once per call.
+When every occupied label has a single image, :func:`apply_mode_map` maps
+each ensemble tuple straight to its image tuple in one pass, and the result
+is built with each check (window, bunching, pruning, norm) run once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import (
     BunchingError,
@@ -40,6 +45,10 @@ class Polarization(Enum):
     H = "H"
     V = "V"
 
+    # Members are singletons, so identity is an exact hash, and a C-level
+    # one unlike Enum's own.
+    __hash__ = object.__hash__
+
 
 H = Polarization.H
 V = Polarization.V
@@ -52,6 +61,17 @@ class ModeLabel:
     path: int
     oam: int
     pol: Polarization = H
+
+    # Labels are hashed on every image lookup and as parts of every ensemble
+    # tuple, so the hash is computed once.  It is built from ints and a bool
+    # only, so a pickled copy keeps a valid hash in another process.
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.path, self.oam, self.pol is V))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"|{self.oam}^{self.pol.value}>_{self.path}"
@@ -143,8 +163,7 @@ class PhotonState:
             self.space.check_label(label)
             clean[label] = amp
             norm_sq += abs(amp) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise NormalizationError(f"photon norm^2 = {norm_sq!r}, expected 1")
+        _require_unit_norm(norm_sq, "photon")
         object.__setattr__(self, "amplitudes", clean)
 
     def amplitude(self, label: ModeLabel) -> complex:
@@ -195,9 +214,22 @@ class EnsembleState:
                 self.space.check_label(label)
             clean[tuple(labels)] = amp
             norm_sq += abs(amp) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise NormalizationError(f"ensemble norm^2 = {norm_sq!r}, expected 1")
+        _require_unit_norm(norm_sq, "ensemble")
         object.__setattr__(self, "amplitudes", clean)
+
+    @classmethod
+    def _checked(
+        cls,
+        space: ModeSpace,
+        slot_count: int,
+        amplitudes: dict[tuple[ModeLabel, ...], complex],
+    ) -> "EnsembleState":
+        """Wrap amplitudes that already passed every check of ``__post_init__``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "space", space)
+        object.__setattr__(state, "slot_count", slot_count)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     def amplitude(self, labels: tuple[ModeLabel, ...]) -> complex:
         return self.amplitudes.get(tuple(labels), 0j)
@@ -213,6 +245,11 @@ class EnsembleState:
             joint = "".join(str(l) for l in labels)
             parts.append(f"({self.amplitudes[labels]:.6g}){joint}")
         return " + ".join(parts) if parts else "0"
+
+
+def _require_unit_norm(norm_sq: float, kind: str) -> None:
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise NormalizationError(f"{kind} norm^2 = {norm_sq!r}, expected 1")
 
 
 def _first_duplicate(labels: Sequence[ModeLabel]) -> ModeLabel:
@@ -267,16 +304,28 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
     for photon in photons[1:]:
         if photon.space != space:
             raise DomainError("all photons must share one mode space")
-    terms: dict[tuple[ModeLabel, ...], complex] = {(): 1.0 + 0j}
+    # prefixes are distinct, so they grow as lists and are hashed only once
+    terms: list[tuple[tuple[ModeLabel, ...], complex]] = [((), 1.0 + 0j)]
     for photon in photons:
-        grown: dict[tuple[ModeLabel, ...], complex] = {}
-        for labels, amp in terms.items():
+        grown = []
+        for labels, amp in terms:
             for label, factor in photon.amplitudes.items():
                 value = amp * factor
                 if abs(value) > PRUNE_TOL:
-                    grown[labels + (label,)] = value
+                    grown.append((labels + (label,), value))
         terms = grown
-    return EnsembleState(space, len(photons), terms)
+    amplitudes = dict(terms)
+    supports = [photon.amplitudes.keys() for photon in photons]
+    if len(set().union(*supports)) != sum(map(len, supports)):
+        # two photons share a label: the constructor finds the bunched tuples
+        return EnsembleState(space, len(photons), amplitudes)
+    # Disjoint supports already checked by each photon: no tuple bunches and
+    # every label is in the window, so only the norm is left to check.
+    norm_sq = 0.0
+    for value in amplitudes.values():
+        norm_sq += abs(value) ** 2
+    _require_unit_norm(norm_sq, "ensemble")
+    return EnsembleState._checked(space, len(photons), amplitudes)
 
 
 def compose_images(
@@ -314,12 +363,16 @@ def apply_mode_map(
 
 
 def _apply_photon(state: PhotonState, operator: ModeOperator) -> PhotonState:
+    # the constructor prunes the summed amplitudes before it window-checks
+    # their labels, so an image of zero amplitude is never checked
     out: dict[ModeLabel, complex] = {}
     for label, amp in state.amplitudes.items():
         for image, factor in operator.mode_images(label):
-            state.space.check_label(image)
             out[image] = out.get(image, 0j) + amp * factor
     return PhotonState(state.space, out)
+
+
+_SlotImage = Callable[[ModeLabel], list[tuple[ModeLabel, complex]]]
 
 
 def _apply_ensemble(
@@ -341,6 +394,68 @@ def _apply_ensemble(
             images[label] = cached
         return cached
 
+    mapped = _map_tuples(state, slot_image)
+    if mapped is None:
+        out, may_bunch = _expand_tuples(state, slot_image), True
+    else:
+        out, may_bunch = mapped
+    return _ensemble_result(state, out, may_bunch)
+
+
+def _map_tuples(
+    state: EnsembleState, slot_image: _SlotImage
+) -> tuple[dict[tuple[ModeLabel, ...], complex], bool] | None:
+    """Single pass for operators that send every occupied label to one label.
+
+    Returns the summed image amplitudes and whether two slots may share a
+    label, or ``None`` when some slot image is not a single term or an
+    amplitude is small enough for :func:`_expand_tuples` to prune a partial
+    product; that expansion must then run instead.
+    """
+    # The expansion prunes each partial product at or below PRUNE_TOL.  With
+    # every factor of modulus >= low (low <= 1), partial products stay above
+    # min|amp| * low**slot_count, give or take a rounding far under the
+    # factor 2 in floor; while that exceeds PRUNE_TOL, the expansion prunes
+    # nothing the single pass keeps and reaches (so window-checks) the same
+    # labels.
+    floor = 2 * PRUNE_TOL / min(map(abs, state.amplitudes.values()))
+    low = 1.0
+    singles: dict[ModeLabel, tuple[ModeLabel, complex]] = {}
+    mapped: list[tuple[tuple[ModeLabel, ...], complex]] = []
+    for labels, amp in state.amplitudes.items():
+        joint = []
+        for label in labels:
+            try:
+                image, factor = singles[label]
+            except KeyError:
+                if low ** state.slot_count <= floor:
+                    return None
+                images = slot_image(label)
+                if len(images) != 1:
+                    return None
+                image, factor = singles[label] = images[0]
+                low = min(low, abs(factor))
+            joint.append(image)
+            amp = amp * factor
+        mapped.append((tuple(joint), amp))
+    if low ** state.slot_count <= floor:
+        return None
+    # Input tuples hold distinct labels, so they map to distinct tuples with
+    # distinct labels unless two occupied labels share an image.  Sums
+    # start from 0j as the expansion's sums do, down to the sign of a zero.
+    if len({image for image, _ in singles.values()}) == len(singles):
+        return {key: 0j + amp for key, amp in mapped}, False
+    out: dict[tuple[ModeLabel, ...], complex] = {}
+    for key, amp in mapped:
+        out[key] = out.get(key, 0j) + amp
+    return out, True
+
+
+def _expand_tuples(
+    state: EnsembleState, slot_image: _SlotImage
+) -> dict[tuple[ModeLabel, ...], complex]:
+    """Grow every tuple slot by slot over multi-term images, pruning each
+    partial product at or below ``PRUNE_TOL``."""
     out: dict[tuple[ModeLabel, ...], complex] = {}
     for labels, amp in state.amplitudes.items():
         partial: list[tuple[tuple[ModeLabel, ...], complex]] = [((), amp)]
@@ -354,19 +469,41 @@ def _apply_ensemble(
             partial = grown
         for joint_labels, value in partial:
             out[joint_labels] = out.get(joint_labels, 0j) + value
+    return out
 
-    kept: dict[tuple[ModeLabel, ...], complex] = {}
+
+def _ensemble_result(
+    state: EnsembleState,
+    out: dict[tuple[ModeLabel, ...], complex],
+    may_bunch: bool,
+) -> EnsembleState:
+    """Evolved state from summed image amplitudes, checking each tuple once.
+
+    Images were window-checked as they were computed and tuples keep their
+    arity, so what is left is pruning, bunching and the norm.  ``out`` is
+    reused as the state's mapping.
+    """
+    dropped = []
+    norm_sq = 0.0
     for joint_labels, value in out.items():
-        if len(set(joint_labels)) != len(joint_labels):
-            if abs(value) > BUNCHING_TOL:
+        magnitude = abs(value)
+        if magnitude <= PRUNE_TOL:
+            dropped.append(joint_labels)
+            continue
+        if may_bunch and len(set(joint_labels)) != len(joint_labels):
+            if magnitude > BUNCHING_TOL:
                 raise BunchingError(
                     "operator drove two slots onto "
                     + str(_first_duplicate(joint_labels))
-                    + f" with amplitude {abs(value):.3e}"
+                    + f" with amplitude {magnitude:.3e}"
                 )
+            dropped.append(joint_labels)
             continue
-        kept[joint_labels] = value
-    return EnsembleState(space, state.slot_count, kept)
+        norm_sq += magnitude ** 2
+    _require_unit_norm(norm_sq, "ensemble")
+    for joint_labels in dropped:
+        del out[joint_labels]
+    return EnsembleState._checked(state.space, state.slot_count, out)
 
 
 def path_probabilities(state: PhotonState) -> dict[int, float]:

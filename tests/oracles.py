@@ -102,3 +102,83 @@ def matrix_of_operator(operator, labels) -> np.ndarray:
         for image, amp in operator.mode_images(label):
             matrix[index[image], j] += amp
     return matrix
+
+
+def prefix_expansion_amplitudes(state, operator):
+    """Ensemble evolution by plain slot-by-slot prefix expansion.
+
+    Every tuple grows one slot at a time over each slot's (pruned,
+    window-checked) image, partial products at or below ``PRUNE_TOL`` are
+    dropped, bunched tuples raise above ``BUNCHING_TOL`` and are dropped at
+    or below it, and the result goes through the full ``EnsembleState``
+    constructor.  Returns the evolved amplitudes in insertion order.
+    """
+    from oamnet import BunchingError, EnsembleState
+    from oamnet.states import BUNCHING_TOL, PRUNE_TOL
+
+    images = {}
+
+    def slot_image(label):
+        if label not in images:
+            images[label] = [
+                (image, factor)
+                for image, factor in operator.mode_images(label)
+                if abs(factor) > PRUNE_TOL
+            ]
+            for image, _ in images[label]:
+                state.space.check_label(image)
+        return images[label]
+
+    out = {}
+    for labels, amp in state.amplitudes.items():
+        partial = [((), amp)]
+        for label in labels:
+            grown = []
+            for prefix, value in partial:
+                for image, factor in slot_image(label):
+                    joint = value * factor
+                    if abs(joint) > PRUNE_TOL:
+                        grown.append((prefix + (image,), joint))
+            partial = grown
+        for joint_labels, value in partial:
+            out[joint_labels] = out.get(joint_labels, 0j) + value
+    kept = {}
+    for joint_labels, value in out.items():
+        if len(set(joint_labels)) != len(joint_labels):
+            if abs(value) > BUNCHING_TOL:
+                duplicate = next(
+                    l for i, l in enumerate(joint_labels) if l in joint_labels[:i]
+                )
+                raise BunchingError(
+                    f"operator drove two slots onto {duplicate}"
+                    f" with amplitude {abs(value):.3e}"
+                )
+            continue
+        kept[joint_labels] = value
+    return EnsembleState(state.space, state.slot_count, kept).amplitudes
+
+
+def nested_tensor_amplitudes(photons):
+    """Product amplitudes grown photon by photon through dicts, pruning each
+    partial product at or below ``PRUNE_TOL``, then the full constructor."""
+    from oamnet import EnsembleState
+    from oamnet.states import PRUNE_TOL
+
+    terms = {(): 1.0 + 0j}
+    for photon in photons:
+        grown = {}
+        for labels, amp in terms.items():
+            for label, factor in photon.amplitudes.items():
+                value = amp * factor
+                if abs(value) > PRUNE_TOL:
+                    grown[labels + (label,)] = value
+        terms = grown
+    return EnsembleState(photons[0].space, len(photons), terms).amplitudes
+
+
+def amplitude_bits(amplitudes):
+    """Keys with both float parts in hex, in insertion order: equal only when
+    two mappings agree bit for bit, signs of zeros included."""
+    return [
+        (key, amp.real.hex(), amp.imag.hex()) for key, amp in amplitudes.items()
+    ]

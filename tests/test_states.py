@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oamnet import (
+    BeamSplitter,
     BunchingError,
     DomainError,
     EnsembleState,
@@ -225,6 +226,33 @@ def test_window_overflow_on_apply():
     photon = PhotonState(space, {ModeLabel(0, 3): 1.0})
     with pytest.raises(WindowOverflowError):
         apply_mode_map(photon, Hologram(0, 2))
+
+
+def test_zero_amplitude_image_outside_space_is_pruned_for_photon():
+    # theta = 0 sends amplitude exactly 0 onto path 5, outside D = 4: the
+    # image is pruned before any window check, as the constructor does
+    space = ModeSpace(4)
+    photon = PhotonState(space, {ModeLabel(0, 0): 1.0})
+    evolved = apply_mode_map(photon, BeamSplitter(0, 5, 0.0))
+    assert evolved.amplitudes == {ModeLabel(0, 0): 1 + 0j}
+
+
+def test_zero_amplitude_image_outside_space_is_pruned_for_ensemble():
+    space = ModeSpace(4)
+    single = EnsembleState(space, 1, {(ModeLabel(0, 0),): 1.0})
+    evolved = apply_mode_map(single, BeamSplitter(0, 5, 0.0))
+    assert evolved.amplitudes == {(ModeLabel(0, 0),): 1 + 0j}
+
+
+@pytest.mark.parametrize("kind", ["photon", "ensemble"])
+def test_live_image_outside_space_raises_for_both_kinds(kind):
+    space = ModeSpace(4)
+    if kind == "photon":
+        state = PhotonState(space, {ModeLabel(0, 0): 1.0})
+    else:
+        state = EnsembleState(space, 1, {(ModeLabel(0, 0),): 1.0})
+    with pytest.raises(DomainError):
+        apply_mode_map(state, BeamSplitter(0, 5, math.pi / 4))
 
 
 def test_ensemble_rejects_duplicate_labels_at_construction():
