@@ -42,6 +42,7 @@ from .networks import (
     MuxNetwork,
     SimpleRoutingNetwork,
     StarNetwork,
+    dominant_label,
     routing_report,
     sender_tag,
     superposed_destination,
@@ -344,8 +345,7 @@ def cmd_route(config: RunConfig, args: argparse.Namespace) -> int:
         state = star.deliver(sender, destination)
         side = "star"
 
-    label = max(state.amplitudes, key=lambda l: abs(state.amplitudes[l]))
-    modulus = abs(state.amplitudes[label])
+    label, modulus = dominant_label(state)
     amplitude_error = abs(modulus - 1.0)
     if args.kind == "star":
         tag = sender_tag(label.oam, dimension)

@@ -20,6 +20,15 @@ Closed forms for a photon entering with winding ``l`` on path ``n``:
 with amplitude exactly 1 in both cases; the reverse device (the same optics
 traversed right to left) conjugates the prism phases, making it the exact
 inverse of the forward device.
+
+Both stages derive from :class:`~oamnet.states.WholeMapOperator`: ``transit``
+sends a whole sparse amplitude map through the stage in one call, doing the
+same complex products and sums in the same order as the label-wise loop of
+:func:`~oamnet.states.compose_images`, so results agree bit for bit; each
+stage's ``mode_images`` is the one-label case.  The only cached data are
+per-dimension rows of Python complex values: the ``D`` columns of the
+Fourier matrix and the ``D`` Dove prism phases.  Nothing is cached per label
+or per device.
 """
 
 from __future__ import annotations
@@ -32,7 +41,13 @@ import numpy as np
 
 from .elements import Direction, Element, reversed_element
 from .errors import DomainError
-from .states import ModeLabel, compose_images
+from .states import (
+    PRUNE_TOL,
+    ModeLabel,
+    Polarization,
+    WholeMapOperator,
+    compose_images,
+)
 
 UNITARITY_TOL = 1e-12
 GENPERM_TOL = 1e-9
@@ -51,6 +66,23 @@ def _symmetric_matrix_cached(dimension: int) -> np.ndarray:
     return matrix
 
 
+@lru_cache(maxsize=None)
+def _fourier_columns(dimension: int) -> tuple[tuple[complex, ...], ...]:
+    """Columns of the scattering matrix as Python complex values."""
+    return tuple(map(tuple, _symmetric_matrix_cached(dimension).T.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _dove_phases(dimension: int) -> tuple[complex, ...]:
+    """Phase of every reduced phase index ``k = (path * oam) mod D``."""
+    # prism n at phase coefficient 2*pi*n/D acting on an integer winding:
+    # the phase index n*oam is exact, so it is reduced mod D before
+    # exponentiating (see _symmetric_matrix_cached)
+    return tuple(
+        complex(np.exp(-2j * np.pi * k / dimension)) for k in range(dimension)
+    )
+
+
 def symmetric_matrix(dimension: int) -> np.ndarray:
     """Discrete-Fourier scattering matrix of the ``dimension``-port multiport.
 
@@ -64,31 +96,48 @@ def symmetric_matrix(dimension: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymmetricMultiport:
+class SymmetricMultiport(WholeMapOperator):
     """Symmetric multiport stage; ``parity_flip`` is the per-transit sign flip."""
 
     dimension: int
     parity_flip: bool = True
 
-    def mode_images(self, label: ModeLabel):
-        if not 0 <= label.path < self.dimension:
-            raise DomainError(
-                f"path {label.path} outside multiport of dimension {self.dimension}"
-            )
-        matrix = _symmetric_matrix_cached(self.dimension)
-        oam = -label.oam if self.parity_flip else label.oam
-        column = matrix[:, label.path]
-        return [
-            (ModeLabel(out_path, oam, label.pol), complex(column[out_path]))
-            for out_path in range(self.dimension)
-        ]
+    def transit(self, amplitudes):
+        # Every label fans out over all D paths with the same flipped winding
+        # and polarization, so the images of labels sharing those two add
+        # into one row of D sums.  Rows come out in order of first
+        # appearance, paths ascending: the label-wise loop's key order.
+        columns = _fourier_columns(self.dimension)
+        rows: dict[tuple[int, Polarization], list[complex]] = {}
+        for label, amp in amplitudes.items():
+            if not 0 <= label.path < self.dimension:
+                raise DomainError(
+                    f"path {label.path} outside multiport of dimension "
+                    f"{self.dimension}"
+                )
+            oam = -label.oam if self.parity_flip else label.oam
+            key = (oam, label.pol)
+            column = columns[label.path]
+            row = rows.get(key)
+            if row is None:
+                rows[key] = [0j + amp * factor for factor in column]
+            else:
+                rows[key] = [
+                    total + amp * factor for total, factor in zip(row, column)
+                ]
+        out: dict[ModeLabel, complex] = {}
+        for (oam, pol), row in rows.items():
+            for out_path, total in enumerate(row):
+                if abs(total) > PRUNE_TOL:
+                    out[ModeLabel(out_path, oam, pol)] = total
+        return out
 
     def reversed(self) -> "SymmetricMultiport":
         return self
 
 
 @dataclass(frozen=True)
-class DoveStage:
+class DoveStage(WholeMapOperator):
     """One Dove prism per port; prism ``n`` has phase coefficient ``2*pi*n/D``."""
 
     dimension: int
@@ -97,21 +146,25 @@ class DoveStage:
     def __post_init__(self) -> None:
         object.__setattr__(self, "direction", Direction.coerce(self.direction))
 
-    def mode_images(self, label: ModeLabel):
-        if not 0 <= label.path < self.dimension:
-            raise DomainError(
-                f"path {label.path} outside Dove stage of dimension {self.dimension}"
-            )
-        # prism n at phase coefficient 2*pi*n/D acting on an integer winding:
-        # the phase index n*oam is exact, so reduce it mod D before
-        # exponentiating (see _symmetric_matrix_cached)
-        phase_index = label.path * label.oam
-        if self.direction is Direction.REVERSE:
-            phase_index = -phase_index
-        phase = complex(
-            np.exp(-2j * np.pi * (phase_index % self.dimension) / self.dimension)
-        )
-        return ((ModeLabel(label.path, -label.oam, label.pol), phase),)
+    def transit(self, amplitudes):
+        # a prism keeps the path and flips the winding, so distinct labels
+        # have distinct images and nothing sums
+        phases = _dove_phases(self.dimension)
+        reverse = self.direction is Direction.REVERSE
+        out: dict[ModeLabel, complex] = {}
+        for label, amp in amplitudes.items():
+            if not 0 <= label.path < self.dimension:
+                raise DomainError(
+                    f"path {label.path} outside Dove stage of dimension "
+                    f"{self.dimension}"
+                )
+            phase_index = label.path * label.oam
+            if reverse:
+                phase_index = -phase_index
+            total = 0j + amp * phases[phase_index % self.dimension]
+            if abs(total) > PRUNE_TOL:
+                out[ModeLabel(label.path, -label.oam, label.pol)] = total
+        return out
 
     def reversed(self) -> "DoveStage":
         flipped = (

@@ -358,7 +358,8 @@ def choose_winding_simple(
     return (destination + sender) % dimension
 
 
-def _dominant(state: PhotonState) -> tuple[ModeLabel, float]:
+def dominant_label(state: PhotonState) -> tuple[ModeLabel, float]:
+    """The label of largest amplitude modulus, and that modulus."""
     label = max(state.amplitudes, key=lambda l: abs(state.amplitudes[l]))
     return label, abs(state.amplitudes[label])
 
@@ -393,7 +394,7 @@ def routing_report(
             else:
                 winding = destination
             state = network.deliver(sender, destination)
-            label, modulus = _dominant(state)
+            label, modulus = dominant_label(state)
             amplitude_error = abs(modulus - 1.0)
             rows.append(
                 ReportRow(
@@ -584,6 +585,7 @@ __all__ = [
     "demux_receive",
     "detect_collisions",
     "distribute_bell_pair",
+    "dominant_label",
     "mux_transmit",
     "routing_report",
     "sender_tag",

@@ -95,26 +95,66 @@ def element_to_dict(element: Element) -> dict[str, Any]:
     raise DomainError(f"unknown element {type(element).__name__}")
 
 
-def element_from_dict(data: Mapping[str, Any]) -> Element:
-    kind = data.get("type")
+def _field(record: Mapping[str, Any], key: str) -> Any:
+    if key not in record:
+        raise DomainError(f"missing field {key!r} in {record!r}")
+    return record[key]
+
+
+def _integer(value: Any, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _int_field(record: Mapping[str, Any], key: str) -> int:
+    return _integer(_field(record, key), key)
+
+
+def _float_field(record: Mapping[str, Any], key: str) -> float:
+    value = _field(record, key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"field {key!r} must be a number, got {value!r}")
     try:
-        if kind == "beamsplitter":
-            port_a, port_b = data["ports"]
-            return BeamSplitter(
-                int(port_a), int(port_b), float(data["theta"]), float(data["phi"])
-            )
-        if kind == "phase":
-            return PhaseShifter(int(data["port"]), float(data["phi"]))
-        if kind == "dove":
-            return DovePrism(int(data["port"]), float(data["alpha"]))
-        if kind == "hologram":
-            return Hologram(int(data["port"]), int(data["k"]))
-        if kind == "reflective_hologram":
-            return ReflectiveHologram(int(data["port"]), int(data["k"]))
-        if kind == "mirror":
-            return Mirror(int(data["port"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed element record: {data!r}") from exc
+        value = float(value)
+    except OverflowError:
+        raise DomainError(f"field {key!r} is out of float range") from None
+    if not math.isfinite(value):
+        raise DomainError(f"field {key!r} must be finite, got {value!r}")
+    return value
+
+
+def _bool_field(record: Mapping[str, Any], key: str) -> bool:
+    value = _field(record, key)
+    if not isinstance(value, bool):
+        raise DomainError(f"field {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def element_from_dict(data: Mapping[str, Any]) -> Element:
+    """Element from its record; raises :class:`DomainError` on any field of
+    the wrong JSON type, a non-finite number or an unknown element type."""
+    if not isinstance(data, Mapping):
+        raise DomainError(f"element record must be a JSON object, got {data!r}")
+    kind = data.get("type")
+    if kind == "beamsplitter":
+        ports = _field(data, "ports")
+        if not isinstance(ports, list) or len(ports) != 2:
+            raise DomainError(f"field 'ports' must list two ports, got {ports!r}")
+        port_a, port_b = (_integer(port, "ports") for port in ports)
+        return BeamSplitter(
+            port_a, port_b, _float_field(data, "theta"), _float_field(data, "phi")
+        )
+    if kind == "phase":
+        return PhaseShifter(_int_field(data, "port"), _float_field(data, "phi"))
+    if kind == "dove":
+        return DovePrism(_int_field(data, "port"), _float_field(data, "alpha"))
+    if kind == "hologram":
+        return Hologram(_int_field(data, "port"), _int_field(data, "k"))
+    if kind == "reflective_hologram":
+        return ReflectiveHologram(_int_field(data, "port"), _int_field(data, "k"))
+    if kind == "mirror":
+        return Mirror(_int_field(data, "port"))
     raise DomainError(f"unknown element type {kind!r}")
 
 
@@ -133,14 +173,15 @@ def netlist_to_dict(
 
 
 def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
-    try:
-        dimension = int(data["dimension"])
-        parity_flip = bool(data["parity_flip"])
-        elements = tuple(
-            element_from_dict(record) for record in data["elements"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed netlist record: {exc}") from exc
+    """Netlist from its record, as strict as :func:`element_from_dict`."""
+    if not isinstance(data, Mapping):
+        raise DomainError(f"netlist record must be a JSON object, got {data!r}")
+    dimension = _int_field(data, "dimension")
+    parity_flip = _bool_field(data, "parity_flip")
+    records = _field(data, "elements")
+    if not isinstance(records, list):
+        raise DomainError(f"field 'elements' must be a list, got {records!r}")
+    elements = tuple(element_from_dict(record) for record in records)
     return Netlist(dimension, elements, parity_flip)
 
 

@@ -116,11 +116,36 @@ class ModeSpace:
 
 
 class ModeOperator(Protocol):
-    """Anything that maps one mode label to a sparse list of (label, amplitude)."""
+    """Anything that maps one mode label to a sparse list of (label, amplitude).
+
+    An operator may also offer a whole-map ``transit(amplitudes)``, taking
+    and returning a sparse ``{label: amplitude}`` dict, by deriving from
+    :class:`WholeMapOperator`; :func:`compose_images` then sends the whole
+    map through it in one call instead of one label at a time.
+    """
 
     def mode_images(
         self, label: ModeLabel
     ) -> Iterable[tuple[ModeLabel, complex]]: ...
+
+
+class WholeMapOperator:
+    """Base of operators that map a whole sparse amplitude dict at once.
+
+    ``transit(amplitudes)`` must return what the label-wise loop of
+    :func:`compose_images` makes of ``amplitudes``: every image of every
+    input label, summed as ``0j + amp * factor + ...`` in input order and
+    keyed in first-insertion order, with sums at or below ``PRUNE_TOL``
+    dropped.  ``mode_images`` is its one-label case.
+    """
+
+    def transit(
+        self, amplitudes: Mapping[ModeLabel, complex]
+    ) -> dict[ModeLabel, complex]:
+        raise NotImplementedError
+
+    def mode_images(self, label: ModeLabel) -> list[tuple[ModeLabel, complex]]:
+        return list(self.transit({label: 1.0 + 0j}).items())
 
 
 @dataclass(frozen=True)
@@ -279,8 +304,13 @@ def fidelity(
 ) -> float:
     """Squared overlap ``|<a|b>|^2``; symmetric in its arguments.
 
-    Raises :class:`DomainError` when the states are of different kinds or
-    the ensembles disagree on slot count.
+    States normalized within ``NORM_TOL`` have ``|<a|b>| <= 1 + NORM_TOL``,
+    and a result that rounding lifts above 1 is clamped to 1.  Raises
+    :class:`NormalizationError` when ``|<a|b>|`` exceeds that bound, which
+    only a state that bypassed its constructor's checks can do, and
+    :class:`DomainError`
+    when the states are of different kinds or the ensembles disagree on
+    slot count.
     """
     if isinstance(a, PhotonState) != isinstance(b, PhotonState):
         raise DomainError("cannot compare a single photon with an ensemble")
@@ -293,7 +323,12 @@ def fidelity(
         other = b.amplitudes.get(key)
         if other is not None:
             overlap += amp.conjugate() * other
-    return min(1.0, abs(overlap) ** 2)
+    modulus = abs(overlap)
+    if modulus > 1.0 + NORM_TOL:
+        raise NormalizationError(
+            f"|<a|b>| = {modulus!r} exceeds 1: a state is not normalized"
+        )
+    return min(1.0, modulus ** 2)
 
 
 def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
@@ -331,12 +366,20 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
 def compose_images(
     operators: Sequence[ModeOperator], label: ModeLabel
 ) -> list[tuple[ModeLabel, complex]]:
-    """Image of one label under a chain of operators, applied left to right."""
+    """Image of one label under a chain of operators, applied left to right.
+
+    A :class:`WholeMapOperator` takes the whole intermediate map in one
+    ``transit`` call; any other operator is applied label by label.
+    """
     current: dict[ModeLabel, complex] = {label: 1.0 + 0j}
     for operator in operators:
+        if isinstance(operator, WholeMapOperator):
+            current = operator.transit(current)
+            continue
+        mode_images = operator.mode_images
         grown: dict[ModeLabel, complex] = {}
         for lbl, amp in current.items():
-            for image, factor in operator.mode_images(lbl):
+            for image, factor in mode_images(lbl):
                 grown[image] = grown.get(image, 0j) + amp * factor
         current = {l: a for l, a in grown.items() if abs(a) > PRUNE_TOL}
     return list(current.items())
@@ -527,6 +570,7 @@ __all__ = [
     "Polarization",
     "QubitSpec",
     "V",
+    "WholeMapOperator",
     "apply_mode_map",
     "compose_images",
     "fidelity",

@@ -182,3 +182,55 @@ def amplitude_bits(amplitudes):
     return [
         (key, amp.real.hex(), amp.imag.hex()) for key, amp in amplitudes.items()
     ]
+
+
+def seed_stage_images(operator, label):
+    """Per-label images of a multiport or Dove stage by the original
+    formulas (a fresh matrix column, a fresh phase per label); any other
+    operator gives its own ``mode_images``."""
+    from oamnet import Direction, DomainError, DoveStage, SymmetricMultiport
+    from oamnet import symmetric_matrix
+
+    if isinstance(operator, SymmetricMultiport):
+        dimension = operator.dimension
+        if not 0 <= label.path < dimension:
+            raise DomainError(
+                f"path {label.path} outside multiport of dimension {dimension}"
+            )
+        column = symmetric_matrix(dimension)[:, label.path]
+        oam = -label.oam if operator.parity_flip else label.oam
+        return [
+            (ModeLabel(out_path, oam, label.pol), complex(column[out_path]))
+            for out_path in range(dimension)
+        ]
+    if isinstance(operator, DoveStage):
+        dimension = operator.dimension
+        if not 0 <= label.path < dimension:
+            raise DomainError(
+                f"path {label.path} outside Dove stage of dimension {dimension}"
+            )
+        phase_index = label.path * label.oam
+        if operator.direction is Direction.REVERSE:
+            phase_index = -phase_index
+        phase = complex(
+            np.exp(-2j * np.pi * (phase_index % dimension) / dimension)
+        )
+        return [(ModeLabel(label.path, -label.oam, label.pol), phase)]
+    return list(operator.mode_images(label))
+
+
+def label_wise_transit(operators, amplitudes):
+    """A sparse amplitude map pushed through a chain of operators one label
+    and one image at a time (images from :func:`seed_stage_images`), summing
+    from ``0j`` in insertion order and pruning at or below ``PRUNE_TOL``
+    after each operator: the reference for whole-map transit."""
+    from oamnet.states import PRUNE_TOL
+
+    current = dict(amplitudes)
+    for operator in operators:
+        grown = {}
+        for label, amp in current.items():
+            for image, factor in seed_stage_images(operator, label):
+                grown[image] = grown.get(image, 0j) + amp * factor
+        current = {l: a for l, a in grown.items() if abs(a) > PRUNE_TOL}
+    return current

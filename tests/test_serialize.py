@@ -1,0 +1,186 @@
+"""The strict netlist loader: wrong JSON types are errors, never coerced."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oamnet import DomainError, OamNetError, oambs_netlist
+from oamnet.serialize import (
+    element_from_dict,
+    netlist_dumps,
+    netlist_from_dict,
+    netlist_loads,
+)
+
+ELEMENT_TYPES = (
+    "beamsplitter",
+    "phase",
+    "dove",
+    "hologram",
+    "reflective_hologram",
+    "mirror",
+)
+
+
+def document(**overrides):
+    data = {
+        "dimension": 3,
+        "parity_flip": False,
+        "elements": [
+            {"type": "beamsplitter", "ports": [0, 1], "theta": 0.5, "phi": 0},
+            {"type": "dove", "port": 2, "alpha": 0},
+        ],
+    }
+    data.update(overrides)
+    return data
+
+
+def test_valid_document_loads():
+    netlist = netlist_from_dict(document())
+    assert netlist.dimension == 3
+    assert netlist.parity_flip is False
+    assert len(netlist.elements) == 2
+
+
+def test_empty_element_list_is_an_identity_netlist():
+    assert netlist_from_dict(document(elements=[])).elements == ()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_parity_flip_must_be_a_json_boolean(value):
+    # "false" used to load as True
+    with pytest.raises(DomainError, match="parity_flip"):
+        netlist_from_dict(document(parity_flip=value))
+
+
+@pytest.mark.parametrize("value", ["x", "3", 2.7, 3.0, True, None])
+def test_dimension_must_be_an_integer(value):
+    # "x" used to leak ValueError and 2.7 to load as 2
+    with pytest.raises(DomainError, match="dimension"):
+        netlist_from_dict(document(dimension=value))
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, {}, "ab", 3, None])
+def test_elements_must_be_a_list(value):
+    # {"a": 1} used to leak AttributeError and {} to load as no elements
+    with pytest.raises(DomainError, match="elements"):
+        netlist_from_dict(document(elements=value))
+
+
+@pytest.mark.parametrize("record", [1, "mirror", [0], None])
+def test_element_record_must_be_an_object(record):
+    with pytest.raises(DomainError, match="element record"):
+        netlist_from_dict(document(elements=[record]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"type": "phase", "port": 0, "phi": "nan"}',
+        '{"type": "phase", "port": 0, "phi": NaN}',
+        '{"type": "phase", "port": 0, "phi": 1e400}',
+        '{"type": "phase", "port": 0, "phi": -Infinity}',
+        '{"type": "dove", "port": 0, "alpha": true}',
+        '{"type": "beamsplitter", "ports": [0, 1], "theta": 1e400, "phi": 0}',
+    ],
+)
+def test_float_fields_must_be_finite_numbers(text):
+    with pytest.raises(DomainError):
+        element_from_dict(json.loads(text))
+
+
+def test_huge_integer_in_a_float_field_is_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        element_from_dict({"type": "phase", "port": 0, "phi": 10**400})
+
+
+@pytest.mark.parametrize(
+    "ports", [[0.5, 1], [0, 1.0], [True, 1], [0], [0, 1, 2], "01", None]
+)
+def test_ports_must_be_two_integers(ports):
+    # [0.5, 1] used to load as ports (0, 1)
+    record = {"type": "beamsplitter", "ports": ports, "theta": 0.1, "phi": 0.0}
+    with pytest.raises(DomainError, match="ports"):
+        element_from_dict(record)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"type": "hologram", "port": 0, "k": 1.5},
+        {"type": "reflective_hologram", "port": 0, "k": "1"},
+        {"type": "mirror", "port": 1.0},
+        {"type": "phase", "port": False, "phi": 0.0},
+    ],
+)
+def test_integer_fields_reject_other_types(record):
+    with pytest.raises(DomainError, match="must be an integer"):
+        element_from_dict(record)
+
+
+def test_missing_field_is_named():
+    with pytest.raises(DomainError, match="missing field 'theta'"):
+        element_from_dict({"type": "beamsplitter", "ports": [0, 1], "phi": 0.0})
+
+
+def test_float_fields_accept_integers():
+    element = element_from_dict({"type": "dove", "port": 0, "alpha": 0})
+    assert element.alpha == 0.0 and isinstance(element.alpha, float)
+
+
+def test_export_reloads_byte_exact():
+    text = netlist_dumps(oambs_netlist(4), replay_error=1e-16)
+    assert netlist_dumps(netlist_loads(text), replay_error=1e-16) == text
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+FIELD_VALUES = st.one_of(
+    JSON_VALUES,
+    st.integers(-2, 4),
+    st.lists(st.integers(-1, 4), min_size=2, max_size=2),
+)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """Documents shaped like netlists, with any field possibly of a wrong type."""
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        record = {"type": draw(st.sampled_from(ELEMENT_TYPES) | JSON_VALUES)}
+        for key in draw(
+            st.lists(st.sampled_from(("ports", "port", "theta", "phi", "alpha", "k")))
+        ):
+            record[key] = draw(FIELD_VALUES)
+        records.append(record)
+    data = {
+        "dimension": draw(st.integers(-1, 5) | JSON_VALUES),
+        "parity_flip": draw(st.booleans() | JSON_VALUES),
+        "elements": draw(st.just(records) | JSON_VALUES),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=1)):
+        del data[key]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(near_valid_documents(), JSON_VALUES))
+def test_loader_raises_only_domain_errors(data):
+    text = json.dumps(data)
+    try:
+        netlist = netlist_loads(text)
+    except OamNetError as exc:
+        assert isinstance(exc, DomainError)
+        return
+    assert netlist_loads(netlist_dumps(netlist)) == netlist

@@ -104,6 +104,28 @@ def test_fidelity_symmetric():
         assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-12
 
 
+def unnormalized_photon(amplitudes):
+    """A photon built around the constructor's normalization check."""
+    photon = object.__new__(PhotonState)
+    object.__setattr__(photon, "space", SPACE3)
+    object.__setattr__(photon, "amplitudes", amplitudes)
+    return photon
+
+
+def test_fidelity_rejects_unnormalized_state():
+    # <a|a> = 4 used to be clamped silently to a fidelity of 1
+    doubled = unnormalized_photon({ModeLabel(0, 0): 2.0 + 0j})
+    with pytest.raises(NormalizationError):
+        fidelity(doubled, doubled)
+
+
+def test_fidelity_clamps_rounding_within_norm_tolerance():
+    # norm^2 = 1 + 5e-10 passes the constructor's NORM_TOL check
+    scale = math.sqrt(1.0 + 5e-10)
+    a = PhotonState(SPACE3, {ModeLabel(0, 0): scale})
+    assert fidelity(a, a) == 1.0
+
+
 def test_fidelity_kind_mismatch():
     photon = make_qubit_photon(QubitSpec(1, 0), 0, 0, SPACE3)
     ensemble = tensor([photon])

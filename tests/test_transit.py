@@ -1,0 +1,311 @@
+"""Whole-map transit through Fourier multiports and Dove prism stages.
+
+``transit`` is a pure speed-up of the label-wise loop: every result must
+agree bit for bit with ``oracles.label_wise_transit`` (amplitudes and key
+order, signs of zeros included), and the devices built from the stages must
+keep the invariants of the paper's OAM beamsplitter.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oamnet import (
+    BeamSplitter,
+    Direction,
+    DomainError,
+    DovePrism,
+    DoveStage,
+    H,
+    Hologram,
+    Mirror,
+    ModeLabel,
+    ModeSpace,
+    PhaseShifter,
+    PhotonState,
+    SymmetricMultiport,
+    V,
+    apply_mode_map,
+    default_oam_values,
+    oambs,
+    oambs_closed_form,
+    sbmao,
+)
+from oamnet.states import PRUNE_TOL, compose_images
+from oracles import amplitude_bits, label_wise_transit, seed_stage_images
+
+MAX_DIMENSION = 8
+
+# amplitudes straddling the pruning threshold, so that sums and products
+# land on both sides of it
+NEAR_PRUNE = (0.5, 0.999999, 1.0, 1.000001, 2.0, 3.0)
+
+
+@st.composite
+def labels(draw, dimension, path_slack=0):
+    return ModeLabel(
+        draw(st.integers(-path_slack, dimension - 1 + path_slack)),
+        draw(st.integers(-3 * dimension, 3 * dimension)),
+        draw(st.sampled_from((H, V))),
+    )
+
+
+def amplitudes():
+    plain = st.complex_numbers(
+        max_magnitude=2.0, allow_nan=False, allow_infinity=False
+    )
+    tiny = st.builds(
+        lambda scale, angle: scale * PRUNE_TOL * complex(math.cos(angle), math.sin(angle)),
+        st.sampled_from(NEAR_PRUNE),
+        st.floats(-math.pi, math.pi),
+    )
+    # a real or imaginary amplitude with a signed zero part: products keep
+    # the -0.0 that summing from 0j turns into +0.0
+    axis = st.builds(
+        lambda value, zero, imaginary: complex(zero, value) if imaginary else complex(value, zero),
+        st.sampled_from((1.0, -1.0, 0.5, -0.25, PRUNE_TOL, -PRUNE_TOL)),
+        st.sampled_from((0.0, -0.0)),
+        st.booleans(),
+    )
+    return st.one_of(plain, tiny, axis)
+
+
+def amplitude_maps(dimension, path_slack=0):
+    return st.dictionaries(
+        labels(dimension, path_slack), amplitudes(), min_size=1, max_size=12
+    )
+
+
+def stages(dimension):
+    return st.one_of(
+        st.builds(SymmetricMultiport, st.just(dimension), st.booleans()),
+        st.builds(
+            DoveStage,
+            st.just(dimension),
+            st.sampled_from((Direction.FORWARD, Direction.REVERSE)),
+        ),
+    )
+
+
+def elements(dimension):
+    port = st.integers(0, dimension - 1)
+    angle = st.one_of(
+        st.floats(-math.pi, math.pi),
+        # mixing angles whose small branch falls near or under PRUNE_TOL
+        st.sampled_from((1e-16, 5e-16, 1e-15, 2e-15, 1e-14)),
+    )
+    choices = [
+        st.builds(PhaseShifter, port, angle),
+        st.builds(Hologram, port, st.integers(-dimension, dimension)),
+        st.builds(Mirror, port),
+        st.builds(DovePrism, port, angle),
+    ]
+    if dimension > 1:
+        # either port order: (2, 0) puts path 2's image ahead of path 0's
+        pairs = st.tuples(port, port).filter(lambda pair: pair[0] != pair[1])
+        choices.append(
+            st.builds(
+                lambda pair, theta, phi: BeamSplitter(pair[0], pair[1], theta, phi),
+                pairs,
+                angle,
+                angle,
+            )
+        )
+    return st.one_of(choices)
+
+
+@st.composite
+def chains(draw):
+    dimension = draw(st.integers(1, MAX_DIMENSION))
+    operators = draw(
+        st.lists(st.one_of(stages(dimension), elements(dimension)), max_size=6)
+    )
+    return dimension, operators
+
+
+def transit_or_error(operators, amplitudes_in, run):
+    try:
+        return amplitude_bits(run(operators, amplitudes_in))
+    except DomainError as exc:
+        return str(exc)
+
+
+# --- bit-identity against the label-wise loop ------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(), st.data())
+def test_chains_match_label_wise_loop(chain, data):
+    dimension, operators = chain
+    label = data.draw(labels(dimension))
+    assert amplitude_bits(dict(compose_images(operators, label))) == amplitude_bits(
+        label_wise_transit(operators, {label: 1.0 + 0j})
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, MAX_DIMENSION).flatmap(
+    lambda d: st.tuples(stages(d), amplitude_maps(d, path_slack=1))
+))
+def test_transit_matches_label_wise_loop_on_any_map(case):
+    stage, amplitudes_in = case
+    # out-of-range paths must raise the same message as the label-wise loop
+    assert transit_or_error(
+        [stage], amplitudes_in, lambda ops, amps: ops[0].transit(amps)
+    ) == transit_or_error([stage], amplitudes_in, label_wise_transit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, MAX_DIMENSION).flatmap(
+    lambda d: st.tuples(stages(d), labels(d))
+))
+def test_mode_images_is_the_one_label_transit(case):
+    stage, label = case
+    images = stage.mode_images(label)
+    assert amplitude_bits(dict(images)) == amplitude_bits(
+        stage.transit({label: 1.0 + 0j})
+    )
+    assert amplitude_bits(dict(images)) == amplitude_bits(
+        dict(seed_stage_images(stage, label))
+    )
+
+
+def test_beamsplitter_out_of_path_order_before_a_multiport():
+    splitter = BeamSplitter(2, 0, 0.7, 0.3)
+    label = ModeLabel(0, 1, V)
+    mixed = dict(splitter.mode_images(label))
+    assert [image.path for image in mixed] == [2, 0]
+    operators = [splitter, SymmetricMultiport(3), DoveStage(3), SymmetricMultiport(3)]
+    assert amplitude_bits(dict(compose_images(operators, label))) == amplitude_bits(
+        label_wise_transit(operators, {label: 1.0 + 0j})
+    )
+
+
+@pytest.mark.parametrize(
+    "amplitudes_in",
+    [
+        # signed zeros: -1 - 0j times a real factor has imaginary part -0.0
+        {ModeLabel(0, 1): complex(-1.0, -0.0), ModeLabel(1, 2, V): complex(-0.0, -0.5)},
+        # sums of exactly PRUNE_TOL are pruned, as the label-wise loop does
+        {ModeLabel(0, 0): complex(PRUNE_TOL, 0.0), ModeLabel(1, 0, V): 1.0 + 0j},
+    ],
+)
+@pytest.mark.parametrize(
+    "stage",
+    [SymmetricMultiport(1), SymmetricMultiport(2), DoveStage(2), DoveStage(2, "reverse")],
+)
+def test_signed_zeros_and_prune_threshold(stage, amplitudes_in):
+    if stage.dimension == 1:
+        amplitudes_in = {l: a for l, a in amplitudes_in.items() if l.path == 0}
+    assert amplitude_bits(stage.transit(amplitudes_in)) == amplitude_bits(
+        label_wise_transit([stage], amplitudes_in)
+    )
+
+
+@pytest.mark.parametrize("dimension", range(1, 9))
+def test_full_window_matches_label_wise_loop(dimension):
+    for device in (oambs(dimension), sbmao(dimension)):
+        for path in range(dimension):
+            for oam in default_oam_values(dimension):
+                for pol in (H, V):
+                    label = ModeLabel(path, oam, pol)
+                    assert amplitude_bits(
+                        dict(compose_images(device.stages, label))
+                    ) == amplitude_bits(
+                        label_wise_transit(device.stages, {label: 1.0 + 0j})
+                    )
+
+
+@pytest.mark.parametrize(
+    "stage, name",
+    [(SymmetricMultiport(3), "multiport"), (DoveStage(3, "reverse"), "Dove stage")],
+)
+@pytest.mark.parametrize("path", [3, -1])
+def test_out_of_range_path_error_text(stage, name, path):
+    amplitudes_in = {ModeLabel(0, 1): 0.6, ModeLabel(path, 2): 0.8}
+    message = f"path {path} outside {name} of dimension 3"
+    with pytest.raises(DomainError) as whole_map:
+        stage.transit(amplitudes_in)
+    with pytest.raises(DomainError) as label_wise:
+        label_wise_transit([stage], amplitudes_in)
+    assert str(whole_map.value) == str(label_wise.value) == message
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        stage.mode_images(ModeLabel(path, 0))
+
+
+# --- invariants of the devices on random inputs ------------------------------
+
+
+@st.composite
+def photons(draw):
+    dimension = draw(st.integers(1, MAX_DIMENSION))
+    window = dimension - 1
+    raw = draw(
+        st.dictionaries(
+            st.builds(
+                ModeLabel,
+                st.integers(0, dimension - 1),
+                st.integers(-window, window),
+                st.sampled_from((H, V)),
+            ),
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    norm = math.sqrt(sum(abs(amp) ** 2 for amp in raw.values()))
+    space = ModeSpace(dimension)
+    return PhotonState(space, {label: amp / norm for label, amp in raw.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(photons(), st.sampled_from(("oambs", "sbmao", "multiport", "dove")))
+def test_norm_is_preserved(photon, kind):
+    dimension = photon.space.dimension
+    device = {
+        "oambs": oambs(dimension),
+        "sbmao": sbmao(dimension),
+        "multiport": SymmetricMultiport(dimension),
+        "dove": DoveStage(dimension),
+    }[kind]
+    out = apply_mode_map(photon, device)
+    norm_sq = sum(abs(amp) ** 2 for amp in out.amplitudes.values())
+    assert norm_sq == pytest.approx(1.0, abs=1e-12)
+
+
+def single_image(images):
+    """The one label carrying the photon, after checking the rest is dust."""
+    label, amp = max(images.items(), key=lambda item: abs(item[1]))
+    rest = sum(abs(a) ** 2 for l, a in images.items() if l != label)
+    assert rest < 1e-24
+    return label, amp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, MAX_DIMENSION).flatmap(lambda d: labels(d)), st.data())
+def test_reverse_transit_undoes_forward(label, data):
+    dimension = data.draw(st.integers(max(1, label.path + 1), MAX_DIMENSION))
+    chain = oambs(dimension).stages + sbmao(dimension).stages
+    out, amp = single_image(dict(compose_images(chain, label)))
+    assert out == label
+    assert abs(amp - 1.0) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, MAX_DIMENSION).flatmap(
+        lambda d: st.tuples(st.just(d), labels(d))
+    ),
+    st.sampled_from((Direction.FORWARD, Direction.REVERSE)),
+)
+def test_device_matches_closed_form(case, direction):
+    dimension, label = case
+    device = oambs(dimension) if direction is Direction.FORWARD else sbmao(dimension)
+    out, amp = single_image(dict(compose_images(device.stages, label)))
+    assert (out.oam, out.path) == oambs_closed_form(
+        label.oam, label.path, dimension, direction
+    )
+    assert out.pol is label.pol
+    assert abs(abs(amp) - 1.0) < 1e-12
