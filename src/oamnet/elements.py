@@ -17,22 +17,29 @@ Conventions used throughout the package:
   accounted for once per transit at the composite level.
 
 Every element acts as the identity on modes whose path differs from its
-port(s), and all of them ignore polarization.
+port(s), and all of them ignore polarization.  They share the base
+:class:`PortElement`, a :class:`~oamnet.states.WholeMapOperator` whose
+``transit`` passes labels off the ports straight through and calls the
+element's ``mode_images`` only for labels on a port, and whose
+``reversed()`` gives the element as a photon crossing it right to left sees
+it (holograms have no such convention and raise :class:`DomainError`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
 from .errors import DomainError
 from .states import (
+    PRUNE_TOL,
     EnsembleState,
     ModeLabel,
     PhotonState,
+    WholeMapOperator,
     apply_mode_map,
 )
 
@@ -60,8 +67,52 @@ def beamsplitter_block(theta: float, phi: float) -> list[list[complex]]:
     ]
 
 
+class PortElement(WholeMapOperator):
+    """Base of the elements: acts on the paths in ``ports``, passes the rest.
+
+    ``transit`` passes a label off the element's ports through as
+    ``0j + amp * (1+0j)``, keeping its key position, and calls the element's
+    own ``mode_images`` only for a label on a port; those images must stay
+    on the ports.  Sums and pruning follow the label-wise loop of
+    :func:`~oamnet.states.compose_images`, so results agree bit for bit.
+    Each element's formula lives only in its ``mode_images``, which keeps
+    factors at or below ``PRUNE_TOL`` that ``transit`` prunes.
+    """
+
+    @property
+    def ports(self) -> tuple[int, ...]:
+        return (self.port,)
+
+    def transit(self, amplitudes):
+        ports = self.ports
+        mode_images = self.mode_images
+        out: dict[ModeLabel, complex] = {}
+        images: list[ModeLabel] = []
+        for label, amp in amplitudes.items():
+            if label.path in ports:
+                for image, factor in mode_images(label):
+                    out[image] = out.get(image, 0j) + amp * factor
+                    images.append(image)
+            else:
+                # a label passed through is final at once: the images of
+                # port labels stay on the ports and never add to it
+                total = 0j + amp * (1.0 + 0j)
+                if abs(total) > PRUNE_TOL:
+                    out[label] = total
+        for image in images:
+            if image in out and abs(out[image]) <= PRUNE_TOL:
+                del out[image]
+        return out
+
+    def reversed(self) -> "PortElement":
+        """The element as seen by a photon traversing it right to left."""
+        raise DomainError(
+            f"no reverse-transit convention for {type(self).__name__}"
+        )
+
+
 @dataclass(frozen=True)
-class PhaseShifter:
+class PhaseShifter(PortElement):
     port: int
     phi: float
 
@@ -70,17 +121,26 @@ class PhaseShifter:
             return ((label, 1.0 + 0j),)
         return ((label, cmath.exp(1j * self.phi)),)
 
+    def reversed(self) -> "PhaseShifter":
+        return self
+
 
 @dataclass(frozen=True)
-class BeamSplitter:
+class BeamSplitter(PortElement):
     port_a: int
     port_b: int
     theta: float
     phi: float = 0.0
+    _block: list[list[complex]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.port_a == self.port_b:
             raise DomainError(f"beamsplitter ports must differ, got {self.port_a}")
+        object.__setattr__(self, "_block", beamsplitter_block(self.theta, self.phi))
+
+    @property
+    def ports(self) -> tuple[int, ...]:
+        return (self.port_a, self.port_b)
 
     def mode_images(self, label: ModeLabel):
         if label.path == self.port_a:
@@ -89,15 +149,18 @@ class BeamSplitter:
             column = 1
         else:
             return ((label, 1.0 + 0j),)
-        block = beamsplitter_block(self.theta, self.phi)
+        block = self._block
         return (
             (ModeLabel(self.port_a, label.oam, label.pol), block[0][column]),
             (ModeLabel(self.port_b, label.oam, label.pol), block[1][column]),
         )
 
+    def reversed(self) -> "BeamSplitter":
+        return BeamSplitter(self.port_a, self.port_b, self.theta, -self.phi)
+
 
 @dataclass(frozen=True)
-class Mirror:
+class Mirror(PortElement):
     port: int
 
     def mode_images(self, label: ModeLabel):
@@ -105,9 +168,12 @@ class Mirror:
             return ((label, 1.0 + 0j),)
         return ((ModeLabel(label.path, -label.oam, label.pol), 1.0 + 0j),)
 
+    def reversed(self) -> "Mirror":
+        return self
+
 
 @dataclass(frozen=True)
-class DovePrism:
+class DovePrism(PortElement):
     port: int
     alpha: float
 
@@ -117,9 +183,12 @@ class DovePrism:
         phase = cmath.exp(-1j * self.alpha * label.oam)
         return ((ModeLabel(label.path, -label.oam, label.pol), phase),)
 
+    def reversed(self) -> "DovePrism":
+        return DovePrism(self.port, -self.alpha)
+
 
 @dataclass(frozen=True)
-class Hologram:
+class Hologram(PortElement):
     port: int
     k: int
 
@@ -130,7 +199,7 @@ class Hologram:
 
 
 @dataclass(frozen=True)
-class ReflectiveHologram:
+class ReflectiveHologram(PortElement):
     """Mirror-backed hologram: ``|l> -> |-l-k>`` on its port.
 
     The photon leaves against its arrival direction; pipelines that use one
@@ -199,21 +268,6 @@ def apply_reflective_hologram(state: State, port: int, k: int) -> State:
     return apply_mode_map(state, ReflectiveHologram(port, k))
 
 
-def reversed_element(element: Element) -> Element:
-    """Element as seen by a photon traversing it right to left."""
-    if isinstance(element, (PhaseShifter, Mirror)):
-        return element
-    if isinstance(element, BeamSplitter):
-        return BeamSplitter(
-            element.port_a, element.port_b, element.theta, -element.phi
-        )
-    if isinstance(element, DovePrism):
-        return DovePrism(element.port, -element.alpha)
-    raise DomainError(
-        f"no reverse-transit convention for {type(element).__name__}"
-    )
-
-
 __all__ = [
     "BeamSplitter",
     "Direction",
@@ -222,6 +276,7 @@ __all__ = [
     "Hologram",
     "Mirror",
     "PhaseShifter",
+    "PortElement",
     "ReflectiveHologram",
     "apply_beamsplitter",
     "apply_dove",
@@ -230,5 +285,4 @@ __all__ = [
     "apply_phase_shifter",
     "apply_reflective_hologram",
     "beamsplitter_block",
-    "reversed_element",
 ]

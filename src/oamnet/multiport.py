@@ -26,9 +26,9 @@ sends a whole sparse amplitude map through the stage in one call, doing the
 same complex products and sums in the same order as the label-wise loop of
 :func:`~oamnet.states.compose_images`, so results agree bit for bit; each
 stage's ``mode_images`` is the one-label case.  The only cached data are
-per-dimension rows of Python complex values: the ``D`` columns of the
-Fourier matrix and the ``D`` Dove prism phases.  Nothing is cached per label
-or per device.
+per dimension: rows of Python complex values (the ``D`` columns of the
+Fourier matrix and the ``D`` Dove prism phases) and the immutable devices
+built by :func:`oambs` and :func:`sbmao`.  Nothing is cached per label.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .elements import Direction, Element, reversed_element
+from .elements import Direction, Element
 from .errors import DomainError
 from .states import (
     PRUNE_TOL,
@@ -189,15 +189,13 @@ class CompositeDevice:
         return compose_images(self.stages, label)
 
     def reversed(self) -> "CompositeDevice":
-        flipped = []
-        for stage in reversed(self.stages):
-            if hasattr(stage, "reversed"):
-                flipped.append(stage.reversed())
-            else:
-                flipped.append(reversed_element(stage))
-        return CompositeDevice(tuple(flipped), self.dimension)
+        return CompositeDevice(
+            tuple(stage.reversed() for stage in reversed(self.stages)),
+            self.dimension,
+        )
 
 
+@lru_cache(maxsize=None)
 def oambs(dimension: int) -> CompositeDevice:
     """Forward OAM beamsplitter: multiport, Dove stage, multiport."""
     if dimension < 1:
@@ -208,6 +206,7 @@ def oambs(dimension: int) -> CompositeDevice:
     )
 
 
+@lru_cache(maxsize=None)
 def sbmao(dimension: int) -> CompositeDevice:
     """The OAM beamsplitter traversed right to left; exact inverse of forward."""
     return oambs(dimension).reversed()

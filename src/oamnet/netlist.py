@@ -24,7 +24,7 @@ from .elements import (
     Hologram,
     Mirror,
     PhaseShifter,
-    ReflectiveHologram,
+    PortElement,
     beamsplitter_block,
 )
 from .errors import DecompositionError, DomainError
@@ -46,26 +46,6 @@ from .states import (
 _NULL_TOL = 1e-14
 
 
-_ELEMENT_TYPES = (
-    BeamSplitter,
-    DovePrism,
-    Hologram,
-    Mirror,
-    PhaseShifter,
-    ReflectiveHologram,
-)
-
-
-def _element_ports(element: Element) -> tuple[int, ...]:
-    if not isinstance(element, _ELEMENT_TYPES):
-        raise DomainError(
-            f"netlists hold elementary elements only, got {type(element).__name__}"
-        )
-    if isinstance(element, BeamSplitter):
-        return (element.port_a, element.port_b)
-    return (element.port,)
-
-
 @dataclass(frozen=True)
 class Netlist:
     """Ordered optical elements over ``dimension`` paths."""
@@ -79,7 +59,12 @@ class Netlist:
             raise DomainError(f"dimension must be >= 1, got {self.dimension}")
         object.__setattr__(self, "elements", tuple(self.elements))
         for element in self.elements:
-            for port in _element_ports(element):
+            if not isinstance(element, PortElement):
+                raise DomainError(
+                    "netlists hold elementary elements only, got "
+                    f"{type(element).__name__}"
+                )
+            for port in element.ports:
                 if not 0 <= port < self.dimension:
                     raise DomainError(
                         f"{type(element).__name__} port {port} outside "

@@ -230,7 +230,7 @@ class SimpleRoutingNetwork:
     def transit(self) -> CompositeDevice:
         if self.side is Direction.FORWARD:
             return self.core
-        return self.core.reversed()
+        return sbmao(self.dimension)
 
     def choose_winding(self, sender: int, destination: int) -> int:
         return choose_winding_simple(

@@ -2,7 +2,8 @@
 
 The JSON output is deterministic byte for byte: objects serialize in
 insertion order and every float is rendered with 17 significant digits,
-enough to reconstruct the exact IEEE-754 double on any conforming parser.
+enough to reconstruct the exact IEEE-754 double on any conforming parser
+(negative zero is written ``-0.0``, since ``-0`` would parse as an integer).
 Complex numbers are two-element ``[re, im]`` arrays; matrices are row-major
 lists of those pairs in the fixed (path ascending, OAM ascending, H before
 V) basis order.
@@ -32,7 +33,8 @@ from .netlist import Netlist
 def _format_float(value: float) -> str:
     if math.isnan(value) or math.isinf(value):
         raise DomainError(f"non-finite float {value!r} is not serializable")
-    return format(value, ".17g")
+    text = format(value, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def dumps_canonical(value: Any) -> str:

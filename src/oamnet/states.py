@@ -3,7 +3,9 @@
 A single-photon mode is labeled by its spatial path index, its integer OAM
 winding number, and its polarization.  States store only nonzero complex
 amplitudes, keyed by :class:`ModeLabel` for one photon and by ordered tuples
-of labels (one slot per photon) for few-photon ensembles.
+of labels (one slot per photon) for few-photon ensembles.  A label is itself
+a named tuple ``(path, oam, pol)``: it hashes and compares in C, and equals
+the plain tuple with the same three entries.
 
 Winding numbers are true signed integers.  Devices routinely produce negative
 values (every reflection flips the sign) and routing formulas reduce them
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import (
     BunchingError,
@@ -54,24 +56,16 @@ H = Polarization.H
 V = Polarization.V
 
 
-@dataclass(frozen=True)
-class ModeLabel:
-    """One single-photon mode: (path, winding number, polarization)."""
+class ModeLabel(NamedTuple):
+    """One single-photon mode: (path, winding number, polarization).
+
+    A tuple, so hashing and equality run in C; a label equals (and hashes
+    as) the plain tuple ``(path, oam, pol)``.
+    """
 
     path: int
     oam: int
     pol: Polarization = H
-
-    # Labels are hashed on every image lookup and as parts of every ensemble
-    # tuple, so the hash is computed once.  It is built from ints and a bool
-    # only, so a pickled copy keeps a valid hash in another process.
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.path, self.oam, self.pol is V))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"|{self.oam}^{self.pol.value}>_{self.path}"
@@ -136,7 +130,9 @@ class WholeMapOperator:
     :func:`compose_images` makes of ``amplitudes``: every image of every
     input label, summed as ``0j + amp * factor + ...`` in input order and
     keyed in first-insertion order, with sums at or below ``PRUNE_TOL``
-    dropped.  ``mode_images`` is its one-label case.
+    dropped.  By default ``mode_images`` is its one-label case.  Keys are
+    :class:`ModeLabel` tuples; since a label equals its plain
+    ``(path, oam, pol)`` tuple, either finds the same entry.
     """
 
     def transit(
@@ -368,8 +364,9 @@ def compose_images(
 ) -> list[tuple[ModeLabel, complex]]:
     """Image of one label under a chain of operators, applied left to right.
 
-    A :class:`WholeMapOperator` takes the whole intermediate map in one
-    ``transit`` call; any other operator is applied label by label.
+    A :class:`WholeMapOperator` (every stage and element of this package)
+    takes the whole intermediate map in one ``transit`` call; any other
+    operator is applied label by label.
     """
     current: dict[ModeLabel, complex] = {label: 1.0 + 0j}
     for operator in operators:

@@ -10,11 +10,13 @@ from oamnet import (
     DomainError,
     DovePrism,
     H,
+    Hologram,
     Mirror,
     ModeLabel,
     ModeSpace,
     PhaseShifter,
     PhotonState,
+    ReflectiveHologram,
     V,
     apply_beamsplitter,
     apply_dove,
@@ -22,6 +24,7 @@ from oamnet import (
     apply_mirror,
     apply_phase_shifter,
     apply_reflective_hologram,
+    beamsplitter_block,
 )
 from oracles import matrix_of_operator
 
@@ -208,6 +211,64 @@ def test_elements_ignore_polarization(element):
     for label, amp in for_h.items():
         twin = ModeLabel(label.path, label.oam, V)
         assert for_v[twin] == amp
+
+
+def test_beamsplitter_block_is_not_part_of_its_value():
+    splitter = BeamSplitter(2, 0, 0.3)
+    assert repr(splitter) == "BeamSplitter(port_a=2, port_b=0, theta=0.3, phi=0.0)"
+    assert splitter == BeamSplitter(2, 0, 0.3, 0.0)
+    assert hash(splitter) == hash(BeamSplitter(2, 0, 0.3, 0.0))
+    block = beamsplitter_block(0.3, 0.0)
+    assert splitter.mode_images(ModeLabel(0, 1, V)) == (
+        (ModeLabel(2, 1, V), block[0][1]),
+        (ModeLabel(0, 1, V), block[1][1]),
+    )
+
+
+REVERSIBLE = [
+    PhaseShifter(1, 0.7),
+    Mirror(2),
+    BeamSplitter(2, 0, 0.3, 1.1),
+    DovePrism(1, 2.1),
+]
+
+
+@pytest.mark.parametrize(
+    "element, expected",
+    zip(
+        REVERSIBLE,
+        [
+            PhaseShifter(1, 0.7),
+            Mirror(2),
+            BeamSplitter(2, 0, 0.3, -1.1),
+            DovePrism(1, -2.1),
+        ],
+    ),
+)
+def test_reversed_element(element, expected):
+    assert element.reversed() == expected
+    assert element.reversed().reversed() == element
+
+
+@pytest.mark.parametrize("element", REVERSIBLE)
+def test_reverse_transit_is_the_transpose(element):
+    # reciprocal optics: right to left, each element acts by its transpose
+    labels = [
+        ModeLabel(path, oam) for path in range(3) for oam in range(-2, 3)
+    ]
+    np.testing.assert_allclose(
+        matrix_of_operator(element.reversed(), labels),
+        matrix_of_operator(element, labels).T,
+        rtol=0,
+        atol=1e-15,
+    )
+
+
+@pytest.mark.parametrize("element", [Hologram(0, 2), ReflectiveHologram(1, -1)])
+def test_holograms_have_no_reverse_transit(element):
+    message = f"^no reverse-transit convention for {type(element).__name__}$"
+    with pytest.raises(DomainError, match=message):
+        element.reversed()
 
 
 def test_apply_functions_validate_port_range():

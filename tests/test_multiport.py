@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from oamnet import (
+    BeamSplitter,
     DomainError,
+    DovePrism,
     Hologram,
     CompositeDevice,
+    Mirror,
     ModeLabel,
     ModeSpace,
     PhotonState,
@@ -182,3 +185,23 @@ def test_dove_stage_direction_symmetry():
     # reversing twice restores the forward device
     device = oambs(5)
     assert device.reversed().reversed() == device
+
+
+def test_devices_are_built_once_per_dimension():
+    assert oambs(5) is oambs(5)
+    assert sbmao(5) is sbmao(5)
+    assert sbmao(5) == oambs(5).reversed()
+    assert oambs(4) != oambs(5)
+
+
+def test_composite_reversal_reverses_each_element():
+    device = CompositeDevice(
+        (BeamSplitter(0, 1, 0.3, 0.5), DovePrism(1, 0.2), Mirror(0)), 2
+    )
+    assert device.reversed().stages == (
+        Mirror(0),
+        DovePrism(1, -0.2),
+        BeamSplitter(0, 1, 0.3, -0.5),
+    )
+    with pytest.raises(DomainError, match="for Hologram$"):
+        CompositeDevice((Mirror(0), Hologram(1, 2)), 2).reversed()

@@ -29,8 +29,10 @@ from oamnet import (
     fidelity,
     make_qubit_photon,
     mux_transmit,
+    oambs,
     path_probabilities,
     routing_report,
+    sbmao,
     sender_tag,
     star_deliver,
     superposed_destination,
@@ -187,6 +189,14 @@ def test_star_self_loop():
     assert delivered.amplitude(ModeLabel(2, 2, H)) == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+def test_networks_share_one_device_per_dimension():
+    star, mux = StarNetwork(5), MuxNetwork(5)
+    assert star.core is oambs(5) and star.return_core is sbmao(5)
+    assert mux.core is oambs(5) and mux.demux_core is sbmao(5)
+    assert SimpleRoutingNetwork(5).transit is oambs(5)
+    assert SimpleRoutingNetwork(5, "reverse").transit is sbmao(5)
 
 
 def test_star_intermediate_state_after_reflector():

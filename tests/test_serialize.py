@@ -1,13 +1,21 @@
 """The strict netlist loader: wrong JSON types are errors, never coerced."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oamnet import DomainError, OamNetError, oambs_netlist
+from oamnet import (
+    DomainError,
+    Netlist,
+    OamNetError,
+    dove_stage_elements,
+    oambs_netlist,
+)
 from oamnet.serialize import (
+    dumps_canonical,
     element_from_dict,
     netlist_dumps,
     netlist_from_dict,
@@ -184,3 +192,13 @@ def test_loader_raises_only_domain_errors(data):
         assert isinstance(exc, DomainError)
         return
     assert netlist_loads(netlist_dumps(netlist)) == netlist
+
+
+def test_negative_zero_survives_the_round_trip():
+    # port 0's reverse prism has alpha -0.0, once written "-0": an integer
+    text = netlist_dumps(Netlist(3, dove_stage_elements(3, "reverse")))
+    assert '"alpha": -0.0' in text
+    loaded = netlist_loads(text)
+    assert math.copysign(1.0, loaded.elements[0].alpha) == -1.0
+    assert netlist_dumps(loaded) == text
+    assert dumps_canonical([-0.0, 0.0, -1.0]) == "[-0.0, 0, -1]"

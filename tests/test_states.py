@@ -1,6 +1,7 @@
 """State construction, fidelity, tensor products, and operator application."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from oamnet import (
     path_probabilities,
     tensor,
 )
+from oamnet.states import label_key
 from oracles import ensemble_vector, oam_beamsplitter_matrix, random_qubit
 
 SPACE3 = ModeSpace(3)
@@ -293,3 +295,48 @@ def test_path_probabilities():
     assert probs[0] == pytest.approx(0.36)
     assert probs[2] == pytest.approx(0.64)
     assert sum(probs.values()) == pytest.approx(1.0)
+
+
+# ------------------------------------------------------------ label contract
+
+
+def test_mode_label_repr_and_str():
+    label = ModeLabel(2, -3, V)
+    assert repr(label) == "ModeLabel(path=2, oam=-3, pol=<Polarization.V: 'V'>)"
+    assert str(label) == "|-3^V>_2"
+    assert str(ModeLabel(0, 1)) == "|1^H>_0"
+
+
+def test_mode_labels_built_apart_are_equal_and_hash_equal():
+    first, second = ModeLabel(1, -4, V), ModeLabel(1, -4, V)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first == (1, -4, V) and hash(first) == hash((1, -4, V))
+    assert ModeLabel(1, 4, V) != first and ModeLabel(1, -4) != first
+    assert {first: 0.5}[second] == 0.5
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_mode_label_pickle_round_trip(protocol):
+    label = ModeLabel(3, -7, V)
+    copy = pickle.loads(pickle.dumps(label, protocol))
+    assert type(copy) is ModeLabel and copy == label
+    assert hash(copy) == hash(label) and copy.pol is V
+    assert {label: 1.0}[copy] == 1.0
+
+
+def test_label_key_orders_path_then_winding_then_polarization():
+    labels = [
+        ModeLabel(1, 0, V),
+        ModeLabel(0, 2, H),
+        ModeLabel(1, -1, H),
+        ModeLabel(0, 2, V),
+        ModeLabel(1, 0, H),
+    ]
+    assert sorted(labels, key=label_key) == [
+        ModeLabel(0, 2, H),
+        ModeLabel(0, 2, V),
+        ModeLabel(1, -1, H),
+        ModeLabel(1, 0, H),
+        ModeLabel(1, 0, V),
+    ]

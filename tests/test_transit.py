@@ -1,4 +1,5 @@
-"""Whole-map transit through Fourier multiports and Dove prism stages.
+"""Whole-map transit through Fourier multiports, Dove prism stages and
+elements.
 
 ``transit`` is a pure speed-up of the label-wise loop: every result must
 agree bit for bit with ``oracles.label_wise_transit`` (amplitudes and key
@@ -25,12 +26,15 @@ from oamnet import (
     ModeSpace,
     PhaseShifter,
     PhotonState,
+    ReflectiveHologram,
     SymmetricMultiport,
     V,
     apply_mode_map,
     default_oam_values,
+    netlist_apply,
     oambs,
     oambs_closed_form,
+    oambs_netlist,
     sbmao,
 )
 from oamnet.states import PRUNE_TOL, compose_images
@@ -99,6 +103,7 @@ def elements(dimension):
     choices = [
         st.builds(PhaseShifter, port, angle),
         st.builds(Hologram, port, st.integers(-dimension, dimension)),
+        st.builds(ReflectiveHologram, port, st.integers(-dimension, dimension)),
         st.builds(Mirror, port),
         st.builds(DovePrism, port, angle),
     ]
@@ -155,6 +160,52 @@ def test_transit_matches_label_wise_loop_on_any_map(case):
     assert transit_or_error(
         [stage], amplitudes_in, lambda ops, amps: ops[0].transit(amps)
     ) == transit_or_error([stage], amplitudes_in, label_wise_transit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, MAX_DIMENSION).flatmap(
+    lambda d: st.tuples(elements(d), amplitude_maps(d, path_slack=1))
+))
+def test_element_transit_matches_label_wise_loop_on_any_map(case):
+    element, amplitudes_in = case
+    assert amplitude_bits(element.transit(amplitudes_in)) == amplitude_bits(
+        label_wise_transit([element], amplitudes_in)
+    )
+
+
+@pytest.mark.parametrize(
+    "amplitudes_in",
+    [
+        # signed zeros, on the ports (0 and 1) and off them (2)
+        {
+            ModeLabel(2, 1): complex(-1.0, -0.0),
+            ModeLabel(0, 2, V): complex(-0.0, -0.5),
+            ModeLabel(2, 3, V): complex(-0.0, 0.25),
+        },
+        # sums of exactly PRUNE_TOL are pruned on and off the ports
+        {
+            ModeLabel(2, 0): complex(PRUNE_TOL, 0.0),
+            ModeLabel(0, 1): complex(0.0, PRUNE_TOL),
+            ModeLabel(1, 0, V): 1.0 + 0j,
+        },
+    ],
+)
+@pytest.mark.parametrize(
+    "element",
+    [
+        Mirror(0),
+        PhaseShifter(1, 0.0),
+        DovePrism(0, 0.0),
+        Hologram(0, 0),
+        ReflectiveHologram(0, 0),
+        BeamSplitter(1, 0, 0.0),
+        BeamSplitter(0, 1, 1e-16, 0.5),
+    ],
+)
+def test_element_signed_zeros_and_prune_threshold(element, amplitudes_in):
+    assert amplitude_bits(element.transit(amplitudes_in)) == amplitude_bits(
+        label_wise_transit([element], amplitudes_in)
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,6 +267,23 @@ def test_full_window_matches_label_wise_loop(dimension):
                     ) == amplitude_bits(
                         label_wise_transit(device.stages, {label: 1.0 + 0j})
                     )
+
+
+@pytest.mark.parametrize("dimension", range(1, 9))
+def test_oambs_netlist_matches_label_wise_loop(dimension):
+    netlist = oambs_netlist(dimension)
+    space = ModeSpace(dimension)
+    for path in range(dimension):
+        for oam in range(dimension):
+            label = ModeLabel(path, oam)
+            routed = netlist_apply(netlist, PhotonState(space, {label: 1.0}))
+            expected = {
+                ModeLabel(image.path, -image.oam, image.pol): amp
+                for image, amp in label_wise_transit(
+                    netlist.elements, {label: 1.0 + 0j}
+                ).items()
+            }
+            assert amplitude_bits(routed.amplitudes) == amplitude_bits(expected)
 
 
 @pytest.mark.parametrize(
