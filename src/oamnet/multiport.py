@@ -25,15 +25,26 @@ Both stages derive from :class:`~oamnet.states.WholeMapOperator`: ``transit``
 sends a whole sparse amplitude map through the stage in one call, doing the
 same complex products and sums in the same order as the label-wise loop of
 :func:`~oamnet.states.compose_images`, so results agree bit for bit; each
-stage's ``mode_images`` is the one-label case.  The only cached data are
-per dimension: rows of Python complex values (the ``D`` columns of the
-Fourier matrix and the ``D`` Dove prism phases) and the immutable devices
-built by :func:`oambs` and :func:`sbmao`.  Nothing is cached per label.
+stage's ``mode_images`` is the one-label case.  Per dimension, the module
+caches rows of Python complex values (the ``D`` columns of the Fourier
+matrix and the ``D`` Dove prism phases) and the immutable devices built by
+:func:`oambs` and :func:`sbmao`.
+
+Per device, a :class:`CompositeDevice` made only of these two stage types
+keeps sector tables of its images.  A multiport never reads the winding, a
+Dove stage reads it only through ``(path * oam) mod D``, and polarization is
+a spectator, so the image amplitudes of ``|l>_n`` depend only on
+``(n, l mod D)``; the output winding is ``l`` or ``-l`` by the parity of
+the flipping stages.  The table is keyed by the winding mod ``D``, holds at
+most ``D**2`` entries (one per input path and residue), and is filled one
+residue (a winding sector) at a time on the first label that needs it, only
+from the stage product :func:`~oamnet.states.compose_images`, so a lookup
+returns the stage product's amplitude bits in its key order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -180,13 +191,59 @@ Stage = SymmetricMultiport | DoveStage | Element
 
 @dataclass(frozen=True)
 class CompositeDevice:
-    """Ordered stages applied left to right, all sharing one dimension."""
+    """Ordered stages applied left to right, all sharing one dimension.
+
+    When every stage is a :class:`SymmetricMultiport` or a
+    :class:`DoveStage` of the device's dimension, ``mode_images`` reads a
+    per-device sector table (see the module docstring): on the first label
+    with winding ``l`` it runs the stage product for every path at winding
+    ``l mod D`` and keeps the ``(path, amplitude)`` images.  Any other
+    device, and any label whose path is outside the device, goes through
+    :func:`~oamnet.states.compose_images` directly.
+    """
 
     stages: tuple[Stage, ...]
     dimension: int
+    # winding mod dimension -> image (path, amplitude) pairs of every input
+    # path; None when some stage may read the winding beyond its residue
+    _sectors: dict[int, list[tuple[tuple[int, complex], ...]]] | None = field(
+        init=False, repr=False, compare=False
+    )
+    _sign: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sectors, sign = None, 1
+        if all(
+            type(stage) in (SymmetricMultiport, DoveStage)
+            and stage.dimension == self.dimension
+            for stage in self.stages
+        ):
+            sectors = {}
+            for stage in self.stages:
+                if type(stage) is DoveStage or stage.parity_flip:
+                    sign = -sign
+        object.__setattr__(self, "_sectors", sectors)
+        object.__setattr__(self, "_sign", sign)
 
     def mode_images(self, label: ModeLabel):
-        return compose_images(self.stages, label)
+        sectors = self._sectors
+        if sectors is None or not 0 <= label.path < self.dimension:
+            return compose_images(self.stages, label)
+        path, oam, pol = label
+        residue = oam % self.dimension
+        sector = sectors.get(residue)
+        if sector is None:
+            sector = sectors[residue] = [
+                tuple(
+                    (image.path, amp)
+                    for image, amp in compose_images(
+                        self.stages, ModeLabel(n, residue)
+                    )
+                )
+                for n in range(self.dimension)
+            ]
+        out_oam = self._sign * oam
+        return [(ModeLabel(p, out_oam, pol), amp) for p, amp in sector[path]]
 
     def reversed(self) -> "CompositeDevice":
         return CompositeDevice(

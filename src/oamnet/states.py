@@ -219,6 +219,13 @@ class EnsembleState:
         clean: dict[tuple[ModeLabel, ...], complex] = {}
         norm_sq = 0.0
         for labels, raw in self.amplitudes.items():
+            # a bare label is itself a tuple, so check what each slot holds
+            if not isinstance(labels, tuple) or not all(
+                isinstance(label, ModeLabel) for label in labels
+            ):
+                raise DomainError(
+                    f"ensemble key {labels!r} is not a tuple of ModeLabels"
+                )
             amp = complex(raw)
             if abs(amp) <= PRUNE_TOL:
                 continue

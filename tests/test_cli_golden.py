@@ -1,6 +1,7 @@
 """CLI golden outputs: stdout bytes for a fixed matrix of invocations.
 
-Every subcommand in both report formats across dimensions 2 to 6.  The
+Every subcommand in both report formats across dimensions 2 to 6, plus a
+star route at D=24 and a MUX round trip and verify run at D=8.  The
 committed ``golden/*.out`` files pin the exact bytes, so any change in
 behaviour or float formatting shows up as a diff.  Regenerate them (only
 when an output change is intended) with::
@@ -47,6 +48,9 @@ CASES = {
         "scenario", "superposed", "--from", "1", "--to", "0,2",
         "--dimension", "3", "--format", "text",
     ],
+    "route_star_d24": ["route", "--kind", "star", "--from", "5", "--to", "17", "--dimension", "24"],
+    "scenario_mux_d8_seed5": ["scenario", "mux-roundtrip", "--dimension", "8", "--seed", "5"],
+    "verify_d8_seed2": ["verify", "--dimension", "8", "--seed", "2"],
 }
 
 

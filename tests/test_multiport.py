@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamnet import (
     BeamSplitter,
+    Direction,
     DomainError,
     DovePrism,
+    DoveStage,
+    H,
     Hologram,
     CompositeDevice,
     Mirror,
@@ -16,6 +21,7 @@ from oamnet import (
     ModeSpace,
     PhotonState,
     SymmetricMultiport,
+    V,
     apply_mode_map,
     default_oam_values,
     device_matrix,
@@ -26,6 +32,7 @@ from oamnet import (
     sbmao,
     symmetric_matrix,
 )
+from oamnet.states import compose_images
 from oracles import oam_beamsplitter_matrix
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -205,3 +212,126 @@ def test_composite_reversal_reverses_each_element():
     )
     with pytest.raises(DomainError, match="for Hologram$"):
         CompositeDevice((Mirror(0), Hologram(1, 2)), 2).reversed()
+
+
+# ------------------------------------------------------------ sector tables
+
+
+def image_bits(images):
+    """Images as (label, real hex, imag hex) in order: equal only when the
+    labels, their order and every amplitude bit agree."""
+    images = list(images)
+    assert all(isinstance(label, ModeLabel) for label, _ in images)
+    return [
+        (tuple(label), amp.real.hex(), amp.imag.hex()) for label, amp in images
+    ]
+
+
+def assert_table_matches_stage_product(device, labels):
+    # twice over: the first lookup may fill a sector, the second reads it
+    for _ in range(2):
+        for label in labels:
+            assert image_bits(device.mode_images(label)) == image_bits(
+                compose_images(device.stages, label)
+            ), label
+
+
+def window_labels(dimension, paths=None):
+    paths = range(dimension) if paths is None else paths
+    return [
+        ModeLabel(path, oam, pol)
+        for path in paths
+        for oam in range(-5 * dimension, 5 * dimension + 1)
+        for pol in (H, V)
+    ]
+
+
+@pytest.mark.parametrize("dimension", range(1, 9))
+@pytest.mark.parametrize("build", [oambs, sbmao])
+def test_sector_table_matches_stage_product_on_every_label(dimension, build):
+    # a fresh device starts with an empty table; the cached one may not
+    fresh = CompositeDevice(build(dimension).stages, dimension)
+    labels = window_labels(dimension)
+    assert_table_matches_stage_product(fresh, labels)
+    assert_table_matches_stage_product(build(dimension), labels)
+
+
+@st.composite
+def multiport_dove_chains(draw):
+    dimension = draw(st.integers(1, 8))
+    stage = st.one_of(
+        st.builds(SymmetricMultiport, st.just(dimension), st.booleans()),
+        st.builds(
+            DoveStage,
+            st.just(dimension),
+            st.sampled_from((Direction.FORWARD, Direction.REVERSE)),
+        ),
+    )
+    stages = tuple(draw(st.lists(stage, max_size=4)))
+    labels = draw(
+        st.lists(
+            st.builds(
+                ModeLabel,
+                st.integers(0, dimension - 1),
+                st.integers(-5 * dimension, 5 * dimension),
+                st.sampled_from((H, V)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return CompositeDevice(stages, dimension), labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(multiport_dove_chains())
+def test_sector_table_matches_stage_product_on_random_chains(case):
+    device, labels = case
+    assert_table_matches_stage_product(device, labels)
+
+
+@pytest.mark.parametrize(
+    "stages",
+    [
+        # a Dove stage of another dimension reduces the winding mod 3, not 4
+        (DoveStage(3), SymmetricMultiport(4)),
+        # a prism reads the unreduced winding, a hologram shifts it
+        (SymmetricMultiport(4), DovePrism(1, 0.3), SymmetricMultiport(4)),
+        (SymmetricMultiport(4), Hologram(2, 3)),
+    ],
+)
+def test_devices_outside_the_table_give_the_stage_product(stages):
+    device = CompositeDevice(stages, 4)
+    assert_table_matches_stage_product(device, window_labels(4, paths=range(3)))
+
+
+@pytest.mark.parametrize("path", [-1, -4, 4, 9])
+@pytest.mark.parametrize("build", [oambs, sbmao])
+def test_path_outside_the_device_raises_the_stage_error(build, path):
+    device = build(4)
+    label = ModeLabel(path, 2)
+    with pytest.raises(DomainError) as expected:
+        compose_images(device.stages, label)
+    with pytest.raises(DomainError) as raised:
+        device.mode_images(label)
+    assert str(raised.value) == str(expected.value)
+    assert "outside multiport of dimension 4" in str(raised.value)
+
+
+def test_sector_table_fills_one_winding_sector_per_residue():
+    device = CompositeDevice(oambs(6).stages, 6)
+    for oam in (1, 7, -5, 13):
+        device.mode_images(ModeLabel(2, oam, V))
+    assert list(device._sectors) == [1]
+    assert len(device._sectors[1]) == 6
+
+
+@pytest.mark.parametrize("dimension", [1, 4, 24])
+def test_sector_table_leaves_equality_hash_and_repr_alone(dimension):
+    device = CompositeDevice(oambs(dimension).stages, dimension)
+    device.mode_images(ModeLabel(0, 1))
+    assert device == oambs(dimension)
+    assert hash(device) == hash(oambs(dimension))
+    assert repr(device) == (
+        f"CompositeDevice(stages={device.stages!r}, dimension={dimension})"
+    )

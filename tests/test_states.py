@@ -287,6 +287,21 @@ def test_ensemble_rejects_duplicate_labels_at_construction():
         )
 
 
+@pytest.mark.parametrize(
+    "key, slot_count",
+    [
+        # a bare label reads as a 3-slot tuple of its fields
+        (ModeLabel(0, 0), 3),
+        (ModeLabel(0, 1), 3),
+        ((ModeLabel(0, 0), (1, 0, H)), 2),
+        (0, 1),
+    ],
+)
+def test_ensemble_rejects_keys_that_are_not_label_tuples(key, slot_count):
+    with pytest.raises(DomainError, match="not a tuple of ModeLabels"):
+        EnsembleState(ModeSpace(2), slot_count, {key: 1.0})
+
+
 def test_path_probabilities():
     photon = PhotonState(
         SPACE3, {ModeLabel(0, 0): 0.6, ModeLabel(2, 1): 0.8j}
