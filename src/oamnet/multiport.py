@@ -31,15 +31,15 @@ matrix and the ``D`` Dove prism phases) and the immutable devices built by
 :func:`oambs` and :func:`sbmao`.
 
 Per device, a :class:`CompositeDevice` made only of these two stage types
-keeps sector tables of its images.  A multiport never reads the winding, a
-Dove stage reads it only through ``(path * oam) mod D``, and polarization is
-a spectator, so the image amplitudes of ``|l>_n`` depend only on
-``(n, l mod D)``; the output winding is ``l`` or ``-l`` by the parity of
-the flipping stages.  The table is keyed by the winding mod ``D``, holds at
-most ``D**2`` entries (one per input path and residue), and is filled one
-residue (a winding sector) at a time on the first label that needs it, only
-from the stage product :func:`~oamnet.states.compose_images`, so a lookup
-returns the stage product's amplitude bits in its key order.
+keeps a table of its images.  A multiport never reads the winding, a Dove
+stage reads it only through ``(path * oam) mod D``, and polarization is a
+spectator, so the image amplitudes of ``|l>_n`` depend only on
+``(n, l mod D)``; the output winding is ``l`` or ``-l`` by the parity of the
+flipping stages.  The table is keyed by the input path and the winding mod
+``D`` (the label's winding sector), so it holds at most ``D**2`` entries.
+Each entry is filled on the first label that needs it by one call of the
+stage product :func:`~oamnet.states.compose_images`, and nothing else writes
+it, so a lookup returns the stage product's amplitude bits in its key order.
 """
 
 from __future__ import annotations
@@ -195,55 +195,50 @@ class CompositeDevice:
 
     When every stage is a :class:`SymmetricMultiport` or a
     :class:`DoveStage` of the device's dimension, ``mode_images`` reads a
-    per-device sector table (see the module docstring): on the first label
-    with winding ``l`` it runs the stage product for every path at winding
-    ``l mod D`` and keeps the ``(path, amplitude)`` images.  Any other
-    device, and any label whose path is outside the device, goes through
+    per-device image table (see the module docstring): the first label on
+    path ``n`` with winding ``l`` runs the stage product for ``|l mod D>_n``
+    and keeps its ``(path, amplitude)`` images.  Any other device, and any
+    label whose path is outside the device, goes through
     :func:`~oamnet.states.compose_images` directly.
     """
 
     stages: tuple[Stage, ...]
     dimension: int
-    # winding mod dimension -> image (path, amplitude) pairs of every input
-    # path; None when some stage may read the winding beyond its residue
-    _sectors: dict[int, list[tuple[tuple[int, complex], ...]]] | None = field(
+    # (path, winding mod dimension) -> image (path, amplitude) pairs; None
+    # when some stage may read the winding beyond its residue
+    _table: dict[tuple[int, int], tuple[tuple[int, complex], ...]] | None = field(
         init=False, repr=False, compare=False
     )
     _sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sectors, sign = None, 1
+        table, sign = None, 1
         if all(
             type(stage) in (SymmetricMultiport, DoveStage)
             and stage.dimension == self.dimension
             for stage in self.stages
         ):
-            sectors = {}
+            table = {}
             for stage in self.stages:
                 if type(stage) is DoveStage or stage.parity_flip:
                     sign = -sign
-        object.__setattr__(self, "_sectors", sectors)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_sign", sign)
 
     def mode_images(self, label: ModeLabel):
-        sectors = self._sectors
-        if sectors is None or not 0 <= label.path < self.dimension:
+        table = self._table
+        if table is None or not 0 <= label.path < self.dimension:
             return compose_images(self.stages, label)
         path, oam, pol = label
-        residue = oam % self.dimension
-        sector = sectors.get(residue)
-        if sector is None:
-            sector = sectors[residue] = [
-                tuple(
-                    (image.path, amp)
-                    for image, amp in compose_images(
-                        self.stages, ModeLabel(n, residue)
-                    )
-                )
-                for n in range(self.dimension)
-            ]
+        key = (path, oam % self.dimension)
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = tuple(
+                (image.path, amp)
+                for image, amp in compose_images(self.stages, ModeLabel(*key))
+            )
         out_oam = self._sign * oam
-        return [(ModeLabel(p, out_oam, pol), amp) for p, amp in sector[path]]
+        return [(ModeLabel(p, out_oam, pol), amp) for p, amp in entry]
 
     def reversed(self) -> "CompositeDevice":
         return CompositeDevice(

@@ -32,6 +32,7 @@ from oamnet import (
     sbmao,
     symmetric_matrix,
 )
+from oamnet import multiport
 from oamnet.states import compose_images
 from oracles import oam_beamsplitter_matrix
 
@@ -318,12 +319,22 @@ def test_path_outside_the_device_raises_the_stage_error(build, path):
     assert "outside multiport of dimension 4" in str(raised.value)
 
 
-def test_sector_table_fills_one_winding_sector_per_residue():
+def test_sector_table_fills_each_key_once_from_one_stage_product(monkeypatch):
     device = CompositeDevice(oambs(6).stages, 6)
-    for oam in (1, 7, -5, 13):
+    calls = []
+
+    def counted(stages, label):
+        calls.append(label)
+        return compose_images(stages, label)
+
+    monkeypatch.setattr(multiport, "compose_images", counted)
+    for oam in (1, 7, -5, 13, 1):
         device.mode_images(ModeLabel(2, oam, V))
-    assert list(device._sectors) == [1]
-    assert len(device._sectors[1]) == 6
+    device.mode_images(ModeLabel(3, 7))
+    device.mode_images(ModeLabel(3, -5, V))
+    # one stage product per (path, winding mod D), run at the residue
+    assert calls == [ModeLabel(2, 1), ModeLabel(3, 1)]
+    assert list(device._table) == [(2, 1), (3, 1)]
 
 
 @pytest.mark.parametrize("dimension", [1, 4, 24])
