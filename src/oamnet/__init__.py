@@ -17,12 +17,6 @@ from .elements import (
     Mirror,
     PhaseShifter,
     ReflectiveHologram,
-    apply_beamsplitter,
-    apply_dove,
-    apply_hologram,
-    apply_mirror,
-    apply_phase_shifter,
-    apply_reflective_hologram,
     beamsplitter_block,
 )
 from .errors import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -22,11 +22,11 @@ from .errors import DomainError, OamNetError
 from .multiport import (
     SymmetricMultiport,
     UNITARITY_TOL,
+    closed_form_error,
     device_matrix,
     global_phase_error,
     is_generalized_permutation,
     oambs,
-    oambs_closed_form,
     sbmao,
     symmetric_matrix,
 )
@@ -42,7 +42,7 @@ from .networks import (
     MuxNetwork,
     SimpleRoutingNetwork,
     StarNetwork,
-    dominant_label,
+    delivery_row,
     routing_report,
     sender_tag,
     superposed_destination,
@@ -51,6 +51,7 @@ from .networks import (
 )
 from .serialize import dumps_canonical, netlist_dumps
 from .states import (
+    ModeLabel,
     QubitSpec,
     fidelity,
     make_qubit_photon,
@@ -170,31 +171,41 @@ def _random_qubit(rng: np.random.Generator) -> QubitSpec:
 
 def _closed_form_error(matrix, dimension: int, direction: Direction) -> float:
     """Worst deviation of the device matrix for ``direction`` from the
-    closed-form routing map over all basis inputs, sharing one global phase."""
-    values = list(range(-(dimension - 1), dimension))
-    stride = len(values)
+    closed-form routing map over all basis inputs, sharing one global phase;
+    the residual is the largest entry off the expected row."""
+    stride = 2 * dimension - 1
 
-    def index(path: int, oam: int) -> int:
-        return path * stride + (oam + dimension - 1)
+    def index(label: ModeLabel) -> int:
+        return label.path * stride + (label.oam + dimension - 1)
 
-    gamma: complex | None = None
-    worst = 0.0
-    for path in range(dimension):
-        for oam in range(dimension):
-            j = index(path, oam)
-            out_oam, out_path = oambs_closed_form(oam, path, dimension, direction)
-            i = index(out_path, out_oam)
-            column = matrix[:, j]
-            amp = column[i]
-            if gamma is None:
-                if amp == 0:
-                    return 1.0
-                gamma = amp / abs(amp)
-            worst = max(worst, abs(amp - gamma))
-            off = np.abs(column).copy()
-            off[i] = 0.0
-            worst = max(worst, float(off.max(initial=0.0)))
-    return worst
+    def deviation(label: ModeLabel, expected: ModeLabel) -> tuple[complex, float]:
+        column = matrix[:, index(label)]
+        i = index(expected)
+        off = np.abs(column)
+        off[i] = 0.0
+        return column[i], float(off.max(initial=0.0))
+
+    return closed_form_error(dimension, direction, deviation)
+
+
+def _mux_roundtrip(
+    network: MuxNetwork, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Transmit and round-trip fidelities for one qubit per user from ``rng``."""
+    space = network.space
+    qubits = [_random_qubit(rng) for _ in range(network.dimension)]
+    originals = [
+        make_qubit_photon(spec, path, 0, space)
+        for path, spec in enumerate(qubits)
+    ]
+    sent = network.transmit(qubits)
+    tagged = [
+        make_qubit_photon(spec, 0, winding, space)
+        for winding, spec in enumerate(qubits)
+    ]
+    transmit_fidelity = fidelity(sent, tensor(tagged))
+    received = network.receive(sent, restore_oam=True)
+    return transmit_fidelity, fidelity(received, tensor(originals))
 
 
 def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
@@ -258,22 +269,10 @@ def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
     add("routing_star", report.all_pass and tags_ok and err < tol, err)
 
     network = MuxNetwork(dimension, config.oam_window)
-    space = network.space
     worst = 0.0
     for _ in range(_VERIFY_MUX_VECTORS):
-        qubits = [_random_qubit(rng) for _ in range(dimension)]
-        originals = [
-            make_qubit_photon(spec, path, 0, space)
-            for path, spec in enumerate(qubits)
-        ]
-        sent = network.transmit(qubits)
-        tagged = [
-            make_qubit_photon(spec, 0, winding, space)
-            for winding, spec in enumerate(qubits)
-        ]
-        worst = max(worst, 1.0 - fidelity(sent, tensor(tagged)))
-        received = network.receive(sent, restore_oam=True)
-        worst = max(worst, 1.0 - fidelity(received, tensor(originals)))
+        transmit, roundtrip = _mux_roundtrip(network, rng)
+        worst = max(worst, 1.0 - transmit, 1.0 - roundtrip)
     add("mux_roundtrip", worst < tol, worst)
 
     forward_ok, _ = is_generalized_permutation(forward_matrix)
@@ -302,11 +301,15 @@ def _render_text_checks(checks: Sequence[dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_text_kv(data: dict[str, Any]) -> str:
-    lines = []
-    for key, value in data.items():
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
+def _write_report(data: dict[str, Any], config: RunConfig) -> int:
+    """Write a flat report, one ``key: value`` line each as text; exit 1
+    unless its ``pass`` is true."""
+    if config.fmt == "json":
+        text = dumps_canonical(data) + "\n"
+    else:
+        text = "".join(f"{key}: {value}\n" for key, value in data.items())
+    code = _write_output(text, config)
+    return code if code != 0 else (0 if data["pass"] else 1)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -324,8 +327,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_route(config: RunConfig, args: argparse.Namespace) -> int:
     dimension = config.dimension
-    sender, destination = args.sender, args.destination
-    for name, value in (("--from", sender), ("--to", destination)):
+    for name, value in (("--from", args.sender), ("--to", args.destination)):
         if not 0 <= value < dimension:
             raise DomainError(f"{name} {value} outside [0, {dimension - 1}]")
 
@@ -333,41 +335,15 @@ def cmd_route(config: RunConfig, args: argparse.Namespace) -> int:
         network = SimpleRoutingNetwork(
             dimension, Direction(args.side), config.oam_window
         )
-        winding = network.choose_winding(sender, destination)
-        state = network.deliver(sender, destination)
         side = args.side
-        tag = None
     else:
-        star = StarNetwork(dimension, config.oam_window)
-        winding = destination
-        state = star.deliver(sender, destination)
+        network = StarNetwork(dimension, config.oam_window)
         side = "star"
+    row = delivery_row(network, args.sender, args.destination, config.tolerance)
 
-    label, modulus = dominant_label(state)
-    amplitude_error = abs(modulus - 1.0)
-    if args.kind == "star":
-        tag = sender_tag(label.oam, dimension)
-    passed = label.path == destination and amplitude_error <= config.tolerance
-
-    row = {
-        "kind": args.kind,
-        "side": side,
-        "dimension": dimension,
-        "sender": sender,
-        "destination": destination,
-        "winding": winding,
-        "delivered_path": label.path,
-        "delivered_oam": label.oam,
-        "sender_tag": tag,
-        "amplitude_error": amplitude_error,
-        "pass": passed,
-    }
-    if config.fmt == "json":
-        text = dumps_canonical(row) + "\n"
-    else:
-        text = _render_text_kv(row)
-    code = _write_output(text, config)
-    return code if code != 0 else (0 if passed else 1)
+    data = {"kind": args.kind, "side": side, "dimension": dimension, **asdict(row)}
+    data["pass"] = data.pop("passed")
+    return _write_report(data, config)
 
 
 def cmd_netlist(config: RunConfig, args: argparse.Namespace) -> int:
@@ -382,22 +358,10 @@ def cmd_netlist(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _scenario_mux_roundtrip(config: RunConfig) -> dict[str, Any]:
-    rng = np.random.default_rng(config.seed)
     network = MuxNetwork(config.dimension, config.oam_window)
-    space = network.space
-    qubits = [_random_qubit(rng) for _ in range(config.dimension)]
-    originals = [
-        make_qubit_photon(spec, path, 0, space)
-        for path, spec in enumerate(qubits)
-    ]
-    sent = network.transmit(qubits)
-    tagged = [
-        make_qubit_photon(spec, 0, winding, space)
-        for winding, spec in enumerate(qubits)
-    ]
-    transmit_fidelity = fidelity(sent, tensor(tagged))
-    received = network.receive(sent, restore_oam=True)
-    roundtrip_fidelity = fidelity(received, tensor(originals))
+    transmit_fidelity, roundtrip_fidelity = _mux_roundtrip(
+        network, np.random.default_rng(config.seed)
+    )
     passed = (
         transmit_fidelity >= 1.0 - config.tolerance
         and roundtrip_fidelity >= 1.0 - config.tolerance
@@ -471,12 +435,7 @@ def cmd_scenario(config: RunConfig, args: argparse.Namespace) -> int:
         data = _scenario_bell(config, args)
     else:
         data = _scenario_superposed(config, args)
-    if config.fmt == "json":
-        text = dumps_canonical(data) + "\n"
-    else:
-        text = _render_text_kv(data)
-    code = _write_output(text, config)
-    return code if code != 0 else (0 if data["pass"] else 1)
+    return _write_report(data, config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -23,6 +23,8 @@ port(s), and all of them ignore polarization.  They share the base
 element's ``mode_images`` only for labels on a port, and whose
 ``reversed()`` gives the element as a photon crossing it right to left sees
 it (holograms have no such convention and raise :class:`DomainError`).
+Elements act on states through :func:`~oamnet.states.apply_mode_map`; their
+ports are checked (``check_ports``) where they join a netlist or a device.
 """
 
 from __future__ import annotations
@@ -34,16 +36,7 @@ from enum import Enum
 from typing import Union
 
 from .errors import DomainError
-from .states import (
-    PRUNE_TOL,
-    EnsembleState,
-    ModeLabel,
-    PhotonState,
-    WholeMapOperator,
-    apply_mode_map,
-)
-
-State = Union[PhotonState, EnsembleState]
+from .states import PRUNE_TOL, ModeLabel, WholeMapOperator
 
 
 class Direction(Enum):
@@ -103,6 +96,15 @@ class PortElement(WholeMapOperator):
             if image in out and abs(out[image]) <= PRUNE_TOL:
                 del out[image]
         return out
+
+    def check_ports(self, dimension: int) -> None:
+        """Raise :class:`DomainError` for a port outside ``[0, dimension-1]``."""
+        for port in self.ports:
+            if not 0 <= port < dimension:
+                raise DomainError(
+                    f"{type(self).__name__} port {port} outside "
+                    f"[0, {dimension - 1}]"
+                )
 
     def reversed(self) -> "PortElement":
         """The element as seen by a photon traversing it right to left."""
@@ -220,54 +222,6 @@ Element = Union[
 ]
 
 
-def _check_port(state: State, port: int) -> None:
-    if not 0 <= port < state.space.dimension:
-        raise DomainError(
-            f"port {port} outside [0, {state.space.dimension - 1}]"
-        )
-
-
-def apply_phase_shifter(state: State, port: int, phi: float) -> State:
-    _check_port(state, port)
-    return apply_mode_map(state, PhaseShifter(port, phi))
-
-
-def apply_beamsplitter(
-    state: State, port_a: int, port_b: int, theta: float, phi: float = 0.0
-) -> State:
-    _check_port(state, port_a)
-    _check_port(state, port_b)
-    return apply_mode_map(state, BeamSplitter(port_a, port_b, theta, phi))
-
-
-def apply_mirror(state: State, port: int) -> State:
-    _check_port(state, port)
-    return apply_mode_map(state, Mirror(port))
-
-
-def apply_dove(
-    state: State,
-    port: int,
-    alpha: float,
-    direction: Direction | str = Direction.FORWARD,
-) -> State:
-    """Dove prism transit; a reverse transit sees the rotation angle negated."""
-    _check_port(state, port)
-    if Direction.coerce(direction) is Direction.REVERSE:
-        alpha = -alpha
-    return apply_mode_map(state, DovePrism(port, alpha))
-
-
-def apply_hologram(state: State, port: int, k: int) -> State:
-    _check_port(state, port)
-    return apply_mode_map(state, Hologram(port, k))
-
-
-def apply_reflective_hologram(state: State, port: int, k: int) -> State:
-    _check_port(state, port)
-    return apply_mode_map(state, ReflectiveHologram(port, k))
-
-
 __all__ = [
     "BeamSplitter",
     "Direction",
@@ -278,11 +232,5 @@ __all__ = [
     "PhaseShifter",
     "PortElement",
     "ReflectiveHologram",
-    "apply_beamsplitter",
-    "apply_dove",
-    "apply_hologram",
-    "apply_mirror",
-    "apply_phase_shifter",
-    "apply_reflective_hologram",
     "beamsplitter_block",
 ]

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .elements import Direction, Element
+from .elements import Direction, Element, PortElement
 from .errors import DomainError
 from .states import (
     PRUNE_TOL,
@@ -149,7 +149,14 @@ class SymmetricMultiport(WholeMapOperator):
 
 @dataclass(frozen=True)
 class DoveStage(WholeMapOperator):
-    """One Dove prism per port; prism ``n`` has phase coefficient ``2*pi*n/D``."""
+    """One Dove prism per port; prism ``n`` has phase coefficient ``2*pi*n/D``.
+
+    Not the same bits as the prisms of
+    :func:`~oamnet.netlist.dove_stage_elements`: the stage reduces the phase
+    index ``path * oam`` mod ``D`` before exponentiating, a
+    :class:`~oamnet.elements.DovePrism` exponentiates the unreduced winding,
+    and the last bits differ, so the two stay apart.
+    """
 
     dimension: int
     direction: Direction = Direction.FORWARD
@@ -193,8 +200,10 @@ Stage = SymmetricMultiport | DoveStage | Element
 class CompositeDevice:
     """Ordered stages applied left to right, all sharing one dimension.
 
+    Construction raises :class:`DomainError` for a multiport or Dove stage
+    of another dimension and for an element port outside the device.
     When every stage is a :class:`SymmetricMultiport` or a
-    :class:`DoveStage` of the device's dimension, ``mode_images`` reads a
+    :class:`DoveStage`, ``mode_images`` reads a
     per-device image table (see the module docstring): the first label on
     path ``n`` with winding ``l`` runs the stage product for ``|l mod D>_n``
     and keeps its ``(path, amplitude)`` images.  Any other device, and any
@@ -212,11 +221,20 @@ class CompositeDevice:
     _sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for stage in self.stages:
+            if isinstance(stage, PortElement):
+                stage.check_ports(self.dimension)
+            elif (
+                isinstance(stage, (SymmetricMultiport, DoveStage))
+                and stage.dimension != self.dimension
+            ):
+                raise DomainError(
+                    f"{type(stage).__name__} of dimension {stage.dimension} "
+                    f"in a device of dimension {self.dimension}"
+                )
         table, sign = None, 1
         if all(
-            type(stage) in (SymmetricMultiport, DoveStage)
-            and stage.dimension == self.dimension
-            for stage in self.stages
+            type(stage) in (SymmetricMultiport, DoveStage) for stage in self.stages
         ):
             table = {}
             for stage in self.stages:
@@ -282,6 +300,34 @@ def oambs_closed_form(
     if Direction.coerce(direction) is Direction.FORWARD:
         return -oam, (-oam - path) % dimension
     return -oam, (oam - path) % dimension
+
+
+def closed_form_error(
+    dimension: int,
+    direction: Direction | str,
+    deviation: Callable[[ModeLabel, ModeLabel], tuple[complex, float]],
+) -> float:
+    """Worst deviation of a device from the closed-form routing map.
+
+    Walks ``|l>_n`` for ``0 <= n, l < D``, path first; ``deviation(label,
+    expected)`` gives the amplitude on the closed-form image ``expected``
+    and the caller's residual for the rest.  One global phase, fixed by the
+    first amplitude, is shared by all inputs; a zero first amplitude gives 1.0.
+    """
+    gamma: complex | None = None
+    worst = 0.0
+    for path in range(dimension):
+        for oam in range(dimension):
+            out_oam, out_path = oambs_closed_form(oam, path, dimension, direction)
+            amp, residual = deviation(
+                ModeLabel(path, oam), ModeLabel(out_path, out_oam)
+            )
+            if gamma is None:
+                if amp == 0:
+                    return 1.0
+                gamma = amp / abs(amp)
+            worst = max(worst, abs(amp - gamma), residual)
+    return worst
 
 
 def default_oam_values(dimension: int) -> tuple[int, ...]:

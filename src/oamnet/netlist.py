@@ -28,11 +28,7 @@ from .elements import (
     beamsplitter_block,
 )
 from .errors import DecompositionError, DomainError
-from .multiport import (
-    aligning_phase,
-    oambs_closed_form,
-    symmetric_matrix,
-)
+from .multiport import closed_form_error, global_phase_error, symmetric_matrix
 from .states import (
     EnsembleState,
     ModeLabel,
@@ -64,12 +60,7 @@ class Netlist:
                     "netlists hold elementary elements only, got "
                     f"{type(element).__name__}"
                 )
-            for port in element.ports:
-                if not 0 <= port < self.dimension:
-                    raise DomainError(
-                        f"{type(element).__name__} port {port} outside "
-                        f"[0, {self.dimension - 1}]"
-                    )
+            element.check_ports(self.dimension)
 
     def mode_images(self, label: ModeLabel):
         images = compose_images(self.elements, label)
@@ -170,9 +161,7 @@ def netlist_path_matrix(netlist: Netlist) -> np.ndarray:
 def path_replay_error(netlist: Netlist, target: np.ndarray) -> float:
     """Max deviation of the replayed path matrix from ``target`` after
     removing one global phase."""
-    replayed = netlist_path_matrix(netlist)
-    gamma = aligning_phase(replayed, target)
-    return float(np.max(np.abs(replayed - np.exp(1j * gamma) * np.asarray(target))))
+    return global_phase_error(netlist_path_matrix(netlist), target)
 
 
 def symmetric_netlist(dimension: int) -> Netlist:
@@ -184,7 +173,12 @@ def symmetric_netlist(dimension: int) -> Netlist:
 def dove_stage_elements(
     dimension: int, direction: Direction | str = Direction.FORWARD
 ) -> tuple[DovePrism, ...]:
-    """One prism per port (port 0 included: a zero-angle prism still flips)."""
+    """One prism per port (port 0 included: a zero-angle prism still flips).
+
+    A prism computes ``exp(-i*alpha*l)`` from the unreduced winding, where
+    :class:`~oamnet.multiport.DoveStage` reduces ``path * oam`` mod ``D``
+    first; the last bits differ, so neither replaces the other.
+    """
     sign = 1.0 if Direction.coerce(direction) is Direction.FORWARD else -1.0
     return tuple(
         DovePrism(port, sign * 2.0 * math.pi * port / dimension)
@@ -209,32 +203,19 @@ def oambs_netlist(dimension: int) -> Netlist:
 
 def oambs_netlist_error(netlist: Netlist) -> float:
     """Max deviation of the replayed netlist from the closed-form routing map
-    over all basis inputs, after removing one shared global phase."""
-    dimension = netlist.dimension
-    space = ModeSpace(dimension)
-    gamma: complex | None = None
-    worst = 0.0
-    for path in range(dimension):
-        for oam in range(dimension):
-            photon = PhotonState(space, {ModeLabel(path, oam): 1.0})
-            routed = netlist_apply(netlist, photon)
-            out_oam, out_path = oambs_closed_form(oam, path, dimension)
-            expected = ModeLabel(out_path, out_oam)
-            amp = routed.amplitude(expected)
-            if gamma is None:
-                if amp == 0:
-                    return 1.0
-                gamma = amp / abs(amp)
-            worst = max(worst, abs(amp - gamma))
-            residual = math.sqrt(
-                max(
-                    0.0,
-                    sum(abs(a) ** 2 for a in routed.amplitudes.values())
-                    - abs(amp) ** 2,
-                )
-            )
-            worst = max(worst, residual)
-    return worst
+    over all basis inputs, after removing one shared global phase; the
+    residual is the root of the norm left off the expected label."""
+    space = ModeSpace(netlist.dimension)
+
+    def deviation(label: ModeLabel, expected: ModeLabel) -> tuple[complex, float]:
+        routed = netlist_apply(netlist, PhotonState(space, {label: 1.0}))
+        amp = routed.amplitude(expected)
+        leftover = (
+            sum(abs(a) ** 2 for a in routed.amplitudes.values()) - abs(amp) ** 2
+        )
+        return amp, math.sqrt(max(0.0, leftover))
+
+    return closed_form_error(netlist.dimension, Direction.FORWARD, deviation)
 
 
 def random_unitary(dimension: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,8 +7,16 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from oamnet import netlist_path_matrix, symmetric_netlist
-from oamnet.cli import main
+from oamnet import (
+    Direction,
+    SymmetricMultiport,
+    device_matrix,
+    netlist_path_matrix,
+    oambs,
+    sbmao,
+    symmetric_netlist,
+)
+from oamnet.cli import _closed_form_error, main
 from oamnet.serialize import (
     dumps_canonical,
     matrix_pairs,
@@ -172,6 +180,42 @@ def test_route_trivial_case():
     )
     assert code == 0
     assert json.loads(out)["winding"] == 0
+
+
+def test_route_honours_tolerance():
+    # the D=2 delivery lands with |amp| one ulp below 1 (error 2.22e-16)
+    argv = ("route", "--kind", "simple", "--dimension", "2", "--from", "0", "--to", "0")
+    code, out, _ = run_cli(*argv, "--tolerance", "1e-16")
+    assert code == 1
+    row = json.loads(out)
+    assert row["pass"] is False
+    assert row["amplitude_error"] == 2.220446049250313e-16
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+# ------------------------------------------------------------ closed form
+
+# exact values of the closed-form metric, measured before its basis walk
+# was shared with oambs_netlist_error; the goldens print it to 17 digits
+@pytest.mark.parametrize(
+    "build, dimension, direction, expected",
+    [
+        (SymmetricMultiport, 3, Direction.FORWARD, 1.3822747926960686),
+        (SymmetricMultiport, 4, Direction.FORWARD, 1.5),
+        (SymmetricMultiport, 4, Direction.REVERSE, 1.5),
+        (oambs, 3, Direction.FORWARD, 4.996003610813204e-16),
+        (oambs, 3, Direction.REVERSE, 1.0000000000000002),
+        (oambs, 4, Direction.FORWARD, 1.8369701987210297e-16),
+        (sbmao, 3, Direction.FORWARD, 1.0000000000000002),
+        (sbmao, 4, Direction.FORWARD, 1.0),
+        (sbmao, 4, Direction.REVERSE, 1.8369701987210297e-16),
+    ],
+)
+def test_closed_form_error_values(build, dimension, direction, expected):
+    matrix = device_matrix(build(dimension))
+    assert _closed_form_error(matrix, dimension, direction) == expected
 
 
 # ----------------------------------------------------------------- netlist

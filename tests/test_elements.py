@@ -7,6 +7,7 @@ import pytest
 
 from oamnet import (
     BeamSplitter,
+    CompositeDevice,
     DomainError,
     DovePrism,
     H,
@@ -14,16 +15,12 @@ from oamnet import (
     Mirror,
     ModeLabel,
     ModeSpace,
+    Netlist,
     PhaseShifter,
     PhotonState,
     ReflectiveHologram,
     V,
-    apply_beamsplitter,
-    apply_dove,
-    apply_hologram,
-    apply_mirror,
-    apply_phase_shifter,
-    apply_reflective_hologram,
+    apply_mode_map,
     beamsplitter_block,
 )
 from oracles import matrix_of_operator
@@ -37,11 +34,11 @@ def h_photon(path, oam, space=SPACE):
 
 def test_phase_shifter_zero_is_identity():
     photon = h_photon(0, 1)
-    assert apply_phase_shifter(photon, 0, 0.0) == photon
+    assert apply_mode_map(photon, PhaseShifter(0, 0.0)) == photon
 
 
 def test_phase_shifter_half_turn():
-    flipped = apply_phase_shifter(h_photon(0, 0), 0, math.pi)
+    flipped = apply_mode_map(h_photon(0, 0), PhaseShifter(0, math.pi))
     assert flipped.amplitude(ModeLabel(0, 0)) == pytest.approx(-1.0)
 
 
@@ -50,25 +47,25 @@ def test_phase_shifter_acts_on_one_path_only():
     photon = PhotonState(
         SPACE, {ModeLabel(0, 0): root_half, ModeLabel(1, 0): root_half}
     )
-    shifted = apply_phase_shifter(photon, 0, math.pi / 2)
+    shifted = apply_mode_map(photon, PhaseShifter(0, math.pi / 2))
     assert shifted.amplitude(ModeLabel(0, 0)) == pytest.approx(1j * root_half)
     assert shifted.amplitude(ModeLabel(1, 0)) == pytest.approx(root_half)
 
 
 def test_beamsplitter_zero_angle_is_identity():
     photon = h_photon(0, 2)
-    assert apply_beamsplitter(photon, 0, 1, 0.0) == photon
+    assert apply_mode_map(photon, BeamSplitter(0, 1, 0.0)) == photon
 
 
 def test_beamsplitter_balanced():
-    split = apply_beamsplitter(h_photon(0, 2), 0, 1, math.pi / 4)
+    split = apply_mode_map(h_photon(0, 2), BeamSplitter(0, 1, math.pi / 4))
     root_half = 1 / math.sqrt(2)
     assert split.amplitude(ModeLabel(0, 2)) == pytest.approx(root_half)
     assert split.amplitude(ModeLabel(1, 2)) == pytest.approx(1j * root_half)
 
 
 def test_beamsplitter_full_swap():
-    swapped = apply_beamsplitter(h_photon(0, 2), 0, 1, math.pi / 2)
+    swapped = apply_mode_map(h_photon(0, 2), BeamSplitter(0, 1, math.pi / 2))
     assert swapped.amplitude(ModeLabel(1, 2)) == pytest.approx(1j)
     assert abs(swapped.amplitude(ModeLabel(0, 2))) < 1e-12
 
@@ -80,27 +77,27 @@ def test_beamsplitter_identical_ports_rejected():
 
 def test_mirror_fixes_zero_winding():
     photon = h_photon(0, 0)
-    assert apply_mirror(photon, 0) == photon
+    assert apply_mode_map(photon, Mirror(0)) == photon
 
 
 def test_mirror_flips_winding_sign():
-    reflected = apply_mirror(h_photon(0, 3), 0)
+    reflected = apply_mode_map(h_photon(0, 3), Mirror(0))
     assert reflected.amplitudes == {ModeLabel(0, -3): 1 + 0j}
 
 
 def test_mirror_is_involution():
     photon = h_photon(0, 2)
-    assert apply_mirror(apply_mirror(photon, 0), 0) == photon
+    assert apply_mode_map(apply_mode_map(photon, Mirror(0)), Mirror(0)) == photon
 
 
 def test_dove_zero_rotation_still_reflects():
-    out = apply_dove(h_photon(0, 5), 0, 0.0)
+    out = apply_mode_map(h_photon(0, 5), DovePrism(0, 0.0))
     assert out.amplitudes == {ModeLabel(0, -5): 1 + 0j}
 
 
 def test_dove_forward_phase():
     alpha = 2 * math.pi / 3
-    out = apply_dove(h_photon(0, 1), 0, alpha)
+    out = apply_mode_map(h_photon(0, 1), DovePrism(0, alpha))
     assert out.amplitude(ModeLabel(0, -1)) == pytest.approx(
         np.exp(-1j * alpha)
     )
@@ -108,7 +105,7 @@ def test_dove_forward_phase():
 
 def test_dove_reverse_conjugates_phase():
     alpha = 2 * math.pi / 3
-    out = apply_dove(h_photon(0, 1), 0, alpha, "reverse")
+    out = apply_mode_map(h_photon(0, 1), DovePrism(0, alpha).reversed())
     assert out.amplitude(ModeLabel(0, -1)) == pytest.approx(np.exp(1j * alpha))
 
 
@@ -117,7 +114,8 @@ def test_dove_twice_is_identity():
     # because the second transit already sees the flipped winding
     alpha = 1.234
     photon = h_photon(0, 3)
-    out = apply_dove(apply_dove(photon, 0, alpha), 0, alpha)
+    prism = DovePrism(0, alpha)
+    out = apply_mode_map(apply_mode_map(photon, prism), prism)
     assert abs(out.amplitude(ModeLabel(0, 3)) - 1.0) < 1e-12
 
 
@@ -126,41 +124,43 @@ def test_dove_round_trip_through_mirror_is_pure_mirror():
     # phases cancel and only the odd reflection count survives
     alpha = 0.777
     photon = h_photon(0, 3)
-    out = apply_dove(
-        apply_mirror(apply_dove(photon, 0, alpha), 0), 0, alpha, "reverse"
+    out = apply_mode_map(
+        apply_mode_map(apply_mode_map(photon, DovePrism(0, alpha)), Mirror(0)),
+        DovePrism(0, alpha).reversed(),
     )
     assert abs(out.amplitude(ModeLabel(0, -3)) - 1.0) < 1e-12
 
 
 def test_hologram_zero_shift_is_identity():
     photon = h_photon(0, 1)
-    assert apply_hologram(photon, 0, 0) == photon
+    assert apply_mode_map(photon, Hologram(0, 0)) == photon
 
 
 def test_hologram_positive_shift():
-    out = apply_hologram(h_photon(0, 1), 0, 2)
+    out = apply_mode_map(h_photon(0, 1), Hologram(0, 2))
     assert out.amplitudes == {ModeLabel(0, 3): 1 + 0j}
 
 
 def test_hologram_negative_shift():
-    out = apply_hologram(h_photon(0, 1), 0, -3)
+    out = apply_mode_map(h_photon(0, 1), Hologram(0, -3))
     assert out.amplitudes == {ModeLabel(0, -2): 1 + 0j}
 
 
 def test_hologram_inverse_pair():
     photon = h_photon(0, 1)
-    assert apply_hologram(apply_hologram(photon, 0, 4), 0, -4) == photon
+    shifted = apply_mode_map(photon, Hologram(0, 4))
+    assert apply_mode_map(shifted, Hologram(0, -4)) == photon
 
 
 def test_reflective_hologram_zero_shift_is_mirror():
-    out = apply_reflective_hologram(h_photon(0, 2), 0, 0)
+    out = apply_mode_map(h_photon(0, 2), ReflectiveHologram(0, 0))
     assert out.amplitudes == {ModeLabel(0, -2): 1 + 0j}
 
 
 def test_reflective_hologram_shifts():
-    out = apply_reflective_hologram(h_photon(0, 1), 0, 3)
+    out = apply_mode_map(h_photon(0, 1), ReflectiveHologram(0, 3))
     assert out.amplitudes == {ModeLabel(0, -4): 1 + 0j}
-    out = apply_reflective_hologram(h_photon(0, -1), 0, -2)
+    out = apply_mode_map(h_photon(0, -1), ReflectiveHologram(0, -2))
     assert out.amplitudes == {ModeLabel(0, 3): 1 + 0j}
 
 
@@ -168,8 +168,8 @@ def test_reflective_hologram_shifts():
 @pytest.mark.parametrize("k", [-2, 0, 3])
 def test_reflective_equals_mirror_then_negative_hologram(oam, k):
     photon = h_photon(0, oam)
-    direct = apply_reflective_hologram(photon, 0, k)
-    staged = apply_hologram(apply_mirror(photon, 0), 0, -k)
+    direct = apply_mode_map(photon, ReflectiveHologram(0, k))
+    staged = apply_mode_map(apply_mode_map(photon, Mirror(0)), Hologram(0, -k))
     assert direct == staged
 
 
@@ -271,9 +271,18 @@ def test_holograms_have_no_reverse_transit(element):
         element.reversed()
 
 
-def test_apply_functions_validate_port_range():
-    photon = h_photon(0, 0)
-    with pytest.raises(DomainError):
-        apply_hologram(photon, 3, 1)
-    with pytest.raises(DomainError):
-        apply_beamsplitter(photon, 0, 5, 0.3)
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        (Hologram(3, 1), r"^Hologram port 3 outside \[0, 2\]$"),
+        (BeamSplitter(0, 5, 0.3), r"^BeamSplitter port 5 outside \[0, 2\]$"),
+        (Mirror(-1), r"^Mirror port -1 outside \[0, 2\]$"),
+    ],
+    ids=["hologram", "beamsplitter", "negative-port"],
+)
+def test_composite_device_validates_element_ports(element, message):
+    # ports are checked where elements join a device, not per application
+    with pytest.raises(DomainError, match=message):
+        CompositeDevice((element,), 3)
+    with pytest.raises(DomainError, match=message):
+        Netlist(3, (element,))

@@ -294,8 +294,8 @@ def test_sector_table_matches_stage_product_on_random_chains(case):
 @pytest.mark.parametrize(
     "stages",
     [
-        # a Dove stage of another dimension reduces the winding mod 3, not 4
-        (DoveStage(3), SymmetricMultiport(4)),
+        # a mirror among the stages keeps the device off the table
+        (SymmetricMultiport(4), DoveStage(4), Mirror(1)),
         # a prism reads the unreduced winding, a hologram shifts it
         (SymmetricMultiport(4), DovePrism(1, 0.3), SymmetricMultiport(4)),
         (SymmetricMultiport(4), Hologram(2, 3)),
@@ -304,6 +304,20 @@ def test_sector_table_matches_stage_product_on_random_chains(case):
 def test_devices_outside_the_table_give_the_stage_product(stages):
     device = CompositeDevice(stages, 4)
     assert_table_matches_stage_product(device, window_labels(4, paths=range(3)))
+
+
+@pytest.mark.parametrize(
+    "stages, name",
+    [
+        ((SymmetricMultiport(4), DoveStage(3), SymmetricMultiport(4)), "DoveStage"),
+        ((DoveStage(3), SymmetricMultiport(4)), "DoveStage"),
+        ((SymmetricMultiport(5),), "SymmetricMultiport"),
+    ],
+)
+def test_stage_of_another_dimension_is_rejected_at_construction(stages, name):
+    message = rf"^{name} of dimension \d in a device of dimension 4$"
+    with pytest.raises(DomainError, match=message):
+        CompositeDevice(stages, 4)
 
 
 @pytest.mark.parametrize("path", [-1, -4, 4, 9])

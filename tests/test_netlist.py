@@ -1,6 +1,7 @@
 """Triangular synthesis, netlist replay, and the flat device netlists."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,27 @@ def test_oambs_netlist_error_metric():
         parity_flip=False,
     )
     assert oambs_netlist_error(broken) > 1e-3
+
+
+def oambs_netlist_without_flip(dimension):
+    return replace(oambs_netlist(dimension), parity_flip=False)
+
+
+# exact values of the netlist metric, measured before its basis walk was
+# shared with the CLI's closed-form check; the goldens print it too
+@pytest.mark.parametrize(
+    "build, dimension, expected",
+    [
+        (oambs_netlist_without_flip, 3, 1.0),
+        (oambs_netlist_without_flip, 4, 1.0000000000000002),
+        (oambs_netlist, 3, 7.862231553387732e-16),
+        (oambs_netlist, 4, 3.302818471710395e-16),
+        (symmetric_netlist, 3, 1.3822747926960686),
+        (symmetric_netlist, 4, 1.5),
+    ],
+)
+def test_oambs_netlist_error_values(build, dimension, expected):
+    assert oambs_netlist_error(build(dimension)) == expected
 
 
 def test_netlist_path_matrix_rejects_oam_elements():

@@ -20,7 +20,6 @@ from oamnet import (
     QubitSpec,
     V,
     WindowOverflowError,
-    apply_beamsplitter,
     apply_mode_map,
     fidelity,
     make_qubit_photon,
@@ -242,7 +241,7 @@ def test_colliding_slots_raise_bunching_error():
         ]
     )
     with pytest.raises(BunchingError):
-        apply_beamsplitter(pair, 0, 1, math.pi / 4)
+        apply_mode_map(pair, BeamSplitter(0, 1, math.pi / 4))
 
 
 def test_window_overflow_on_apply():
