@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     route.add_argument("--kind", choices=("simple", "star"), required=True)
     route.add_argument("--from", dest="sender", type=int, required=True, help="sender index")
     route.add_argument("--to", dest="destination", type=int, required=True, help="destination index")
-    route.add_argument("--side", choices=("forward", "reverse"), default="forward", help="transit direction (simple networks only)")
+    route.add_argument("--side", choices=("forward", "reverse"), default=None, help="transit direction of a simple network (default forward); not for --kind star")
 
     netlist = sub.add_parser("netlist", parents=[common], help="synthesize a device netlist and export it as JSON")
     netlist.add_argument("--target", choices=("symmetric", "oambs"), required=True)
@@ -194,18 +194,18 @@ def _mux_roundtrip(
     """Transmit and round-trip fidelities for one qubit per user from ``rng``."""
     space = network.space
     qubits = [_random_qubit(rng) for _ in range(network.dimension)]
-    originals = [
-        make_qubit_photon(spec, path, 0, space)
-        for path, spec in enumerate(qubits)
-    ]
-    sent = network.transmit(qubits)
+    # the product sent is also the state the round trip must restore
+    originals = tensor(
+        [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
+    )
+    sent = network.merge(originals)
     tagged = [
         make_qubit_photon(spec, 0, winding, space)
         for winding, spec in enumerate(qubits)
     ]
     transmit_fidelity = fidelity(sent, tensor(tagged))
     received = network.receive(sent, restore_oam=True)
-    return transmit_fidelity, fidelity(received, tensor(originals))
+    return transmit_fidelity, fidelity(received, originals)
 
 
 def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
@@ -327,15 +327,15 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_route(config: RunConfig, args: argparse.Namespace) -> int:
     dimension = config.dimension
+    if args.kind == "star" and args.side is not None:
+        raise DomainError("--side applies to --kind simple only")
     for name, value in (("--from", args.sender), ("--to", args.destination)):
         if not 0 <= value < dimension:
             raise DomainError(f"{name} {value} outside [0, {dimension - 1}]")
 
     if args.kind == "simple":
-        network = SimpleRoutingNetwork(
-            dimension, Direction(args.side), config.oam_window
-        )
-        side = args.side
+        side = args.side or Direction.FORWARD.value
+        network = SimpleRoutingNetwork(dimension, Direction(side), config.oam_window)
     else:
         network = StarNetwork(dimension, config.oam_window)
         side = "star"

@@ -200,8 +200,9 @@ Stage = SymmetricMultiport | DoveStage | Element
 class CompositeDevice:
     """Ordered stages applied left to right, all sharing one dimension.
 
-    Construction raises :class:`DomainError` for a multiport or Dove stage
-    of another dimension and for an element port outside the device.
+    Construction raises :class:`DomainError` for an element port outside
+    the device and for any other stage (multiport, Dove stage, bank,
+    netlist) whose ``dimension`` differs from the device's or is missing.
     When every stage is a :class:`SymmetricMultiport` or a
     :class:`DoveStage`, ``mode_images`` reads a
     per-device image table (see the module docstring): the first label on
@@ -224,12 +225,11 @@ class CompositeDevice:
         for stage in self.stages:
             if isinstance(stage, PortElement):
                 stage.check_ports(self.dimension)
-            elif (
-                isinstance(stage, (SymmetricMultiport, DoveStage))
-                and stage.dimension != self.dimension
-            ):
+                continue
+            dimension = getattr(stage, "dimension", None)
+            if dimension != self.dimension:
                 raise DomainError(
-                    f"{type(stage).__name__} of dimension {stage.dimension} "
+                    f"{type(stage).__name__} of dimension {dimension} "
                     f"in a device of dimension {self.dimension}"
                 )
         table, sign = None, 1

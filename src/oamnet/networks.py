@@ -76,6 +76,10 @@ class HologramBank:
 
     shifts: tuple[int, ...]
 
+    @property
+    def dimension(self) -> int:
+        return len(self.shifts)
+
     def mode_images(self, label: ModeLabel):
         if not 0 <= label.path < len(self.shifts):
             raise DomainError(
@@ -95,6 +99,10 @@ class ReflectorBank:
     """
 
     shifts: tuple[int, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.shifts)
 
     def mode_images(self, label: ModeLabel):
         if not 0 <= label.path < len(self.shifts):
@@ -180,7 +188,17 @@ class MuxNetwork:
             make_qubit_photon(spec, path, 0, space)
             for path, spec in enumerate(qubits)
         ]
-        merged = apply_mode_map(tensor(photons), self.input_holograms)
+        return self.merge(tensor(photons))
+
+    def merge(self, product: EnsembleState) -> EnsembleState:
+        """The optics of :meth:`transmit` acting on a product state already
+        built, slot ``n`` holding user ``n``'s photon on path ``n``."""
+        if product.space.dimension != self.dimension:
+            raise DomainError(
+                f"state spans {product.space.dimension} paths, "
+                f"mux has {self.dimension}"
+            )
+        merged = apply_mode_map(product, self.input_holograms)
         return _device_apply(merged, self.core)
 
     def receive(
@@ -198,13 +216,12 @@ class MuxNetwork:
                 f"state spans {multiplexed.space.dimension} paths, "
                 f"demux has {self.dimension}"
             )
-        for labels in multiplexed.amplitudes:
-            for label in labels:
-                if label.path != 0 or not 0 <= label.oam < self.dimension:
-                    raise RoutingDomainError(
-                        f"demux input must sit on path 0 with winding in "
-                        f"[0, {self.dimension - 1}]; got {label}"
-                    )
+        for label in multiplexed.occupied_labels():
+            if label.path != 0 or not 0 <= label.oam < self.dimension:
+                raise RoutingDomainError(
+                    f"demux input must sit on path 0 with winding in "
+                    f"[0, {self.dimension - 1}]; got {label}"
+                )
         separated = _device_apply(multiplexed, self.demux_core)
         if restore_oam:
             separated = apply_mode_map(separated, self.output_holograms)

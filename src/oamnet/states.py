@@ -17,22 +17,39 @@ in this package do); driving two slots onto one label raises
 :class:`~oamnet.errors.BunchingError` instead of silently producing wrong
 interference terms.
 
-Ensemble evolution computes each occupied label's image once per call.
-When every occupied label has a single image, :func:`apply_mode_map` maps
-each ensemble tuple straight to its image tuple in one pass, and the result
-is built with each check (window, bunching, pruning, norm) run once.
+An ensemble is stored as columns (:class:`EnsembleAmplitudes`): a list of
+the labels its tuples use, an int64 code matrix with one row per tuple and
+one column per slot whose entries index that list, and two float64 arrays
+with each row's real and imaginary part.  :func:`tensor`,
+:func:`apply_mode_map` and :func:`fidelity` work on the columns with a few
+numpy calls per slot, and ``apply_mode_map`` computes the images of each
+label once per call.  ``amplitudes`` stays a read-only mapping from label
+tuples to complex amplitudes: ``len()`` is free, and the tuple-keyed dict is
+built only when something iterates or looks up.
+
+Column arithmetic reproduces the plain dict loops bit for bit, in key order
+and down to the signs of zeros.  Products are formed in split form,
+``re*fr - im*fi`` and ``re*fi + im*fr``, one slot after another in slot
+order, because that is exactly what Python's complex multiply does, while
+numpy's complex multiply may round the last bit differently.  Sums of
+amplitudes start from ``0.0`` and add in row order, as sums from ``0j`` do.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol
+
+import numpy as np
 
 from .errors import (
     BunchingError,
     DomainError,
     NormalizationError,
+    OamNetError,
     WindowOverflowError,
 )
 
@@ -200,13 +217,66 @@ class PhotonState:
         return " + ".join(terms) if terms else "0"
 
 
+class EnsembleAmplitudes(Mapping):
+    """Read-only ``{label tuple: amplitude}`` view of an ensemble's columns.
+
+    ``labels`` lists the mode labels the tuples use, ``codes`` is an int64
+    matrix with one row per tuple and one column per slot whose entries
+    index ``labels``, and ``re`` and ``im`` are float64 arrays holding each
+    row's amplitude.  ``len()`` is the row count and builds nothing; the
+    tuple-keyed dict behind every other read is built on first use and
+    kept.  The arrays are not writeable.
+    """
+
+    __slots__ = ("labels", "codes", "re", "im", "_dict")
+
+    def __init__(
+        self,
+        labels: list[ModeLabel],
+        codes: np.ndarray,
+        re: np.ndarray,
+        im: np.ndarray,
+    ) -> None:
+        for column in (codes, re, im):
+            column.setflags(write=False)
+        self.labels = labels
+        self.codes = codes
+        self.re = re
+        self.im = im
+        self._dict: dict[tuple[ModeLabel, ...], complex] | None = None
+
+    def _mapping(self) -> dict[tuple[ModeLabel, ...], complex]:
+        if self._dict is None:
+            labels = self.labels
+            keys = [tuple([labels[c] for c in row]) for row in self.codes.tolist()]
+            values = map(complex, self.re.tolist(), self.im.tolist())
+            self._dict = dict(zip(keys, values))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def __getitem__(self, key: tuple[ModeLabel, ...]) -> complex:
+        return self._mapping()[key]
+
+    def __iter__(self) -> Iterator[tuple[ModeLabel, ...]]:
+        return iter(self._mapping())
+
+    def __repr__(self) -> str:
+        return repr(self._mapping())
+
+
 @dataclass(frozen=True)
 class EnsembleState:
     """Few photons in distinguishable slots: amplitudes over label tuples.
 
     Every stored tuple has exactly ``slot_count`` entries and pairwise
     distinct labels; see the module docstring for why duplicates are
-    rejected rather than symmetrized.
+    rejected rather than symmetrized.  The constructor takes any mapping
+    from label tuples to amplitudes and runs every check on it.  The state
+    is kept as columns, one row per tuple (the module docstring gives the
+    layout and its arithmetic), and ``amplitudes`` is the read-only
+    :class:`EnsembleAmplitudes` view of them.
     """
 
     space: ModeSpace
@@ -216,7 +286,10 @@ class EnsembleState:
     def __post_init__(self) -> None:
         if self.slot_count < 1:
             raise DomainError(f"slot_count must be >= 1, got {self.slot_count}")
-        clean: dict[tuple[ModeLabel, ...], complex] = {}
+        index: dict[ModeLabel, int] = {}
+        codes: list[int] = []
+        re: list[float] = []
+        im: list[float] = []
         norm_sq = 0.0
         for labels, raw in self.amplitudes.items():
             # a bare label is itself a tuple, so check what each slot holds
@@ -240,27 +313,47 @@ class EnsembleState:
                 )
             for label in labels:
                 self.space.check_label(label)
-            clean[tuple(labels)] = amp
+            codes.extend(index.setdefault(label, len(index)) for label in labels)
+            re.append(amp.real)
+            im.append(amp.imag)
             norm_sq += abs(amp) ** 2
         _require_unit_norm(norm_sq, "ensemble")
-        object.__setattr__(self, "amplitudes", clean)
+        columns = EnsembleAmplitudes(
+            list(index),
+            np.array(codes, dtype=np.int64).reshape(-1, self.slot_count),
+            np.array(re, dtype=np.float64),
+            np.array(im, dtype=np.float64),
+        )
+        object.__setattr__(self, "amplitudes", columns)
 
     @classmethod
-    def _checked(
+    def _from_columns(
         cls,
         space: ModeSpace,
         slot_count: int,
-        amplitudes: dict[tuple[ModeLabel, ...], complex],
+        labels: list[ModeLabel],
+        codes: np.ndarray,
+        re: np.ndarray,
+        im: np.ndarray,
     ) -> "EnsembleState":
-        """Wrap amplitudes that already passed every check of ``__post_init__``."""
+        """Wrap columns that already passed every check of ``__post_init__``."""
         state = object.__new__(cls)
         object.__setattr__(state, "space", space)
         object.__setattr__(state, "slot_count", slot_count)
-        object.__setattr__(state, "amplitudes", amplitudes)
+        columns = EnsembleAmplitudes(labels, codes, re, im)
+        object.__setattr__(state, "amplitudes", columns)
         return state
 
     def amplitude(self, labels: tuple[ModeLabel, ...]) -> complex:
         return self.amplitudes.get(tuple(labels), 0j)
+
+    def occupied_labels(self) -> list[ModeLabel]:
+        """Distinct labels held by some slot, in order of first appearance
+        (tuple by tuple, then slot by slot)."""
+        flat = self.amplitudes.codes.ravel()
+        _, first = np.unique(flat, return_index=True)
+        labels = self.amplitudes.labels
+        return [labels[code] for code in flat[np.sort(first)].tolist()]
 
     def tuples(self) -> list[tuple[ModeLabel, ...]]:
         return sorted(
@@ -317,15 +410,18 @@ def fidelity(
     """
     if isinstance(a, PhotonState) != isinstance(b, PhotonState):
         raise DomainError("cannot compare a single photon with an ensemble")
-    if isinstance(a, EnsembleState) and a.slot_count != b.slot_count:
-        raise DomainError(
-            f"slot counts differ: {a.slot_count} vs {b.slot_count}"
-        )
-    overlap = 0j
-    for key, amp in a.amplitudes.items():
-        other = b.amplitudes.get(key)
-        if other is not None:
-            overlap += amp.conjugate() * other
+    if isinstance(a, EnsembleState):
+        if a.slot_count != b.slot_count:
+            raise DomainError(
+                f"slot counts differ: {a.slot_count} vs {b.slot_count}"
+            )
+        overlap = _ensemble_overlap(a.amplitudes, b.amplitudes)
+    else:
+        overlap = 0j
+        for key, amp in a.amplitudes.items():
+            other = b.amplitudes.get(key)
+            if other is not None:
+                overlap += amp.conjugate() * other
     modulus = abs(overlap)
     if modulus > 1.0 + NORM_TOL:
         raise NormalizationError(
@@ -334,36 +430,99 @@ def fidelity(
     return min(1.0, modulus ** 2)
 
 
+def _ensemble_overlap(a: EnsembleAmplitudes, b: EnsembleAmplitudes) -> complex:
+    """``<a|b>``: each row of ``a`` joined to the equal row of ``b``, adding
+    ``conj(a) * b`` in split form and in ``a``'s row order."""
+    index = {label: code for code, label in enumerate(a.labels)}
+    # a label that a lacks gets code -1, so rows holding it match nothing
+    b_codes = np.array(
+        [index.get(label, -1) for label in b.labels], dtype=np.int64
+    )[b.codes]
+    if b_codes.shape == a.codes.shape and (b_codes == a.codes).all():
+        ar, ai, br, bi = a.re, a.im, b.re, b.im  # the rows already line up
+    else:
+        b_rows = {row: i for i, row in enumerate(map(tuple, b_codes.tolist()))}
+        match = np.array(
+            [b_rows.get(row, -1) for row in map(tuple, a.codes.tolist())],
+            dtype=np.int64,
+        )
+        found = match >= 0
+        ar, ai = a.re[found], a.im[found]
+        br, bi = b.re[match[found]], b.im[match[found]]
+    nai = -ai
+    # a running sum, as the dict loop's; a pairwise sum rounds differently
+    re = np.add.accumulate(ar * br - nai * bi)
+    im = np.add.accumulate(ar * bi + nai * br)
+    return complex(re[-1], im[-1]) if len(re) else 0j
+
+
 def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
-    """Product state of independent photons; slot order follows list order."""
+    """Product state of independent photons; slot order follows list order.
+
+    Rows grow photon by photon, each row by each of the photon's labels in
+    turn, with split-form products; products at or below ``PRUNE_TOL`` drop
+    out as they form.
+    """
     if not photons:
         raise DomainError("tensor of an empty photon list")
     space = photons[0].space
     for photon in photons[1:]:
         if photon.space != space:
             raise DomainError("all photons must share one mode space")
-    # prefixes are distinct, so they grow as lists and are hashed only once
-    terms: list[tuple[tuple[ModeLabel, ...], complex]] = [((), 1.0 + 0j)]
+    # Every photon's label codes and factors, one photon after another.  A
+    # product over the first photons is at least the product of their
+    # smallest moduli, give or take a rounding far under the factor 2, so
+    # while that stays above 2 * PRUNE_TOL nothing can drop out: those
+    # photons grow the rows in one block, the rest one by one with pruning.
+    index: dict[ModeLabel, int] = {}
+    label_codes: list[int] = []
+    factors: list[complex] = []
+    starts: list[int] = []
+    floor, safe = 1.0, 0
     for photon in photons:
-        grown = []
-        for labels, amp in terms:
-            for label, factor in photon.amplitudes.items():
-                value = amp * factor
-                if abs(value) > PRUNE_TOL:
-                    grown.append((labels + (label,), value))
-        terms = grown
-    amplitudes = dict(terms)
-    supports = [photon.amplitudes.keys() for photon in photons]
-    if len(set().union(*supports)) != sum(map(len, supports)):
-        # two photons share a label: the constructor finds the bunched tuples
-        return EnsembleState(space, len(photons), amplitudes)
-    # Disjoint supports already checked by each photon: no tuple bunches and
-    # every label is in the window, so only the norm is left to check.
-    norm_sq = 0.0
-    for value in amplitudes.values():
-        norm_sq += abs(value) ** 2
-    _require_unit_norm(norm_sq, "ensemble")
-    return EnsembleState._checked(space, len(photons), amplitudes)
+        amplitudes = photon.amplitudes
+        starts.append(len(label_codes))
+        label_codes += [index.setdefault(label, len(index)) for label in amplitudes]
+        factors += amplitudes.values()
+        floor *= min(map(abs, amplitudes.values()))
+        if safe == len(starts) - 1 and floor > 2 * PRUNE_TOL:
+            safe += 1
+    starts.append(len(label_codes))
+    blocks = [range(safe)] if safe else []
+    blocks += [range(p, p + 1) for p in range(safe, len(photons))]
+    label_codes = np.array(label_codes, dtype=np.int64)
+    factors = np.array(factors, dtype=np.complex128)
+    offsets = np.array(starts, dtype=np.int64)
+    codes = np.empty((1, 0), dtype=np.int64)
+    re, im = np.ones(1), np.zeros(1)
+    for block in blocks:
+        # every row times every combination of the block's labels, in
+        # row-major order; picks index the flat label and factor arrays
+        shape = (len(re), *(starts[p + 1] - starts[p] for p in block))
+        row, *digits = np.unravel_index(np.arange(math.prod(shape)), shape)
+        picks = np.array(digits) + offsets[block.start : block.stop, None]
+        codes = np.concatenate((codes[row], label_codes[picks].T), axis=1)
+        re, im = re[row], im[row]
+        for fr, fi in zip(factors.real[picks], factors.imag[picks]):
+            re, im = re * fr - im * fi, re * fi + im * fr
+        if block.stop > safe:
+            keep = np.hypot(re, im) > PRUNE_TOL
+            codes, re, im = codes[keep], re[keep], im[keep]
+    labels = list(index)
+    if len(labels) != len(label_codes):
+        # two photons share a label: reject the first tuple holding it twice
+        bunched = np.flatnonzero(_bunched_rows(codes))
+        if len(bunched):
+            row_labels = [labels[code] for code in codes[bunched[0]].tolist()]
+            raise BunchingError(
+                "two slots share the label " + str(_first_duplicate(row_labels))
+            )
+    _require_unit_moduli(np.hypot(re, im))
+    if safe < len(photons):
+        labels, codes = _occupied(labels, codes)
+    return EnsembleState._from_columns(
+        space, len(photons), labels, codes, re, im
+    )
 
 
 def compose_images(
@@ -419,138 +578,182 @@ def _apply_photon(state: PhotonState, operator: ModeOperator) -> PhotonState:
     return PhotonState(state.space, out)
 
 
-_SlotImage = Callable[[ModeLabel], list[tuple[ModeLabel, complex]]]
-
-
 def _apply_ensemble(
     state: EnsembleState, operator: ModeOperator
 ) -> EnsembleState:
+    """Slot by slot over the columns, as the prefix expansion goes tuple by
+    tuple: a label of ``n`` images turns its row into ``n`` rows in image
+    order, products at or below ``PRUNE_TOL`` drop out as they form, and a
+    dropped row reaches none of its later slots' labels."""
     space = state.space
-    images: dict[ModeLabel, list[tuple[ModeLabel, complex]]] = {}
-
-    def slot_image(label: ModeLabel) -> list[tuple[ModeLabel, complex]]:
-        cached = images.get(label)
-        if cached is None:
-            cached = [
-                (image, factor)
-                for image, factor in operator.mode_images(label)
-                if abs(factor) > PRUNE_TOL
-            ]
-            for image, _ in cached:
-                space.check_label(image)
-            images[label] = cached
-        return cached
-
-    mapped = _map_tuples(state, slot_image)
-    if mapped is None:
-        out, may_bunch = _expand_tuples(state, slot_image), True
-    else:
-        out, may_bunch = mapped
-    return _ensemble_result(state, out, may_bunch)
-
-
-def _map_tuples(
-    state: EnsembleState, slot_image: _SlotImage
-) -> tuple[dict[tuple[ModeLabel, ...], complex], bool] | None:
-    """Single pass for operators that send every occupied label to one label.
-
-    Returns the summed image amplitudes and whether two slots may share a
-    label, or ``None`` when some slot image is not a single term or an
-    amplitude is small enough for :func:`_expand_tuples` to prune a partial
-    product; that expansion must then run instead.
-    """
-    # The expansion prunes each partial product at or below PRUNE_TOL.  With
-    # every factor of modulus >= low (low <= 1), partial products stay above
-    # min|amp| * low**slot_count, give or take a rounding far under the
-    # factor 2 in floor; while that exceeds PRUNE_TOL, the expansion prunes
-    # nothing the single pass keeps and reaches (so window-checks) the same
-    # labels.
-    floor = 2 * PRUNE_TOL / min(map(abs, state.amplitudes.values()))
+    columns = state.amplitudes
+    # One mode_images call per label, kept as a (start, count) slice of the
+    # flat image columns.  A label whose images raise keeps the exception,
+    # which counts only where the expansion reaches that label.
+    index: dict[ModeLabel, int] = {}
+    starts: list[int] = []
+    counts: list[int] = []
+    failures: dict[int, OamNetError] = {}
+    image_codes: list[int] = []
+    image_re: list[float] = []
+    image_im: list[float] = []
     low = 1.0
-    singles: dict[ModeLabel, tuple[ModeLabel, complex]] = {}
-    mapped: list[tuple[tuple[ModeLabel, ...], complex]] = []
-    for labels, amp in state.amplitudes.items():
-        joint = []
-        for label in labels:
-            try:
-                image, factor = singles[label]
-            except KeyError:
-                if low ** state.slot_count <= floor:
-                    return None
-                images = slot_image(label)
-                if len(images) != 1:
-                    return None
-                image, factor = singles[label] = images[0]
-                low = min(low, abs(factor))
-            joint.append(image)
-            amp = amp * factor
-        mapped.append((tuple(joint), amp))
-    if low ** state.slot_count <= floor:
-        return None
-    # Input tuples hold distinct labels, so they map to distinct tuples with
-    # distinct labels unless two occupied labels share an image.  Sums
-    # start from 0j as the expansion's sums do, down to the sign of a zero.
-    if len({image for image, _ in singles.values()}) == len(singles):
-        return {key: 0j + amp for key, amp in mapped}, False
-    out: dict[tuple[ModeLabel, ...], complex] = {}
-    for key, amp in mapped:
-        out[key] = out.get(key, 0j) + amp
-    return out, True
+    check_label = space.check_label
+    for code, label in enumerate(columns.labels):
+        try:
+            images = [
+                (image, factor, modulus)
+                for image, factor in operator.mode_images(label)
+                if (modulus := abs(factor)) > PRUNE_TOL
+            ]
+            for image, _, _ in images:
+                check_label(image)
+        except OamNetError as exc:
+            failures[code] = exc
+            images = []
+        starts.append(len(image_codes))
+        counts.append(len(images))
+        for image, factor, modulus in images:
+            image_codes.append(index.setdefault(image, len(index)))
+            image_re.append(factor.real)
+            image_im.append(factor.imag)
+            low = min(low, modulus)
+    target = np.array(image_codes, dtype=np.int64)
+    factor_re = np.array(image_re, dtype=np.float64)
+    factor_im = np.array(image_im, dtype=np.float64)
+
+    codes, re, im = columns.codes, columns.re, columns.im
+    # Every partial product is at least the smallest row modulus times
+    # low ** slot_count, give or take a rounding far under the factor 2;
+    # while that exceeds 2 * PRUNE_TOL, no product can drop out.
+    prune = (
+        float(np.hypot(re, im).min()) * low ** state.slot_count <= 2 * PRUNE_TOL
+    )
+    single = not failures and all(count == 1 for count in counts)
+    if single:
+        # a label's code is the index of its one image: gather all factors
+        fr_all, fi_all = factor_re[codes.T], factor_im[codes.T]
+        for slot in range(state.slot_count):
+            fr, fi = fr_all[slot], fi_all[slot]
+            re, im = re * fr - im * fi, re * fi + im * fr
+            if prune:
+                keep = np.hypot(re, im) > PRUNE_TOL
+                re, im, codes = re[keep], im[keep], codes[keep]
+                fr_all, fi_all = fr_all[:, keep], fi_all[:, keep]
+        codes = target[codes]
+    else:
+        start = np.array(starts, dtype=np.int64)
+        count = np.array(counts, dtype=np.int64)
+        failed = np.zeros(len(counts), dtype=bool)
+        failed[list(failures)] = True
+        codes = codes.copy()
+        raised = None
+        for slot in range(state.slot_count):
+            column = codes[:, slot]
+            hit = failed[column]
+            if hit.any():
+                # the expansion raises at the first row reaching a failed
+                # label; only rows of earlier tuples can still raise first
+                first = int(hit.argmax())
+                raised = failures[int(column[first])]
+                codes, re, im = codes[:first], re[:first], im[:first]
+                column = column[:first]
+            fan = count[column]
+            rows = np.repeat(np.arange(len(column)), fan)
+            pick = np.arange(len(rows)) + np.repeat(
+                start[column] - (np.cumsum(fan) - fan), fan
+            )
+            codes, re, im = codes[rows], re[rows], im[rows]
+            fr, fi = factor_re[pick], factor_im[pick]
+            re, im = re * fr - im * fi, re * fi + im * fr
+            codes[:, slot] = target[pick]
+            if prune:
+                keep = np.hypot(re, im) > PRUNE_TOL
+                codes, re, im = codes[keep], re[keep], im[keep]
+        if raised is not None:
+            raise raised
+
+    labels = list(index)
+    # With one image per label and no two labels sharing one, distinct
+    # tuples stay distinct and unbunched; otherwise equal rows are summed.
+    # Either way each sum starts from 0.0, as the dict loop's from 0j.
+    merge = not single or len(labels) != len(image_codes)
+    if not merge:
+        re, im = 0.0 + re, 0.0 + im
+        magnitude = np.hypot(re, im)
+    else:
+        codes, re, im = _sum_equal_rows(codes, re, im)
+        magnitude = np.hypot(re, im)
+        bunched = _bunched_rows(codes)
+        loud = np.flatnonzero(bunched & (magnitude > BUNCHING_TOL))
+        if len(loud):
+            row_labels = [labels[code] for code in codes[loud[0]].tolist()]
+            raise BunchingError(
+                "operator drove two slots onto "
+                + str(_first_duplicate(row_labels))
+                + f" with amplitude {float(magnitude[loud[0]]):.3e}"
+            )
+        keep = (magnitude > PRUNE_TOL) & ~bunched
+        codes, re, im, magnitude = (
+            codes[keep], re[keep], im[keep], magnitude[keep]
+        )
+    _require_unit_moduli(magnitude)
+    if prune or merge:
+        labels, codes = _occupied(labels, codes)
+    return EnsembleState._from_columns(
+        space, state.slot_count, labels, codes, re, im
+    )
 
 
-def _expand_tuples(
-    state: EnsembleState, slot_image: _SlotImage
-) -> dict[tuple[ModeLabel, ...], complex]:
-    """Grow every tuple slot by slot over multi-term images, pruning each
-    partial product at or below ``PRUNE_TOL``."""
-    out: dict[tuple[ModeLabel, ...], complex] = {}
-    for labels, amp in state.amplitudes.items():
-        partial: list[tuple[tuple[ModeLabel, ...], complex]] = [((), amp)]
-        for label in labels:
-            grown = []
-            for prefix, value in partial:
-                for image, factor in slot_image(label):
-                    joint = value * factor
-                    if abs(joint) > PRUNE_TOL:
-                        grown.append((prefix + (image,), joint))
-            partial = grown
-        for joint_labels, value in partial:
-            out[joint_labels] = out.get(joint_labels, 0j) + value
-    return out
+def _sum_equal_rows(
+    codes: np.ndarray, re: np.ndarray, im: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equal rows summed into one, in order of first appearance; each sum
+    runs from 0.0 in row order (``bincount`` adds in input order)."""
+    groups: dict[tuple[int, ...], int] = {}
+    group = np.array(
+        [groups.setdefault(row, len(groups)) for row in map(tuple, codes.tolist())],
+        dtype=np.int64,
+    )
+    return (
+        np.array(list(groups), dtype=np.int64).reshape(-1, codes.shape[1]),
+        np.bincount(group, re, len(groups)),
+        np.bincount(group, im, len(groups)),
+    )
 
 
-def _ensemble_result(
-    state: EnsembleState,
-    out: dict[tuple[ModeLabel, ...], complex],
-    may_bunch: bool,
-) -> EnsembleState:
-    """Evolved state from summed image amplitudes, checking each tuple once.
+def _occupied(
+    labels: list[ModeLabel], codes: np.ndarray
+) -> tuple[list[ModeLabel], np.ndarray]:
+    """The labels some row still holds, with the codes renumbered to them;
+    rows that dropped out may have held the others."""
+    used = np.zeros(len(labels), dtype=bool)
+    used[codes] = True
+    if used.all():
+        return labels, codes
+    kept = [label for label, keep in zip(labels, used.tolist()) if keep]
+    return kept, (np.cumsum(used) - 1)[codes]
 
-    Images were window-checked as they were computed and tuples keep their
-    arity, so what is left is pruning, bunching and the norm.  ``out`` is
-    reused as the state's mapping.
+
+def _bunched_rows(codes: np.ndarray) -> np.ndarray:
+    """Whether each row holds some label in two slots."""
+    ordered = np.sort(codes, axis=1)
+    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+
+
+def _require_unit_moduli(moduli: np.ndarray) -> None:
+    """The ensemble norm check on the kept amplitude moduli.
+
+    A dot product lands within a few ulp of the term-by-term sum of
+    ``modulus ** 2`` that the constructor makes.  One near or past the
+    tolerance is redone term by term, so the decision and the message see
+    exactly the constructor's sum.
     """
-    dropped = []
-    norm_sq = 0.0
-    for joint_labels, value in out.items():
-        magnitude = abs(value)
-        if magnitude <= PRUNE_TOL:
-            dropped.append(joint_labels)
-            continue
-        if may_bunch and len(set(joint_labels)) != len(joint_labels):
-            if magnitude > BUNCHING_TOL:
-                raise BunchingError(
-                    "operator drove two slots onto "
-                    + str(_first_duplicate(joint_labels))
-                    + f" with amplitude {magnitude:.3e}"
-                )
-            dropped.append(joint_labels)
-            continue
-        norm_sq += magnitude ** 2
-    _require_unit_norm(norm_sq, "ensemble")
-    for joint_labels in dropped:
-        del out[joint_labels]
-    return EnsembleState._checked(state.space, state.slot_count, out)
+    if abs(float(moduli @ moduli) - 1.0) > NORM_TOL / 2:
+        norm_sq = 0.0
+        for modulus in moduli.tolist():
+            norm_sq += modulus ** 2
+        _require_unit_norm(norm_sq, "ensemble")
 
 
 def path_probabilities(state: PhotonState) -> dict[int, float]:
@@ -563,6 +766,7 @@ def path_probabilities(state: PhotonState) -> dict[int, float]:
 
 __all__ = [
     "BUNCHING_TOL",
+    "EnsembleAmplitudes",
     "EnsembleState",
     "H",
     "ModeLabel",

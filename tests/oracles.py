@@ -176,6 +176,18 @@ def nested_tensor_amplitudes(photons):
     return EnsembleState(photons[0].space, len(photons), terms).amplitudes
 
 
+def dict_fidelity(a, b):
+    """``|<a|b>|^2`` by the plain dict loop: ``conj(a) * b`` added from
+    ``0j`` over ``a``'s keys in order, clamped to 1."""
+    overlap = 0j
+    b_amplitudes = dict(b.amplitudes)
+    for key, amp in a.amplitudes.items():
+        other = b_amplitudes.get(key)
+        if other is not None:
+            overlap += amp.conjugate() * other
+    return min(1.0, abs(overlap) ** 2)
+
+
 def amplitude_bits(amplitudes):
     """Keys with both float parts in hex, in insertion order: equal only when
     two mappings agree bit for bit, signs of zeros included."""

@@ -164,6 +164,26 @@ def test_route_simple_reverse_side():
     assert row["delivered_path"] == 2
 
 
+@pytest.mark.parametrize("side", ["forward", "reverse"])
+def test_route_star_rejects_side(side):
+    code, out, err = run_cli(
+        "route", "--kind", "star", "--dimension", "4", "--from", "1",
+        "--to", "2", "--side", side,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --side applies to --kind simple only\n"
+
+
+def test_route_simple_side_defaults_to_forward():
+    code, out, _ = run_cli(
+        "route", "--kind", "simple", "--dimension", "4", "--from", "1",
+        "--to", "2",
+    )
+    assert code == 0
+    assert json.loads(out)["side"] == "forward"
+
+
 def test_route_out_of_range_is_config_error():
     code, _, err = run_cli(
         "route", "--kind", "simple", "--dimension", "2", "--from", "0",

@@ -1,7 +1,8 @@
 """CLI golden outputs: stdout bytes for a fixed matrix of invocations.
 
 Every subcommand in both report formats across dimensions 2 to 6, plus a
-star route at D=24 and a MUX round trip and verify run at D=8.  The
+star route at D=24, a MUX round trip and verify run at D=8, a verify run at
+D=10 and a MUX round trip at D=12 (4096 tuples).  The
 committed ``golden/*.out`` files pin the exact bytes, so any change in
 behaviour or float formatting shows up as a diff.  Regenerate them (only
 when an output change is intended) with::
@@ -51,6 +52,8 @@ CASES = {
     "route_star_d24": ["route", "--kind", "star", "--from", "5", "--to", "17", "--dimension", "24"],
     "scenario_mux_d8_seed5": ["scenario", "mux-roundtrip", "--dimension", "8", "--seed", "5"],
     "verify_d8_seed2": ["verify", "--dimension", "8", "--seed", "2"],
+    "scenario_mux_d12_seed1": ["scenario", "mux-roundtrip", "--dimension", "12", "--seed", "1"],
+    "verify_d10_seed4": ["verify", "--dimension", "10", "--seed", "4"],
 }
 
 

@@ -15,11 +15,14 @@ from oamnet import (
     DoveStage,
     H,
     Hologram,
+    HologramBank,
     CompositeDevice,
     Mirror,
     ModeLabel,
     ModeSpace,
+    Netlist,
     PhotonState,
+    ReflectorBank,
     SymmetricMultiport,
     V,
     apply_mode_map,
@@ -318,6 +321,47 @@ def test_stage_of_another_dimension_is_rejected_at_construction(stages, name):
     message = rf"^{name} of dimension \d in a device of dimension 4$"
     with pytest.raises(DomainError, match=message):
         CompositeDevice(stages, 4)
+
+
+@pytest.mark.parametrize(
+    "stage, name",
+    [
+        # each used to build, then fail on first use or, for the netlist,
+        # pass a path-3 photon through untouched
+        (HologramBank((1, 2, 3)), "HologramBank"),
+        (ReflectorBank((0, 1, 2, 3, 4)), "ReflectorBank"),
+        (Netlist(3, (Mirror(0),)), "Netlist"),
+    ],
+)
+def test_bank_or_netlist_of_another_size_is_rejected_at_construction(
+    stage, name
+):
+    message = rf"^{name} of dimension \d in a device of dimension 4$"
+    with pytest.raises(DomainError, match=message):
+        CompositeDevice((stage,), 4)
+
+
+def test_stage_without_a_dimension_is_rejected_at_construction():
+    class Identity:
+        def mode_images(self, label):
+            return ((label, 1.0 + 0j),)
+
+    message = r"^Identity of dimension None in a device of dimension 2$"
+    with pytest.raises(DomainError, match=message):
+        CompositeDevice((Identity(),), 2)
+
+
+def test_banks_and_netlists_of_the_device_size_are_accepted():
+    device = CompositeDevice(
+        (
+            HologramBank((1, 0, 0, 2)),
+            Netlist(4, (Mirror(3),)),
+            ReflectorBank((0,) * 4),
+        ),
+        4,
+    )
+    # +2 shift, mirror flip, reflector flip: |1>_3 -> |3>_3 -> |-3>_3 -> |3>_3
+    assert device.mode_images(ModeLabel(3, 1)) == [(ModeLabel(3, 3), 1 + 0j)]
 
 
 @pytest.mark.parametrize("path", [-1, -4, 4, 9])
