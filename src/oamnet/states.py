@@ -171,11 +171,11 @@ class QubitSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise NormalizationError(
-                f"|alpha|^2 + |beta|^2 = {norm_sq!r}, expected 1"
-            )
+        try:
+            norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        except OverflowError:
+            norm_sq = math.inf
+        _require_unit_norm(norm_sq, "|alpha|^2 + |beta|^2")
 
 
 @dataclass(frozen=True)
@@ -194,14 +194,18 @@ class PhotonState:
     def __post_init__(self) -> None:
         clean: dict[ModeLabel, complex] = {}
         norm_sq = 0.0
-        for label, raw in self.amplitudes.items():
-            amp = complex(raw)
-            if abs(amp) <= PRUNE_TOL:
-                continue
-            self.space.check_label(label)
-            clean[label] = amp
-            norm_sq += abs(amp) ** 2
-        _require_unit_norm(norm_sq, "photon")
+        try:
+            for label, raw in self.amplitudes.items():
+                amp = complex(raw)
+                modulus = abs(amp)
+                if modulus <= PRUNE_TOL:
+                    continue
+                self.space.check_label(label)
+                clean[label] = amp
+                norm_sq += modulus ** 2
+        except OverflowError:
+            norm_sq = math.inf
+        _require_unit_norm(norm_sq, "photon norm^2")
         object.__setattr__(self, "amplitudes", clean)
 
     def amplitude(self, label: ModeLabel) -> complex:
@@ -291,33 +295,37 @@ class EnsembleState:
         re: list[float] = []
         im: list[float] = []
         norm_sq = 0.0
-        for labels, raw in self.amplitudes.items():
-            # a bare label is itself a tuple, so check what each slot holds
-            if not isinstance(labels, tuple) or not all(
-                isinstance(label, ModeLabel) for label in labels
-            ):
-                raise DomainError(
-                    f"ensemble key {labels!r} is not a tuple of ModeLabels"
-                )
-            amp = complex(raw)
-            if abs(amp) <= PRUNE_TOL:
-                continue
-            if len(labels) != self.slot_count:
-                raise DomainError(
-                    f"tuple arity {len(labels)} != slot_count {self.slot_count}"
-                )
-            if len(set(labels)) != len(labels):
-                raise BunchingError(
-                    "two slots share the label "
-                    + str(_first_duplicate(labels))
-                )
-            for label in labels:
-                self.space.check_label(label)
-            codes.extend(index.setdefault(label, len(index)) for label in labels)
-            re.append(amp.real)
-            im.append(amp.imag)
-            norm_sq += abs(amp) ** 2
-        _require_unit_norm(norm_sq, "ensemble")
+        try:
+            for labels, raw in self.amplitudes.items():
+                # a bare label is itself a tuple, so check what each slot holds
+                if not isinstance(labels, tuple) or not all(
+                    isinstance(label, ModeLabel) for label in labels
+                ):
+                    raise DomainError(
+                        f"ensemble key {labels!r} is not a tuple of ModeLabels"
+                    )
+                amp = complex(raw)
+                modulus = abs(amp)
+                if modulus <= PRUNE_TOL:
+                    continue
+                if len(labels) != self.slot_count:
+                    raise DomainError(
+                        f"tuple arity {len(labels)} != slot_count {self.slot_count}"
+                    )
+                if len(set(labels)) != len(labels):
+                    raise BunchingError(
+                        "two slots share the label "
+                        + str(_first_duplicate(labels))
+                    )
+                for label in labels:
+                    self.space.check_label(label)
+                codes.extend(index.setdefault(label, len(index)) for label in labels)
+                re.append(amp.real)
+                im.append(amp.imag)
+                norm_sq += modulus ** 2
+        except OverflowError:
+            norm_sq = math.inf
+        _require_unit_norm(norm_sq, "ensemble norm^2")
         columns = EnsembleAmplitudes(
             list(index),
             np.array(codes, dtype=np.int64).reshape(-1, self.slot_count),
@@ -368,9 +376,17 @@ class EnsembleState:
         return " + ".join(parts) if parts else "0"
 
 
-def _require_unit_norm(norm_sq: float, kind: str) -> None:
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise NormalizationError(f"{kind} norm^2 = {norm_sq!r}, expected 1")
+def _require_unit_norm(norm_sq: float, what: str) -> None:
+    """Raise :class:`NormalizationError` unless ``norm_sq`` lies within
+    ``NORM_TOL`` of 1.
+
+    Callers sum Python's ``modulus ** 2`` in order from ``0.0`` (numpy's
+    ``x * x`` does not always match its last bit) and pass ``math.inf``
+    when an amplitude is too large for its modulus or square to be a
+    float.  A NaN norm fails.
+    """
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
+        raise NormalizationError(f"{what} = {norm_sq!r}, expected 1")
 
 
 def _first_duplicate(labels: Sequence[ModeLabel]) -> ModeLabel:
@@ -747,13 +763,17 @@ def _require_unit_moduli(moduli: np.ndarray) -> None:
     A dot product lands within a few ulp of the term-by-term sum of
     ``modulus ** 2`` that the constructor makes.  One near or past the
     tolerance is redone term by term, so the decision and the message see
-    exactly the constructor's sum.
+    exactly the constructor's sum; so is one whose dot product is NaN or
+    overflows.
     """
-    if abs(float(moduli @ moduli) - 1.0) > NORM_TOL / 2:
+    if not abs(float(moduli @ moduli) - 1.0) <= NORM_TOL / 2:
         norm_sq = 0.0
-        for modulus in moduli.tolist():
-            norm_sq += modulus ** 2
-        _require_unit_norm(norm_sq, "ensemble")
+        try:
+            for modulus in moduli.tolist():
+                norm_sq += modulus ** 2
+        except OverflowError:
+            norm_sq = math.inf
+        _require_unit_norm(norm_sq, "ensemble norm^2")
 
 
 def path_probabilities(state: PhotonState) -> dict[int, float]:

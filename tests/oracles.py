@@ -246,3 +246,25 @@ def label_wise_transit(operators, amplitudes):
                 grown[image] = grown.get(image, 0j) + amp * factor
         current = {l: a for l, a in grown.items() if abs(a) > PRUNE_TOL}
     return current
+
+
+def label_wise_netlist_error(netlist):
+    """``oambs_netlist_error`` replaying one basis photon at a time through
+    ``netlist_apply``: the reference for the batched replay, errors
+    included."""
+    import math
+
+    from oamnet import Direction, ModeSpace, PhotonState, netlist_apply
+    from oamnet.multiport import closed_form_error
+
+    space = ModeSpace(netlist.dimension)
+
+    def deviation(label, expected):
+        routed = netlist_apply(netlist, PhotonState(space, {label: 1.0}))
+        amp = routed.amplitude(expected)
+        leftover = (
+            sum(abs(a) ** 2 for a in routed.amplitudes.values()) - abs(amp) ** 2
+        )
+        return amp, math.sqrt(max(0.0, leftover))
+
+    return closed_form_error(netlist.dimension, Direction.FORWARD, deviation)

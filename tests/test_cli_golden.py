@@ -2,7 +2,8 @@
 
 Every subcommand in both report formats across dimensions 2 to 6, plus a
 star route at D=24, a MUX round trip and verify run at D=8, a verify run at
-D=10 and a MUX round trip at D=12 (4096 tuples).  The
+D=10, a MUX round trip at D=12 (4096 tuples) and the OAMBS netlist at D=8
+and D=12, whose replay error sums final supports of up to 5 labels.  The
 committed ``golden/*.out`` files pin the exact bytes, so any change in
 behaviour or float formatting shows up as a diff.  Regenerate them (only
 when an output change is intended) with::
@@ -39,6 +40,8 @@ CASES = {
     ],
     "netlist_symmetric_d3": ["netlist", "--target", "symmetric", "--dimension", "3"],
     "netlist_oambs_d4": ["netlist", "--target", "oambs", "--dimension", "4"],
+    "netlist_oambs_d8": ["netlist", "--target", "oambs", "--dimension", "8"],
+    "netlist_oambs_d12": ["netlist", "--target", "oambs", "--dimension", "12"],
     "scenario_mux_d5_seed3": ["scenario", "mux-roundtrip", "--dimension", "5", "--seed", "3"],
     "scenario_mux_d6_text": [
         "scenario", "mux-roundtrip", "--dimension", "6", "--seed", "11",

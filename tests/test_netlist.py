@@ -177,7 +177,8 @@ def oambs_netlist_without_flip(dimension):
 
 
 # exact values of the netlist metric, measured before its basis walk was
-# shared with the CLI's closed-form check; the goldens print it too
+# shared with the CLI's closed-form check (the D=8 and D=12 ones before the
+# basis photons were replayed in one batch); the goldens print it too
 @pytest.mark.parametrize(
     "build, dimension, expected",
     [
@@ -185,8 +186,11 @@ def oambs_netlist_without_flip(dimension):
         (oambs_netlist_without_flip, 4, 1.0000000000000002),
         (oambs_netlist, 3, 7.862231553387732e-16),
         (oambs_netlist, 4, 3.302818471710395e-16),
+        (oambs_netlist, 8, 1.364553501881161e-15),
+        (oambs_netlist, 12, 2.292492357966538e-15),
         (symmetric_netlist, 3, 1.3822747926960686),
         (symmetric_netlist, 4, 1.5),
+        (symmetric_netlist, 8, 1.353553390593274),
     ],
 )
 def test_oambs_netlist_error_values(build, dimension, expected):

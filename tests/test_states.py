@@ -27,7 +27,7 @@ from oamnet import (
     path_probabilities,
     tensor,
 )
-from oamnet.states import label_key
+from oamnet.states import _require_unit_moduli, label_key
 from oracles import ensemble_vector, oam_beamsplitter_matrix, random_qubit
 
 SPACE3 = ModeSpace(3)
@@ -73,6 +73,33 @@ def test_make_qubit_photon_oam_outside_window():
 def test_photon_state_rejects_non_normalized():
     with pytest.raises(NormalizationError):
         PhotonState(SPACE3, {ModeLabel(0, 0): 0.5})
+
+
+@pytest.mark.parametrize(
+    "amp", [math.nan, complex(math.inf, math.nan), 1e200, complex(1.7e308, 1.7e308)]
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda amp: PhotonState(ModeSpace(2), {ModeLabel(0, 0): amp}),
+        lambda amp: EnsembleState(ModeSpace(2), 1, {(ModeLabel(0, 0),): amp}),
+        lambda amp: QubitSpec(amp, 0),
+        lambda amp: QubitSpec(0.6, amp),
+    ],
+    ids=["photon", "ensemble", "qubit-alpha", "qubit-beta"],
+)
+def test_norm_checks_reject_nan_and_overflow(build, amp):
+    # a NaN norm used to pass the tolerance test, and the square of 1e200
+    # (or the modulus of 1.7e308 + 1.7e308j) leaked OverflowError
+    with pytest.raises(NormalizationError):
+        build(amp)
+
+
+@pytest.mark.parametrize("moduli", [[math.nan], [0.6, math.nan, 0.8], [1e200]])
+def test_column_norm_check_rejects_nan_and_overflow(moduli):
+    # the dot product of 1e200 overflows, which numpy reports as a warning
+    with np.errstate(over="ignore"), pytest.raises(NormalizationError):
+        _require_unit_moduli(np.array(moduli))
 
 
 def test_photon_state_prunes_dust():

@@ -4,7 +4,10 @@ elements.
 ``transit`` is a pure speed-up of the label-wise loop: every result must
 agree bit for bit with ``oracles.label_wise_transit`` (amplitudes and key
 order, signs of zeros included), and the devices built from the stages must
-keep the invariants of the paper's OAM beamsplitter.
+keep the invariants of the paper's OAM beamsplitter.  The batched replay
+behind ``oambs_netlist_error`` must likewise equal ``compose_images`` per
+input, and the metric must equal ``oracles.label_wise_netlist_error``,
+errors included.
 """
 
 import math
@@ -24,21 +27,31 @@ from oamnet import (
     Mirror,
     ModeLabel,
     ModeSpace,
+    Netlist,
+    OamNetError,
     PhaseShifter,
     PhotonState,
     ReflectiveHologram,
     SymmetricMultiport,
     V,
+    WindowOverflowError,
     apply_mode_map,
     default_oam_values,
     netlist_apply,
     oambs,
     oambs_closed_form,
     oambs_netlist,
+    oambs_netlist_error,
     sbmao,
 )
+from oamnet.netlist import _replay_columns
 from oamnet.states import PRUNE_TOL, compose_images
-from oracles import amplitude_bits, label_wise_transit, seed_stage_images
+from oracles import (
+    amplitude_bits,
+    label_wise_netlist_error,
+    label_wise_transit,
+    seed_stage_images,
+)
 
 MAX_DIMENSION = 8
 
@@ -284,6 +297,115 @@ def test_oambs_netlist_matches_label_wise_loop(dimension):
                 ).items()
             }
             assert amplitude_bits(routed.amplitudes) == amplitude_bits(expected)
+
+
+# --- the batched basis replay of oambs_netlist_error --------------------------
+
+
+@st.composite
+def netlists(draw, max_elements=12):
+    # longer chains that alternate holograms and beamsplitters double the
+    # support again and again
+    dimension = draw(st.integers(1, MAX_DIMENSION))
+    size = draw(st.integers(0, max_elements))
+    return Netlist(
+        dimension,
+        draw(st.lists(elements(dimension), min_size=size, max_size=size)),
+        draw(st.booleans()),
+    )
+
+
+def flipped_images(netlist, label):
+    """``compose_images`` of one label, then the netlist's parity flip."""
+    images = dict(compose_images(netlist.elements, label))
+    if netlist.parity_flip:
+        images = {ModeLabel(l.path, -l.oam, l.pol): a for l, a in images.items()}
+    return images
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlists(), st.data())
+def test_batched_replay_matches_compose_images(netlist, data):
+    inputs = data.draw(
+        st.lists(labels(netlist.dimension), min_size=1, max_size=12, unique=True)
+    )
+    replayed = _replay_columns(netlist, inputs)
+    assert len(replayed) == len(inputs)
+    for label, images in zip(inputs, replayed):
+        assert amplitude_bits(dict(images)) == amplitude_bits(
+            flipped_images(netlist, label)
+        )
+
+
+@pytest.mark.parametrize(
+    "netlist",
+    [
+        # the last splitter's sources have path 2's entry between them
+        Netlist(3, (BeamSplitter(0, 2, 0.7), BeamSplitter(2, 1, 0.6), BeamSplitter(0, 1, 0.5))),
+        Netlist(3, (BeamSplitter(0, 2, 0.7), BeamSplitter(2, 1, 0.6), BeamSplitter(1, 0, 0.5))),
+        # down then up a staircase: going up, path k's key is about
+        # 1 - 2**-k, which float64 cannot hold past k = 53, and the rows
+        # were made going down; the keys must be re-ranked on the way
+        Netlist(
+            64,
+            tuple(BeamSplitter(p, p + 1, 1.5) for p in reversed(range(63)))
+            + tuple(BeamSplitter(p, p + 1, 1.5) for p in range(63)),
+        ),
+    ],
+    ids=["between", "between-reversed", "re-ranked"],
+)
+def test_batched_replay_orders_images_by_first_source(netlist):
+    paths = sorted({0, 1, 2, netlist.dimension - 1})
+    inputs = [ModeLabel(p, l, pol) for p in paths for l in (-1, 2) for pol in (H, V)]
+    for label, images in zip(inputs, _replay_columns(netlist, inputs)):
+        assert amplitude_bits(dict(images)) == amplitude_bits(
+            flipped_images(netlist, label)
+        )
+
+
+@pytest.mark.parametrize("dimension", [8, 13])
+def test_batched_replay_of_the_oambs_netlist(dimension):
+    # D=13 reaches 10 labels per final support and re-ranks its keys
+    netlist = oambs_netlist(dimension)
+    basis = [ModeLabel(p, l) for p in range(dimension) for l in range(dimension)]
+    for label, images in zip(basis, _replay_columns(netlist, basis)):
+        assert amplitude_bits(dict(images)) == amplitude_bits(
+            dict(netlist.mode_images(label))
+        )
+
+
+def netlist_error_or_message(netlist, error):
+    try:
+        return error(netlist).hex()
+    except OamNetError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists(max_elements=8))
+def test_netlist_error_matches_label_wise_walk(netlist):
+    assert netlist_error_or_message(
+        netlist, oambs_netlist_error
+    ) == netlist_error_or_message(netlist, label_wise_netlist_error)
+
+
+def test_netlist_error_raises_the_label_wise_window_error():
+    # |0>_1 is the first input pushed past the window of [-12, 12]
+    netlist = Netlist(3, (Hologram(2, 5), Hologram(1, 20), Hologram(2, 30)))
+    with pytest.raises(WindowOverflowError) as batched:
+        oambs_netlist_error(netlist)
+    with pytest.raises(WindowOverflowError) as label_wise:
+        label_wise_netlist_error(netlist)
+    assert str(batched.value) == str(label_wise.value)
+    assert str(batched.value) == "winding number 20 outside window [-12, 12]"
+
+
+def test_netlist_error_is_one_when_the_first_amplitude_is_zero():
+    # |0>_0 misses its closed-form image, so the walk stops before it
+    # reaches the out-of-window winding on path 1
+    netlist = Netlist(2, (Hologram(0, 1), Hologram(1, 100)))
+    assert oambs_netlist_error(netlist) == 1.0
+    assert label_wise_netlist_error(netlist) == 1.0
 
 
 @pytest.mark.parametrize(
