@@ -142,13 +142,13 @@ def _parse_int_pair(text: str, flag: str) -> tuple[int, int]:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
+    parts = text.split(",")
+    if "" in parts:
+        raise DomainError(f"{flag} has an empty field in {text!r}")
     try:
-        values = [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise DomainError(f"{flag} expects integers, got {text!r}") from exc
-    if not values:
-        raise DomainError(f"{flag} expects at least one integer")
-    return values
 
 
 def _write_output(text: str, config: RunConfig) -> int:

@@ -11,12 +11,13 @@ reflections a photon suffers while crossing a synthesized multiport.
 
 ``oambs_netlist_error`` certifies an export by replaying every basis photon
 ``|l>_n`` through it, and sends all ``D**2`` of them through at once: one
-pair of float64 columns per photon, one row per label, and one numpy round
-per group of elements on disjoint ports (the 88 elements of the D=8 OAM
-beamsplitter make 30 rounds).  The rounds repeat ``PortElement.transit``'s
-arithmetic in split form and keep each photon's dict order as sortable
-keys, so every photon's images equal ``Netlist.mode_images`` bit for bit
-and in key order.  ``netlist_apply``, ``Netlist.mode_images`` and
+list of (photon, label, amplitude) rows, grouped by photon and in each
+photon's dict order, and one numpy round per group of elements on disjoint
+ports (the 88 elements of the D=8 OAM beamsplitter make 30 rounds).  A
+round fans the rows out to their images and sums equal rows with the
+ensemble's own kernels, so every photon's images equal
+``Netlist.mode_images`` bit for bit and in key order, and memory follows
+the summed supports.  ``netlist_apply``, ``Netlist.mode_images`` and
 ``compose_images`` remain the path for single states and the reference
 the tests compare the batch against.
 """
@@ -48,16 +49,14 @@ from .states import (
     ModeLabel,
     ModeSpace,
     PhotonState,
+    _fan_out,
+    _sum_equal_rows,
     apply_mode_map,
     compose_images,
 )
 
 # Entries below this are treated as already-nulled during elimination.
 _NULL_TOL = 1e-14
-
-# Below this step the batched replay re-ranks its dict-order keys, which
-# keeps every key a dyadic rational that float64 holds exactly.
-_MIN_KEY_STEP = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -241,105 +240,57 @@ def _replay_columns(
 ) -> list[list[tuple[ModeLabel, complex]]]:
     """``netlist.mode_images(label)`` for every label of ``inputs`` at once.
 
-    Column ``c`` of the float64 arrays ``re`` and ``im`` holds the map of
-    ``inputs[c]``, one row per label met so far; an entry off the map is
-    exactly zero, and row 0 is zero throughout.  Each round of
-    :func:`_rounds` calls ``mode_images`` once per occupied row on its ports
-    and rewrites only those rows.  An image may have at most two terms, as
-    it has for every element type: ``0.0 + t1 + t2`` is then the same sum
-    in either order, down to the sign of a zero, and a term from an entry
-    off the map is a zero that changes nothing, so the columns need no
-    order of their own.  Products are split-form, as in Python's complex
-    multiply.  ``keys`` holds each column's dict order: an image takes the
-    key of its first source present in the column, plus ``pos * step`` for
-    the ``pos``-th image of that source.  ``step`` halves in each round
-    where a source has two images; keys stay dyadic, so exact, and are
-    re-ranked before the step gets small.
+    All maps share one row list: row ``r`` is the entry of label
+    ``code[r]`` in the map of ``inputs[photon[r]]``, worth
+    ``re[r] + i*im[r]``.  Rows stay grouped by photon and, within a photon,
+    in dict order, so order needs no keys.  Each round of :func:`_rounds`
+    calls ``mode_images`` once per label that a row holds on its ports (a
+    label off them is its own image with factor ``1+0j``, as in
+    ``PortElement.transit``), turns every row into its label's images with
+    split-form products, sums equal (photon, label) rows into the first of
+    them and prunes at ``PRUNE_TOL``: the ensemble's own fan-out and row
+    merge, which add the terms of ``transit``'s dict in its order.
     """
-    count = len(inputs)
-    labels: list[ModeLabel | None] = [None]
-    rows: dict[ModeLabel, int] = {}
-    on_path: dict[int, list[int]] = {}
-
-    def row_of(label: ModeLabel) -> int:
-        row = rows.get(label)
-        if row is None:
-            row = rows[label] = len(labels)
-            labels.append(label)
-            on_path.setdefault(label.path, []).append(row)
-        return row
-
-    starts = [row_of(label) for label in inputs]
-    re, im, keys = (np.zeros((2 * len(labels), count)) for _ in range(3))
-    re[starts, np.arange(count)] = 1.0
-    step = 1.0
-    no_term = (0, 0j, 0)  # row 0 stays zero, so this term adds a zero
+    index: dict[ModeLabel, int] = {}
+    photon = np.arange(len(inputs))
+    code = np.array([index.setdefault(l, len(index)) for l in inputs], dtype=np.int64)
+    re, im = np.ones(len(inputs)), np.zeros(len(inputs))
     for elements in _rounds(netlist.elements):
-        used = len(labels)
-        present = (re[:used] != 0.0) | (im[:used] != 0.0)
-        occupied = present.any(axis=1).tolist()
-        sources: list[int] = []
-        terms: dict[ModeLabel, list[tuple[int, complex, int]]] = {}
-        for element in elements:
-            for port in element.ports:
-                for row in on_path.get(port, ()):
-                    if occupied[row]:
-                        sources.append(row)
-                        images = element.mode_images(labels[row])
-                        for pos, (image, factor) in enumerate(images):
-                            terms.setdefault(image, []).append((row, factor, pos))
-        if not sources:
-            continue
-        if step < _MIN_KEY_STEP:
-            # each column's present keys become their ranks 0, 1, 2, ...
-            order = np.argsort(np.where(present, keys[:used], np.inf), axis=0)
-            keys[:used] = np.argsort(order, axis=0)
-            step = 1.0
-        targets, first, second = [], [], []
-        for image, found in terms.items():
-            if len(found) > 2:
-                raise DomainError(
-                    f"{len(found)} terms sum into {image}; the batched "
-                    "replay takes at most 2"
-                )
-            targets.append(row_of(image))
-            first.append(found[0])
-            second.append(found[1] if len(found) == 2 else no_term)
-        if len(labels) > len(re):
-            grow = np.zeros((len(labels), count))
-            re, im, keys = (np.concatenate([array, grow]) for array in (re, im, keys))
-        a, a_factor, a_pos = (np.array(column) for column in zip(*first))
-        b, b_factor, b_pos = (np.array(column) for column in zip(*second))
-        re_a, im_a, re_b, im_b = re[a], im[a], re[b], im[b]
-        ar, ai = a_factor.real[:, None], a_factor.imag[:, None]
-        br, bi = b_factor.real[:, None], b_factor.imag[:, None]
-        sum_re = 0.0 + (re_a * ar - im_a * ai) + (re_b * br - im_b * bi)
-        sum_im = 0.0 + (re_a * ai + im_a * ar) + (re_b * bi + im_b * br)
-        keep = np.hypot(sum_re, sum_im) > PRUNE_TOL
-        # a source's images must all fit below the next key of its column
-        step /= 1 << int(max(a_pos.max(), b_pos.max())).bit_length()
-        from_a = ((re_a != 0.0) | (im_a != 0.0)) & ~(
-            ((re_b != 0.0) | (im_b != 0.0)) & (keys[b] < keys[a])
-        )
-        key_a = keys[a] + a_pos[:, None] * step
-        key_b = keys[b] + b_pos[:, None] * step
-        re[sources] = 0.0
-        im[sources] = 0.0
-        re[targets] = np.where(keep, sum_re, 0.0)
-        im[targets] = np.where(keep, sum_im, 0.0)
-        keys[targets] = np.where(from_a, key_a, key_b)
+        by_port = {port: element for element in elements for port in element.ports}
+        labels = list(index)
+        start = np.zeros(len(labels), dtype=np.int64)
+        count = np.zeros(len(labels), dtype=np.int64)
+        image_codes: list[int] = []
+        factors: list[complex] = []
+        for c in np.unique(code).tolist():
+            label = labels[c]
+            element = by_port.get(label.path)
+            if element is None:
+                images = ((label, 1.0 + 0j),)
+            else:
+                images = element.mode_images(label)
+            start[c] = len(image_codes)
+            for image, factor in images:
+                image_codes.append(index.setdefault(image, len(index)))
+                factors.append(factor)
+            count[c] = len(image_codes) - start[c]
+        rows, pick = _fan_out(code, start, count)
+        factor = np.array(factors, dtype=np.complex128)[pick]
+        fr, fi, re, im = factor.real, factor.imag, re[rows], im[rows]
+        re, im = re * fr - im * fi, re * fi + im * fr
+        photon, code = photon[rows], np.array(image_codes, dtype=np.int64)[pick]
+        first, re, im = _sum_equal_rows(photon * len(index) + code, re, im)
+        keep = np.hypot(re, im) > PRUNE_TOL
+        first = first[keep]
+        photon, code, re, im = photon[first], code[first], re[keep], im[keep]
 
-    used = len(labels)
-    row_ix, col_ix = np.nonzero((re[:used] != 0.0) | (im[:used] != 0.0))
-    order = np.lexsort((keys[row_ix, col_ix], col_ix))
-    row_ix, col_ix = row_ix[order], col_ix[order]
-    values = map(complex, re[row_ix, col_ix].tolist(), im[row_ix, col_ix].tolist())
+    labels = list(index)
+    if netlist.parity_flip:
+        labels = [ModeLabel(l.path, -l.oam, l.pol) for l in labels]
+    values = map(complex, re.tolist(), im.tolist())
     replayed: list[list[tuple[ModeLabel, complex]]] = [[] for _ in inputs]
-    for row, column, value in zip(row_ix.tolist(), col_ix.tolist(), values):
-        label = labels[row]
-        if netlist.parity_flip:
-            label = ModeLabel(label.path, -label.oam, label.pol)
-        replayed[column].append((label, value))
+    for p, c, value in zip(photon.tolist(), code.tolist(), values):
+        replayed[p].append((labels[c], value))
     return replayed
 
 
@@ -348,9 +299,10 @@ def oambs_netlist_error(netlist: Netlist) -> float:
     over all basis inputs, after removing one shared global phase; the
     residual is the root of the norm left off the expected label.
 
-    All ``D**2`` basis photons cross the netlist together in
-    :func:`_replay_columns`, whose images equal ``netlist.mode_images`` bit
-    for bit and in key order.  Each input's :class:`PhotonState` is then
+    All ``D**2`` basis photons cross the netlist together as one row list
+    in :func:`_replay_columns`, whose images equal ``netlist.mode_images``
+    bit for bit and in key order, whatever the number of terms summed into
+    an image.  Each input's :class:`PhotonState` is then
     built in walk order, so pruning, the window and norm checks, the sums
     of squares and the first error raised are those of replaying one photon
     at a time with :func:`netlist_apply`.

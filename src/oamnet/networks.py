@@ -32,7 +32,6 @@ from .elements import Direction
 from .errors import (
     BunchingError,
     DomainError,
-    NormalizationError,
     RoutingDomainError,
 )
 from .multiport import (
@@ -51,6 +50,7 @@ from .states import (
     PhotonState,
     QubitSpec,
     V,
+    _require_unit_norm,
     apply_mode_map,
     fidelity,
     make_qubit_photon,
@@ -512,11 +512,11 @@ def superposed_destination(
     paths = [path for path, _ in destinations]
     if len(set(paths)) != len(paths):
         raise DomainError("destination paths must be distinct")
-    norm_sq = sum(abs(amp) ** 2 for _, amp in destinations)
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise NormalizationError(
-            f"destination amplitudes norm^2 = {norm_sq!r}, expected 1"
-        )
+    try:
+        norm_sq = sum(abs(amp) ** 2 for _, amp in destinations)
+    except OverflowError:
+        norm_sq = math.inf
+    _require_unit_norm(norm_sq, "destination amplitudes norm^2")
     for path, _ in destinations:
         _check_index(path, dimension, "destination")
     photon = PhotonState(

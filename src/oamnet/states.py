@@ -33,6 +33,9 @@ and down to the signs of zeros.  Products are formed in split form,
 order, because that is exactly what Python's complex multiply does, while
 numpy's complex multiply may round the last bit differently.  Sums of
 amplitudes start from ``0.0`` and add in row order, as sums from ``0j`` do.
+One fan-out (:func:`_fan_out`, a row into its label's images) and one row
+merge (:func:`_sum_equal_rows`) serve both ensemble evolution and the
+netlist certification of :mod:`oamnet.netlist`.
 """
 
 from __future__ import annotations
@@ -674,11 +677,7 @@ def _apply_ensemble(
                 raised = failures[int(column[first])]
                 codes, re, im = codes[:first], re[:first], im[:first]
                 column = column[:first]
-            fan = count[column]
-            rows = np.repeat(np.arange(len(column)), fan)
-            pick = np.arange(len(rows)) + np.repeat(
-                start[column] - (np.cumsum(fan) - fan), fan
-            )
+            rows, pick = _fan_out(column, start, count)
             codes, re, im = codes[rows], re[rows], im[rows]
             fr, fi = factor_re[pick], factor_im[pick]
             re, im = re * fr - im * fi, re * fi + im * fr
@@ -698,7 +697,10 @@ def _apply_ensemble(
         re, im = 0.0 + re, 0.0 + im
         magnitude = np.hypot(re, im)
     else:
-        codes, re, im = _sum_equal_rows(codes, re, im)
+        groups: dict[tuple[int, ...], int] = {}
+        group = [groups.setdefault(row, len(groups)) for row in map(tuple, codes.tolist())]
+        first, re, im = _sum_equal_rows(np.array(group, dtype=np.int64), re, im)
+        codes = codes[first]
         magnitude = np.hypot(re, im)
         bunched = _bunched_rows(codes)
         loud = np.flatnonzero(bunched & (magnitude > BUNCHING_TOL))
@@ -721,20 +723,42 @@ def _apply_ensemble(
     )
 
 
-def _sum_equal_rows(
-    codes: np.ndarray, re: np.ndarray, im: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equal rows summed into one, in order of first appearance; each sum
-    runs from 0.0 in row order (``bincount`` adds in input order)."""
-    groups: dict[tuple[int, ...], int] = {}
-    group = np.array(
-        [groups.setdefault(row, len(groups)) for row in map(tuple, codes.tolist())],
-        dtype=np.int64,
+def _fan_out(
+    column: np.ndarray, start: np.ndarray, count: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row turned into its label's images, in row then image order.
+
+    Label ``c``'s images sit at ``start[c]`` to ``start[c] + count[c] - 1``
+    of flat image arrays, and row ``r`` holds label ``column[r]``.  Returns
+    ``rows``, the source row of each image row, and ``pick``, the index of
+    its image in the flat arrays.
+    """
+    fan = count[column]
+    rows = np.repeat(np.arange(len(column)), fan)
+    pick = np.arange(len(rows)) + np.repeat(
+        start[column] - (np.cumsum(fan) - fan), fan
     )
+    return rows, pick
+
+
+def _sum_equal_rows(
+    key: np.ndarray, re: np.ndarray, im: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of equal int64 ``key`` summed into the first of them.
+
+    Returns the first row of each sum, in order of first appearance, and
+    the sums; each runs from 0.0 in row order (``bincount`` adds in input
+    order), as a dict's sum from ``0j`` does.
+    """
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    group = rank[inverse.reshape(-1)]
     return (
-        np.array(list(groups), dtype=np.int64).reshape(-1, codes.shape[1]),
-        np.bincount(group, re, len(groups)),
-        np.bincount(group, im, len(groups)),
+        first[order],
+        np.bincount(group, re, len(first)),
+        np.bincount(group, im, len(first)),
     )
 
 

@@ -338,6 +338,17 @@ def test_scenario_superposed_missing_params():
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", ""])
+def test_scenario_superposed_rejects_an_empty_destination_field(text):
+    code, out, err = run_cli(
+        "scenario", "superposed", "--dimension", "4", "--from", "0",
+        "--to", text,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"--to has an empty field in {text!r}" in err
+
+
 def test_unknown_subcommand_is_usage_error():
     code, _, _ = run_cli("frobnicate")
     assert code == 2

@@ -368,6 +368,28 @@ def test_superposed_validates_inputs():
         superposed_destination(0, 4, [(1, ROOT_HALF), (1, ROOT_HALF)])
 
 
+@pytest.mark.parametrize(
+    "amplitude, norm_text",
+    [
+        (1e200, "inf"),  # squaring the modulus overflows
+        (complex(1.7e308, 1.7e308), "inf"),  # so does the modulus itself
+        (math.nan, "nan"),
+    ],
+)
+def test_superposed_rejects_an_unsquarable_or_nan_norm(amplitude, norm_text):
+    with pytest.raises(NormalizationError) as raised:
+        superposed_destination(1, 3, [(0, amplitude)])
+    assert str(raised.value) == (
+        f"destination amplitudes norm^2 = {norm_text}, expected 1"
+    )
+
+
+def test_superposed_norm_message_is_unchanged_for_a_finite_norm():
+    with pytest.raises(NormalizationError) as raised:
+        superposed_destination(0, 4, [(1, 1.0), (2, 1.0)])
+    assert str(raised.value) == "destination amplitudes norm^2 = 2.0, expected 1"
+
+
 # ---------------------------------------------------------------- bell
 
 

@@ -10,7 +10,10 @@ input, and the metric must equal ``oracles.label_wise_netlist_error``,
 errors included.
 """
 
+import cmath
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,7 @@ from oamnet import (
     oambs_netlist_error,
     sbmao,
 )
+from oamnet.elements import PortElement
 from oamnet.netlist import _replay_columns
 from oamnet.states import PRUNE_TOL, compose_images
 from oracles import (
@@ -343,9 +347,8 @@ def test_batched_replay_matches_compose_images(netlist, data):
         # the last splitter's sources have path 2's entry between them
         Netlist(3, (BeamSplitter(0, 2, 0.7), BeamSplitter(2, 1, 0.6), BeamSplitter(0, 1, 0.5))),
         Netlist(3, (BeamSplitter(0, 2, 0.7), BeamSplitter(2, 1, 0.6), BeamSplitter(1, 0, 0.5))),
-        # down then up a staircase: going up, path k's key is about
-        # 1 - 2**-k, which float64 cannot hold past k = 53, and the rows
-        # were made going down; the keys must be re-ranked on the way
+        # down then up a staircase: 126 rounds of one splitter each, over
+        # supports of up to 64 labels whose order every round rewrites
         Netlist(
             64,
             tuple(BeamSplitter(p, p + 1, 1.5) for p in reversed(range(63)))
@@ -365,13 +368,110 @@ def test_batched_replay_orders_images_by_first_source(netlist):
 
 @pytest.mark.parametrize("dimension", [8, 13])
 def test_batched_replay_of_the_oambs_netlist(dimension):
-    # D=13 reaches 10 labels per final support and re-ranks its keys
+    # D=13 reaches 10 labels per final support
     netlist = oambs_netlist(dimension)
     basis = [ModeLabel(p, l) for p in range(dimension) for l in range(dimension)]
     for label, images in zip(basis, _replay_columns(netlist, basis)):
         assert amplitude_bits(dict(images)) == amplitude_bits(
             dict(netlist.mode_images(label))
         )
+
+
+@dataclass(frozen=True)
+class Tritter(PortElement):
+    """A 3x3 DFT on three paths: each image sums terms from all three."""
+
+    port_a: int
+    port_b: int
+    port_c: int
+
+    @property
+    def ports(self):
+        return (self.port_a, self.port_b, self.port_c)
+
+    def mode_images(self, label):
+        if label.path not in self.ports:
+            return ((label, 1.0 + 0j),)
+        row = self.ports.index(label.path)
+        return tuple(
+            (
+                ModeLabel(port, label.oam, label.pol),
+                cmath.exp(2j * math.pi * row * column / 3) / math.sqrt(3),
+            )
+            for column, port in enumerate(self.ports)
+        )
+
+
+TRITTER_NETLISTS = [
+    Netlist(3, (Tritter(0, 1, 2), Tritter(2, 0, 1))),
+    Netlist(
+        4,
+        (
+            Tritter(0, 1, 2),
+            Hologram(1, 2),
+            Tritter(3, 2, 0),
+            BeamSplitter(1, 3, 0.4, 0.2),
+            Tritter(2, 0, 1),
+            DovePrism(3, 0.9),
+        ),
+        parity_flip=True,
+    ),
+]
+
+
+@pytest.mark.parametrize("netlist", TRITTER_NETLISTS, ids=["d3", "d4"])
+def test_batched_replay_sums_three_terms_into_one_image(netlist):
+    inputs = [
+        ModeLabel(p, l, pol)
+        for p in range(netlist.dimension)
+        for l in (-1, 0, 2)
+        for pol in (H, V)
+    ]
+    replayed = _replay_columns(netlist, inputs)
+    for label, images in zip(inputs, replayed):
+        assert amplitude_bits(dict(images)) == amplitude_bits(
+            flipped_images(netlist, label)
+        )
+    assert netlist_error_or_message(
+        netlist, oambs_netlist_error
+    ) == netlist_error_or_message(netlist, label_wise_netlist_error)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batched_replay_with_tritters_matches_compose_images(data):
+    dimension = data.draw(st.integers(3, MAX_DIMENSION))
+    tritter = st.lists(
+        st.integers(0, dimension - 1), min_size=3, max_size=3, unique=True
+    ).map(lambda ports: Tritter(*ports))
+    chain = data.draw(
+        st.lists(st.one_of(tritter, elements(dimension)), min_size=1, max_size=8)
+    )
+    netlist = Netlist(dimension, chain, data.draw(st.booleans()))
+    inputs = data.draw(
+        st.lists(labels(dimension), min_size=1, max_size=12, unique=True)
+    )
+    for label, images in zip(inputs, _replay_columns(netlist, inputs)):
+        assert amplitude_bits(dict(images)) == amplitude_bits(
+            flipped_images(netlist, label)
+        )
+    assert netlist_error_or_message(
+        netlist, oambs_netlist_error
+    ) == netlist_error_or_message(netlist, label_wise_netlist_error)
+
+
+def test_netlist_error_memory_follows_the_summed_supports():
+    # the replay holds one row per (photon, label) entry of the maps; a
+    # dense label-by-photon array at D=16 peaks above 10 MB
+    netlist = oambs_netlist(16)
+    oambs_netlist_error(netlist)
+    tracemalloc.start()
+    try:
+        oambs_netlist_error(netlist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def netlist_error_or_message(netlist, error):
