@@ -10,6 +10,7 @@ subcommand always writes the JSON netlist schema regardless of ``--format``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -96,7 +97,10 @@ class RunConfig:
         }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``oamnet`` parser, built once per process: parsing reads it and
+    never changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dimension", type=int, default=3, help="number of paths/users")
     common.add_argument("--tolerance", type=float, default=1e-9, help="pass/fail tolerance for device-level checks")

@@ -40,6 +40,15 @@ flipping stages.  The table is keyed by the input path and the winding mod
 Each entry is filled on the first label that needs it by one call of the
 stage product :func:`~oamnet.states.compose_images`, and nothing else writes
 it, so a lookup returns the stage product's amplitude bits in its key order.
+
+Ensembles read the same entries through ``label_images`` as dense arrays
+indexed by ``path * D + winding mod D``: the one image path and the parts
+of its amplitude, with the output winding ``sign * winding``.  The arrays
+start zeroed and are filled from the table, only for the keys some call
+has needed, so a device that only routes photons never fills them.  A key
+whose entry has other than one image, and every key once two entries of
+one winding sector share an image path (two labels would then share an
+image), sends the call back to ``mode_images`` label by label.
 """
 
 from __future__ import annotations
@@ -209,7 +218,8 @@ class CompositeDevice:
     path ``n`` with winding ``l`` runs the stage product for ``|l mod D>_n``
     and keeps its ``(path, amplitude)`` images.  Any other device, and any
     label whose path is outside the device, goes through
-    :func:`~oamnet.states.compose_images` directly.
+    :func:`~oamnet.states.compose_images` directly.  ``label_images``
+    reads the same table for a whole ensemble's labels at once.
     """
 
     stages: tuple[Stage, ...]
@@ -220,6 +230,8 @@ class CompositeDevice:
         init=False, repr=False, compare=False
     )
     _sign: int = field(init=False, repr=False, compare=False)
+    # the table as dense arrays for label_images, made on its first call
+    _dense: "_DenseTable | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for stage in self.stages:
@@ -242,6 +254,7 @@ class CompositeDevice:
                     sign = -sign
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_sign", sign)
+        object.__setattr__(self, "_dense", None)
 
     def mode_images(self, label: ModeLabel):
         table = self._table
@@ -258,11 +271,70 @@ class CompositeDevice:
         out_oam = self._sign * oam
         return [(ModeLabel(p, out_oam, pol), amp) for p, amp in entry]
 
+    def label_images(self, path: np.ndarray, winding: np.ndarray):
+        """``mode_images`` of every label at once, read from the table (see
+        :class:`~oamnet.states.ModeOperator` and the module docstring);
+        ``None`` for a device without a table, a path outside the device, a
+        label whose entry has other than one image, or once two labels may
+        share an image."""
+        if self._table is None or int(path.max()) >= self.dimension:
+            return None
+        dense = self._dense
+        if dense is None:
+            dense = _DenseTable(self.dimension)
+            object.__setattr__(self, "_dense", dense)
+        key = path * self.dimension + winding % self.dimension
+        found = dense.image[key]
+        if found.min() <= 0:
+            # a set, not np.unique, which imports numpy.ma on first use
+            for k in set(key[found == 0].tolist()):
+                dense.fill(k, self.mode_images(ModeLabel(*divmod(k, self.dimension))))
+            found = dense.image[key]
+            if found.min() <= 0:
+                return None
+        if dense.shared:
+            return None
+        return found - 1, self._sign * winding, dense.re[key], dense.im[key]
+
     def reversed(self) -> "CompositeDevice":
         return CompositeDevice(
             tuple(stage.reversed() for stage in reversed(self.stages)),
             self.dimension,
         )
+
+
+class _DenseTable:
+    """A tabled device's entries as flat arrays, at ``path * D + residue``.
+
+    ``image`` holds the one image path plus 1, 0 for an entry not filled yet
+    and -1 for an entry of other than one image, so the arrays start as
+    zeroed memory; ``re`` and ``im`` hold the image amplitude's parts.
+    ``shared`` turns true once two filled entries of one residue share an
+    image path, that is once two labels may share an image.
+    """
+
+    __slots__ = ("dimension", "image", "re", "im", "shared")
+
+    def __init__(self, dimension: int) -> None:
+        self.dimension = dimension
+        self.image = np.zeros(dimension * dimension, dtype=np.int64)
+        self.re = np.zeros(dimension * dimension)
+        self.im = np.zeros(dimension * dimension)
+        self.shared = False
+
+    def fill(self, key: int, images: list[tuple[ModeLabel, complex]]) -> None:
+        """Enter the entry at ``key`` from the device's images of its label."""
+        if len(images) != 1:
+            self.image[key] = -1
+            return
+        (image, amp), = images
+        # the entries of one residue sit a dimension apart
+        column = self.image[key % self.dimension :: self.dimension]
+        if (column == image.path + 1).any():
+            self.shared = True
+        self.image[key] = image.path + 1
+        self.re[key] = amp.real
+        self.im[key] = amp.imag
 
 
 @lru_cache(maxsize=None)

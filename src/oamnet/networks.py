@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .elements import Direction
 from .errors import (
     BunchingError,
@@ -42,6 +44,7 @@ from .multiport import (
     sbmao,
 )
 from .states import (
+    LABEL_BOUND,
     NORM_TOL,
     EnsembleState,
     H,
@@ -90,6 +93,14 @@ class HologramBank:
             return ((label, 1.0 + 0j),)
         return ((ModeLabel(label.path, label.oam + shift, label.pol), 1.0 + 0j),)
 
+    def label_images(self, path: np.ndarray, winding: np.ndarray):
+        """``mode_images`` of every label at once (see
+        :class:`~oamnet.states.ModeOperator`)."""
+        shifts = _bank_shifts(self.shifts, path)
+        if shifts is None:
+            return None
+        return path, winding + shifts[path], None, None
+
 
 @dataclass(frozen=True)
 class ReflectorBank:
@@ -113,6 +124,23 @@ class ReflectorBank:
         return (
             (ModeLabel(label.path, -label.oam - shift, label.pol), 1.0 + 0j),
         )
+
+    def label_images(self, path: np.ndarray, winding: np.ndarray):
+        """``mode_images`` of every label at once (see
+        :class:`~oamnet.states.ModeOperator`)."""
+        shifts = _bank_shifts(self.shifts, path)
+        if shifts is None:
+            return None
+        return path, -winding - shifts[path], None, None
+
+
+def _bank_shifts(shifts: tuple[int, ...], path: np.ndarray) -> np.ndarray | None:
+    """A bank's shifts as an int64 column, or ``None`` when some label's
+    path lies outside the bank or some shift exceeds half the label bound
+    (a winding within the bound plus such a shift could leave int64)."""
+    if int(path.max()) >= len(shifts) or max(map(abs, shifts)) > LABEL_BOUND // 2:
+        return None
+    return np.array(shifts, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -216,12 +244,20 @@ class MuxNetwork:
                 f"state spans {multiplexed.space.dimension} paths, "
                 f"demux has {self.dimension}"
             )
-        for label in multiplexed.occupied_labels():
-            if label.path != 0 or not 0 <= label.oam < self.dimension:
-                raise RoutingDomainError(
-                    f"demux input must sit on path 0 with winding in "
-                    f"[0, {self.dimension - 1}]; got {label}"
-                )
+        # the label columns hold exactly the occupied labels; only a failing
+        # check walks them in tuple order to name the first offender
+        columns = multiplexed.amplitudes
+        if (
+            columns.path.any()
+            or int(columns.winding.min()) < 0
+            or int(columns.winding.max()) >= self.dimension
+        ):
+            for label in multiplexed.occupied_labels():
+                if label.path != 0 or not 0 <= label.oam < self.dimension:
+                    raise RoutingDomainError(
+                        f"demux input must sit on path 0 with winding in "
+                        f"[0, {self.dimension - 1}]; got {label}"
+                    )
         separated = _device_apply(multiplexed, self.demux_core)
         if restore_oam:
             separated = apply_mode_map(separated, self.output_holograms)

@@ -17,15 +17,36 @@ in this package do); driving two slots onto one label raises
 :class:`~oamnet.errors.BunchingError` instead of silently producing wrong
 interference terms.
 
-An ensemble is stored as columns (:class:`EnsembleAmplitudes`): a list of
-the labels its tuples use, an int64 code matrix with one row per tuple and
-one column per slot whose entries index that list, and two float64 arrays
-with each row's real and imaginary part.  :func:`tensor`,
-:func:`apply_mode_map` and :func:`fidelity` work on the columns with a few
-numpy calls per slot, and ``apply_mode_map`` computes the images of each
-label once per call.  ``amplitudes`` stays a read-only mapping from label
-tuples to complex amplitudes: ``len()`` is free, and the tuple-keyed dict is
-built only when something iterates or looks up.
+An ensemble is stored as columns (:class:`EnsembleAmplitudes`): the labels
+its tuples use, as an int64 path column, an int64 winding column and a bool
+V-polarization column indexed by label code; an int64 code matrix with one
+row per tuple and one column per slot; and two float64 arrays with each
+row's real and imaginary part.  The labels as a list of :class:`ModeLabel`
+values is a view, built from the columns when first read.  Paths and
+windings stay within ``LABEL_BOUND`` (2**62), which every
+:meth:`ModeSpace.check_label` enforces, so the columns never wrap.
+:func:`tensor`, :func:`apply_mode_map` and :func:`fidelity` work on the
+columns with a few numpy calls per slot.  ``amplitudes`` stays a read-only
+mapping from label tuples to complex amplitudes: ``len()`` is free, and the
+tuple-keyed dict is built only when something iterates or looks up.
+
+``apply_mode_map`` finds the images of every label once per call
+(:func:`_label_images`).  An operator with ``label_images`` answers with
+array gathers on the label columns: a tabled
+:class:`~oamnet.multiport.CompositeDevice` reads a dense (path, winding mod
+D) table of image paths and factors, and the hologram and reflector banks
+add their shifts by path.  Every other operator, and any call whose
+gathered images fail the path, window or bound check, goes label by label
+through ``mode_images`` and ``check_label``, in the order the prefix
+expansion meets the labels, so the same first error is raised.
+
+When each label has one image and every factor is exactly ``1+0j`` (the
+banks), the slot products are skipped.  That is bit-exact for finite
+amplitudes: ``re*1 - im*0`` and ``re*0 + im*1`` equal ``re`` and ``im``
+except that a zero part may change sign, later split-form products keep
+the results equal up to the signs of zeros, and every result then passes
+through ``0.0 + x`` or a sum from ``0.0``, which makes every zero ``+0.0``.
+The moduli do not change, so ``PRUNE_TOL`` drops the same rows.
 
 Column arithmetic reproduces the plain dict loops bit for bit, in key order
 and down to the signs of zeros.  Products are formed in split form,
@@ -59,6 +80,9 @@ from .errors import (
 NORM_TOL = 1e-9
 PRUNE_TOL = 1e-15
 BUNCHING_TOL = 1e-12
+# paths and |windings| a state may hold, so that label columns are int64 and
+# a winding plus a bank shift of at most half the bound cannot wrap
+LABEL_BOUND = 2**62
 
 
 class Polarization(Enum):
@@ -103,7 +127,10 @@ class ModeSpace:
     The window turns runaway winding numbers into loud errors instead of
     silently growing supports.  Four times the path count leaves room for
     every device chain built here, since no pipeline shifts a winding by
-    more than a few multiples of the dimension.
+    more than a few multiples of the dimension.  Whatever the window, a
+    label's path and |winding| stay within ``LABEL_BOUND`` (2**62), so that
+    an ensemble's label columns hold them as int64; a winding beyond it
+    raises :class:`DomainError`.
     """
 
     dimension: int
@@ -112,6 +139,8 @@ class ModeSpace:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dimension}")
+        if self.dimension > LABEL_BOUND:
+            raise DomainError(f"dimension must be <= 2**62, got {self.dimension}")
         if self.oam_window is None:
             object.__setattr__(self, "oam_window", 4 * self.dimension)
         if self.oam_window < 0:
@@ -122,10 +151,15 @@ class ModeSpace:
             raise DomainError(
                 f"path {label.path} outside [0, {self.dimension - 1}]"
             )
-        if abs(label.oam) > self.oam_window:
+        winding = abs(label.oam)
+        if winding > self.oam_window:
             raise WindowOverflowError(
                 f"winding number {label.oam} outside window "
-                f"[-{self.oam_window}, {self.oam_window}]"
+                f"[{-self.oam_window}, {self.oam_window}]"
+            )
+        if winding > LABEL_BOUND:
+            raise DomainError(
+                f"winding number {label.oam} beyond the label bound 2**62"
             )
 
 
@@ -136,6 +170,15 @@ class ModeOperator(Protocol):
     and returning a sparse ``{label: amplitude}`` dict, by deriving from
     :class:`WholeMapOperator`; :func:`compose_images` then sends the whole
     map through it in one call instead of one label at a time.
+
+    For ensembles, an operator may also offer ``label_images(path,
+    winding)``, which takes a label column pair (int64 arrays) and returns
+    ``(path, winding, re, im)``: each label's one image and the parts of its
+    factor, exactly as ``mode_images`` gives them, with the polarization
+    kept and distinct labels sent to distinct images.  ``re`` and ``im`` are
+    ``None`` when every factor is exactly ``1+0j``.  It returns ``None``
+    when it cannot answer for every label; ``mode_images`` then serves them
+    one by one.
     """
 
     def mode_images(
@@ -224,33 +267,81 @@ class PhotonState:
         return " + ".join(terms) if terms else "0"
 
 
+class _LabelColumns(NamedTuple):
+    """Labels as an int64 path column, an int64 winding column and a bool
+    column that is true for V polarization; ``named`` holds the same labels
+    as :class:`ModeLabel` values when they are at hand, else ``None``."""
+
+    path: np.ndarray
+    winding: np.ndarray
+    vpol: np.ndarray
+    named: list[ModeLabel] | None = None
+
+    @classmethod
+    def of(cls, labels: list[ModeLabel]) -> "_LabelColumns":
+        """Columns of labels that passed ``check_label``, so they fit int64."""
+        return cls(
+            np.array([label.path for label in labels], dtype=np.int64),
+            np.array([label.oam for label in labels], dtype=np.int64),
+            np.array([label.pol is V for label in labels], dtype=bool),
+            labels,
+        )
+
+    def take(self, used: np.ndarray) -> "_LabelColumns":
+        """The labels where ``used`` is true."""
+        named = self.named
+        if named is not None:
+            named = [label for label, keep in zip(named, used.tolist()) if keep]
+        return _LabelColumns(
+            self.path[used], self.winding[used], self.vpol[used], named
+        )
+
+
 class EnsembleAmplitudes(Mapping):
     """Read-only ``{label tuple: amplitude}`` view of an ensemble's columns.
 
-    ``labels`` lists the mode labels the tuples use, ``codes`` is an int64
-    matrix with one row per tuple and one column per slot whose entries
-    index ``labels``, and ``re`` and ``im`` are float64 arrays holding each
-    row's amplitude.  ``len()`` is the row count and builds nothing; the
-    tuple-keyed dict behind every other read is built on first use and
-    kept.  The arrays are not writeable.
+    ``path``, ``winding`` and ``vpol`` give each label code's path, winding
+    number and whether its polarization is V; ``codes`` is an int64 matrix
+    with one row per tuple and one column per slot whose entries are label
+    codes, and ``re`` and ``im`` are float64 arrays holding each row's
+    amplitude.  ``labels`` lists the codes' labels as :class:`ModeLabel`
+    values; unless the state was made from such labels, it is built from
+    the columns on first use and kept.  ``len()`` is the row count and
+    builds nothing; the tuple-keyed dict behind every other read is built on
+    first use and kept.  The arrays are not writeable.
     """
 
-    __slots__ = ("labels", "codes", "re", "im", "_dict")
+    __slots__ = ("path", "winding", "vpol", "codes", "re", "im", "_named", "_dict")
 
     def __init__(
         self,
-        labels: list[ModeLabel],
+        labels: _LabelColumns,
         codes: np.ndarray,
         re: np.ndarray,
         im: np.ndarray,
     ) -> None:
-        for column in (codes, re, im):
+        self.path, self.winding, self.vpol, self._named = labels
+        for column in (self.path, self.winding, self.vpol, codes, re, im):
             column.setflags(write=False)
-        self.labels = labels
         self.codes = codes
         self.re = re
         self.im = im
         self._dict: dict[tuple[ModeLabel, ...], complex] | None = None
+
+    @property
+    def labels(self) -> list[ModeLabel]:
+        if self._named is None:
+            self._named = self._build_labels()
+        return self._named
+
+    def _build_labels(self) -> list[ModeLabel]:
+        pols = (H, V)
+        return [
+            ModeLabel(path, winding, pols[vpol])
+            for path, winding, vpol in zip(
+                self.path.tolist(), self.winding.tolist(), self.vpol.tolist()
+            )
+        ]
 
     def _mapping(self) -> dict[tuple[ModeLabel, ...], complex]:
         if self._dict is None:
@@ -330,7 +421,7 @@ class EnsembleState:
             norm_sq = math.inf
         _require_unit_norm(norm_sq, "ensemble norm^2")
         columns = EnsembleAmplitudes(
-            list(index),
+            _LabelColumns.of(list(index)),
             np.array(codes, dtype=np.int64).reshape(-1, self.slot_count),
             np.array(re, dtype=np.float64),
             np.array(im, dtype=np.float64),
@@ -342,7 +433,7 @@ class EnsembleState:
         cls,
         space: ModeSpace,
         slot_count: int,
-        labels: list[ModeLabel],
+        labels: _LabelColumns,
         codes: np.ndarray,
         re: np.ndarray,
         im: np.ndarray,
@@ -361,10 +452,14 @@ class EnsembleState:
     def occupied_labels(self) -> list[ModeLabel]:
         """Distinct labels held by some slot, in order of first appearance
         (tuple by tuple, then slot by slot)."""
-        flat = self.amplitudes.codes.ravel()
-        _, first = np.unique(flat, return_index=True)
-        labels = self.amplitudes.labels
-        return [labels[code] for code in flat[np.sort(first)].tolist()]
+        columns = self.amplitudes
+        flat = columns.codes.ravel()
+        # the label list holds exactly the occupied labels, so every code
+        # has a first position
+        first = np.full(len(columns.path), len(flat), dtype=np.int64)
+        np.minimum.at(first, flat, np.arange(len(flat)))
+        labels = columns.labels
+        return [labels[code] for code in np.argsort(first).tolist()]
 
     def tuples(self) -> list[tuple[ModeLabel, ...]]:
         return sorted(
@@ -537,10 +632,11 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
                 "two slots share the label " + str(_first_duplicate(row_labels))
             )
     _require_unit_moduli(np.hypot(re, im))
+    columns = _LabelColumns.of(labels)
     if safe < len(photons):
-        labels, codes = _occupied(labels, codes)
+        columns, codes = _occupied(columns, codes)
     return EnsembleState._from_columns(
-        space, len(photons), labels, codes, re, im
+        space, len(photons), columns, codes, re, im
     )
 
 
@@ -597,15 +693,55 @@ def _apply_photon(state: PhotonState, operator: ModeOperator) -> PhotonState:
     return PhotonState(state.space, out)
 
 
-def _apply_ensemble(
-    state: EnsembleState, operator: ModeOperator
-) -> EnsembleState:
-    """Slot by slot over the columns, as the prefix expansion goes tuple by
-    tuple: a label of ``n`` images turns its row into ``n`` rows in image
-    order, products at or below ``PRUNE_TOL`` drop out as they form, and a
-    dropped row reaches none of its later slots' labels."""
-    space = state.space
-    columns = state.amplitudes
+class _Images(NamedTuple):
+    """Every label's images under one operator (see :func:`_label_images`).
+
+    ``labels`` are the distinct images.  Label ``c``'s images sit at
+    ``start[c]`` to ``start[c] + count[c] - 1`` of ``target`` (their codes
+    in ``labels``) and of ``re`` and ``im`` (their factors' parts); a label
+    in ``failures`` has none and keeps the exception its images raised.
+    ``start`` and ``count`` are ``None`` when every label has one image, at
+    its own code; ``target`` is ``None`` when that image's code in
+    ``labels`` is also the label's own, and ``re`` and ``im`` are ``None``
+    when every such image's factor is exactly ``1+0j``.  ``low`` is the
+    smallest factor modulus and ``distinct`` whether no two labels share an
+    image.
+    """
+
+    labels: _LabelColumns
+    target: np.ndarray | None
+    re: np.ndarray | None
+    im: np.ndarray | None
+    start: np.ndarray | None
+    count: np.ndarray | None
+    failures: dict[int, OamNetError]
+    low: float
+    distinct: bool
+
+
+def _label_images(
+    operator: ModeOperator, columns: EnsembleAmplitudes, space: ModeSpace
+) -> _Images:
+    """The images of every label of ``columns`` under ``operator``.
+
+    An operator with ``label_images`` (a tabled device or a bank) answers
+    for all labels in a few gathers, and one comparison per column checks
+    every image against ``space``.  If it cannot answer, or some image
+    fails the check, every label goes through ``mode_images`` and
+    ``check_label`` instead, which record the same errors as the prefix
+    expansion of the ensemble meets them.
+    """
+    gather = getattr(operator, "label_images", None)
+    found = None if gather is None else gather(columns.path, columns.winding)
+    if found is not None:
+        path, winding, re, im = found
+        if int(path.max()) < space.dimension and int(
+            np.abs(winding).max()
+        ) <= min(space.oam_window, LABEL_BOUND):
+            low = 1.0 if re is None else float(np.hypot(re, im).min())
+            images = _LabelColumns(path, winding, columns.vpol)
+            return _Images(images, None, re, im, None, None, {}, low, True)
+
     # One mode_images call per label, kept as a (start, count) slice of the
     # flat image columns.  A label whose images raise keeps the exception,
     # which counts only where the expansion reaches that label.
@@ -637,33 +773,73 @@ def _apply_ensemble(
             image_re.append(factor.real)
             image_im.append(factor.imag)
             low = min(low, modulus)
+    labels = list(index)
     target = np.array(image_codes, dtype=np.int64)
-    factor_re = np.array(image_re, dtype=np.float64)
-    factor_im = np.array(image_im, dtype=np.float64)
+    re = np.array(image_re, dtype=np.float64)
+    im = np.array(image_im, dtype=np.float64)
+    start = count = None
+    if failures or any(n != 1 for n in counts):
+        start = np.array(starts, dtype=np.int64)
+        count = np.array(counts, dtype=np.int64)
+    elif (re == 1.0).all() and (im == 0.0).all():
+        re = im = None
+    return _Images(
+        _LabelColumns.of(labels),
+        target,
+        re,
+        im,
+        start,
+        count,
+        failures,
+        low,
+        len(labels) == len(image_codes),
+    )
 
+
+def _apply_ensemble(
+    state: EnsembleState, operator: ModeOperator
+) -> EnsembleState:
+    """Slot by slot over the columns, as the prefix expansion goes tuple by
+    tuple: a label of ``n`` images turns its row into ``n`` rows in image
+    order, products at or below ``PRUNE_TOL`` drop out as they form, and a
+    dropped row reaches none of its later slots' labels."""
+    space = state.space
+    columns = state.amplitudes
+    images = _label_images(operator, columns, space)
     codes, re, im = columns.codes, columns.re, columns.im
     # Every partial product is at least the smallest row modulus times
     # low ** slot_count, give or take a rounding far under the factor 2;
     # while that exceeds 2 * PRUNE_TOL, no product can drop out.
     prune = (
-        float(np.hypot(re, im).min()) * low ** state.slot_count <= 2 * PRUNE_TOL
+        float(np.hypot(re, im).min()) * images.low ** state.slot_count
+        <= 2 * PRUNE_TOL
     )
-    single = not failures and all(count == 1 for count in counts)
+    single = images.count is None
     if single:
-        # a label's code is the index of its one image: gather all factors
-        fr_all, fi_all = factor_re[codes.T], factor_im[codes.T]
-        for slot in range(state.slot_count):
-            fr, fi = fr_all[slot], fi_all[slot]
-            re, im = re * fr - im * fi, re * fi + im * fr
-            if prune:
-                keep = np.hypot(re, im) > PRUNE_TOL
-                re, im, codes = re[keep], im[keep], codes[keep]
-                fr_all, fi_all = fr_all[:, keep], fi_all[:, keep]
-        codes = target[codes]
+        # A label's code is the index of its one image.  Rows are products
+        # of elementwise factors, so a row that drops out at some slot is
+        # only marked dead, and all dead rows leave at the end.  Factors of
+        # exactly 1+0j change no part but the sign of a zero, and the sums
+        # from 0.0 below make every zero +0.0, so their products are
+        # skipped; the moduli, and with them the pruning, stay the same.
+        alive = None
+        if images.re is not None:
+            fr_all, fi_all = images.re[codes.T], images.im[codes.T]
+            for slot in range(state.slot_count):
+                fr, fi = fr_all[slot], fi_all[slot]
+                re, im = re * fr - im * fi, re * fi + im * fr
+                if prune:
+                    keep = np.hypot(re, im) > PRUNE_TOL
+                    alive = keep if alive is None else alive & keep
+        elif prune:
+            alive = np.hypot(re, im) > PRUNE_TOL
+        if alive is not None:
+            codes, re, im = codes[alive], re[alive], im[alive]
+        if images.target is not None:
+            codes = images.target[codes]
     else:
-        start = np.array(starts, dtype=np.int64)
-        count = np.array(counts, dtype=np.int64)
-        failed = np.zeros(len(counts), dtype=bool)
+        failures = images.failures
+        failed = np.zeros(len(images.count), dtype=bool)
         failed[list(failures)] = True
         codes = codes.copy()
         raised = None
@@ -677,22 +853,22 @@ def _apply_ensemble(
                 raised = failures[int(column[first])]
                 codes, re, im = codes[:first], re[:first], im[:first]
                 column = column[:first]
-            rows, pick = _fan_out(column, start, count)
+            rows, pick = _fan_out(column, images.start, images.count)
             codes, re, im = codes[rows], re[rows], im[rows]
-            fr, fi = factor_re[pick], factor_im[pick]
+            fr, fi = images.re[pick], images.im[pick]
             re, im = re * fr - im * fi, re * fi + im * fr
-            codes[:, slot] = target[pick]
+            codes[:, slot] = images.target[pick]
             if prune:
                 keep = np.hypot(re, im) > PRUNE_TOL
                 codes, re, im = codes[keep], re[keep], im[keep]
         if raised is not None:
             raise raised
 
-    labels = list(index)
+    labels = images.labels
     # With one image per label and no two labels sharing one, distinct
     # tuples stay distinct and unbunched; otherwise equal rows are summed.
     # Either way each sum starts from 0.0, as the dict loop's from 0j.
-    merge = not single or len(labels) != len(image_codes)
+    merge = not single or not images.distinct
     if not merge:
         re, im = 0.0 + re, 0.0 + im
         magnitude = np.hypot(re, im)
@@ -705,7 +881,8 @@ def _apply_ensemble(
         bunched = _bunched_rows(codes)
         loud = np.flatnonzero(bunched & (magnitude > BUNCHING_TOL))
         if len(loud):
-            row_labels = [labels[code] for code in codes[loud[0]].tolist()]
+            # only the label-wise images merge, and they are named
+            row_labels = [labels.named[code] for code in codes[loud[0]].tolist()]
             raise BunchingError(
                 "operator drove two slots onto "
                 + str(_first_duplicate(row_labels))
@@ -763,16 +940,15 @@ def _sum_equal_rows(
 
 
 def _occupied(
-    labels: list[ModeLabel], codes: np.ndarray
-) -> tuple[list[ModeLabel], np.ndarray]:
+    labels: _LabelColumns, codes: np.ndarray
+) -> tuple[_LabelColumns, np.ndarray]:
     """The labels some row still holds, with the codes renumbered to them;
     rows that dropped out may have held the others."""
-    used = np.zeros(len(labels), dtype=bool)
+    used = np.zeros(len(labels.path), dtype=bool)
     used[codes] = True
     if used.all():
         return labels, codes
-    kept = [label for label, keep in zip(labels, used.tolist()) if keep]
-    return kept, (np.cumsum(used) - 1)[codes]
+    return labels.take(used), (np.cumsum(used) - 1)[codes]
 
 
 def _bunched_rows(codes: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from oamnet import (
     sbmao,
     symmetric_netlist,
 )
+from oamnet import cli
 from oamnet.cli import _closed_form_error, main
 from oamnet.serialize import (
     dumps_canonical,
@@ -115,6 +116,34 @@ def test_negative_seed_is_config_error():
     code, _, err = run_cli("verify", "--dimension", "2", "--seed", "-1")
     assert code == 2
     assert "--seed" in err
+
+
+def test_a_zero_window_is_printed_without_a_negative_zero():
+    code, out, err = run_cli("verify", "--dimension", "3", "--oam-window", "0")
+    assert code == 2 and out == ""
+    assert "outside window [0, 0]" in err
+
+
+def test_a_window_past_int64_runs_the_mux_round_trip():
+    wide = run_cli(
+        "scenario", "mux-roundtrip", "--dimension", "3",
+        "--oam-window", str(10**23),
+    )
+    default = run_cli("scenario", "mux-roundtrip", "--dimension", "3")
+    assert wide == default and wide[0] == 0
+
+
+def test_repeated_calls_share_one_parser_and_print_the_same_bytes():
+    runs = [
+        ("verify", "--dimension", "3", "--seed", "5"),
+        ("route", "--kind", "ring", "--from", "0", "--to", "1"),
+        ("scenario", "mux-roundtrip", "--dimension", "3", "--format", "text"),
+    ]
+    first = [run_cli(*argv) for argv in runs]
+    again = [run_cli(*argv) for argv in reversed(runs)][::-1]
+    assert first == again
+    assert first[1][0] == 2 and "invalid choice: 'ring'" in first[1][2]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_too_small_window_is_config_error():

@@ -3,8 +3,10 @@
 Evolution, the tensor product and the fidelity run on label-code and
 float64 columns; every result must match the prefix expansion, the nested
 tensor expansion and the dict overlap of ``oracles`` bit for bit and in key
-order, and raise the same error with the same message.  ``amplitudes`` is a
-read-only mapping whose tuple-keyed dict is built only when read.
+order, and raise the same error with the same message.  Tabled devices and
+banks answer for every label with array gathers, which must give the bits
+of their per-label ``mode_images``.  ``amplitudes`` is a read-only mapping
+whose tuple-keyed dict and label list are built only when read.
 """
 
 import math
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 
 from oamnet import (
     BeamSplitter,
+    CompositeDevice,
+    DomainError,
     EnsembleState,
     H,
     HologramBank,
@@ -29,8 +33,10 @@ from oamnet import (
     V,
     WindowOverflowError,
     apply_mode_map,
+    demux_receive,
     fidelity,
     make_qubit_photon,
+    mux_transmit,
     oambs,
     sbmao,
     tensor,
@@ -274,7 +280,10 @@ def test_amplitudes_are_a_read_only_mapping():
         amplitudes[key] = 1.0
     with pytest.raises(TypeError):
         del amplitudes[key]
-    for column in (amplitudes.codes, amplitudes.re, amplitudes.im):
+    for column in (
+        amplitudes.codes, amplitudes.re, amplitudes.im,
+        amplitudes.path, amplitudes.winding, amplitudes.vpol,
+    ):
         with pytest.raises(ValueError):
             column[0] = 0
     as_dict = dict(amplitudes)
@@ -298,3 +307,192 @@ def test_demux_names_the_first_offending_label_in_tuple_order():
     )
     with pytest.raises(RoutingDomainError, match=r"got \|0\^H>_1$"):
         MuxNetwork(3).receive(state)
+
+
+# ------------------------------------------------------- array label images
+
+
+def label_columns(labels):
+    return (
+        np.array([label.path for label in labels], dtype=np.int64),
+        np.array([label.oam for label in labels], dtype=np.int64),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_array_images_match_the_label_wise_images(data):
+    dimension = data.draw(st.integers(1, 10))
+    space = ModeSpace(dimension)
+    window = space.oam_window
+    windings = st.one_of(
+        st.integers(-window, window), st.sampled_from((-window, window))
+    )
+    shifts = st.lists(
+        st.integers(-2 * dimension, 2 * dimension),
+        min_size=dimension,
+        max_size=dimension,
+    ).map(tuple)
+    operator = data.draw(
+        st.one_of(
+            st.just(oambs(dimension)),
+            st.just(sbmao(dimension)),
+            shifts.map(HologramBank),
+            shifts.map(ReflectorBank),
+        )
+    )
+    labels = data.draw(
+        st.lists(
+            st.builds(
+                ModeLabel,
+                st.integers(0, dimension - 1),
+                windings,
+                st.sampled_from((H, V)),
+            ),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    image_path, image_winding, re, im = operator.label_images(*label_columns(labels))
+    for i, label in enumerate(labels):
+        [(image, factor)] = operator.mode_images(label)
+        assert (int(image_path[i]), int(image_winding[i]), label.pol) == image
+        parts = (1.0, 0.0) if re is None else (float(re[i]), float(im[i]))
+        assert [part.hex() for part in parts] == [factor.real.hex(), factor.imag.hex()]
+    # images past the window edge send the whole ensemble label by label,
+    # which raises what the expansion raises
+    amp = complex(1 / math.sqrt(len(labels)))
+    state = EnsembleState(space, 1, {(label,): amp for label in labels})
+    expected = outcome(
+        lambda: amplitude_bits(prefix_expansion_amplitudes(state, operator))
+    )
+    evolved = outcome(lambda: amplitude_bits(apply_mode_map(state, operator).amplitudes))
+    assert evolved == expected
+
+
+def test_a_warm_mux_round_trip_builds_no_label_list_and_no_images(monkeypatch):
+    qubits = [random_qubit(np.random.default_rng(4)) for _ in range(5)]
+    mux_transmit(qubits)  # fills the device tables
+
+    def refuse(*args):
+        raise AssertionError("a label list or a per-label image was built")
+
+    monkeypatch.setattr(EnsembleAmplitudes, "_build_labels", refuse)
+    for operator in (CompositeDevice, HologramBank):
+        monkeypatch.setattr(operator, "mode_images", refuse)
+    received = demux_receive(mux_transmit(qubits), restore_oam=True)
+    assert len(received.amplitudes) == 2**5
+    with pytest.raises(AssertionError):
+        received.amplitudes.labels
+
+
+def test_unit_factors_leave_the_zero_signs_of_the_expansion():
+    space = ModeSpace(3)
+    state = EnsembleState(
+        space,
+        2,
+        {
+            (ModeLabel(0, 0), ModeLabel(1, 0, V)): complex(-0.0, -0.6),
+            (ModeLabel(2, 1), ModeLabel(1, 0)): complex(0.8, -0.0),
+            (ModeLabel(1, 2), ModeLabel(0, -1)): complex(1.5 * PRUNE_TOL, -0.0),
+        },
+    )
+    assert math.copysign(1.0, float(state.amplitudes.re[0])) == -1.0
+    for bank in (HologramBank((1, -2, 0)), ReflectorBank((0, 2, -1))):
+        expected = amplitude_bits(prefix_expansion_amplitudes(state, bank))
+        state = apply_mode_map(state, bank)
+        assert amplitude_bits(state.amplitudes) == expected
+    assert amplitude_bits(state.amplitudes)[0][1:] == ((0.0).hex(), (-0.6).hex())
+
+
+def test_one_ensemble_crossing_fills_only_the_table_keys_it_needs():
+    device = CompositeDevice(oambs(24).stages, 24)  # its own, empty table
+    space = ModeSpace(24)
+    rng = np.random.default_rng(5)
+    state = tensor(
+        [
+            make_qubit_photon(random_qubit(rng), path, oam, space)
+            for path, oam in ((0, 0), (3, 25), (7, -2))
+        ]
+    )
+    expected = amplitude_bits(prefix_expansion_amplitudes(state, oambs(24)))
+    assert amplitude_bits(apply_mode_map(state, device).amplitudes) == expected
+    needed = {(0, 0), (3, 1), (7, 22)}
+    assert set(device._table) == needed
+    filled = np.flatnonzero(device._dense.image).tolist()
+    assert filled == sorted(path * 24 + residue for path, residue in needed)
+
+
+def test_a_table_whose_entries_share_an_image_goes_label_by_label(monkeypatch):
+    # every label lands on path 0, so two labels of one residue share an
+    # image and the gather must not claim distinct images
+    def onto_path_zero(self, label):
+        return [(ModeLabel(0, -label.oam, label.pol), 1.0 + 0j)]
+
+    device = CompositeDevice(oambs(3).stages, 3)
+    monkeypatch.setattr(CompositeDevice, "mode_images", onto_path_zero)
+    state = EnsembleState(
+        ModeSpace(3), 1, {(ModeLabel(0, 1),): 0.6, (ModeLabel(2, 1),): 0.8}
+    )
+    expected = outcome(lambda: amplitude_bits(prefix_expansion_amplitudes(state, device)))
+    assert outcome(lambda: amplitude_bits(apply_mode_map(state, device).amplitudes)) == expected
+    assert device._dense.shared
+
+
+class Gains:
+    """Scales the labels on each path by that path's gain."""
+
+    def __init__(self, gains):
+        self.gains = gains
+
+    def mode_images(self, label):
+        return ((label, self.gains.get(label.path, 1.0 + 0j)),)
+
+
+def test_a_row_pruned_at_one_slot_stays_out_when_a_later_factor_is_large():
+    state = EnsembleState(
+        ModeSpace(3),
+        2,
+        {
+            (ModeLabel(2, 0), ModeLabel(2, 1)): math.sqrt(1 - 1e-16),
+            (ModeLabel(0, 0), ModeLabel(1, 0)): 1e-8,
+        },
+    )
+    # the second row falls to 1e-16 at its first slot and would be back at
+    # 1e-8 after its second
+    gains = Gains({0: 1e-8, 1: 1e8})
+    expected = amplitude_bits(prefix_expansion_amplitudes(state, gains))
+    assert len(expected) == 1
+    assert amplitude_bits(apply_mode_map(state, gains).amplitudes) == expected
+
+
+def test_windings_beyond_the_label_bound_raise_a_domain_error():
+    space = ModeSpace(2, 10**30)
+    with pytest.raises(DomainError, match="^winding number 10{20} beyond the label bound"):
+        tensor([PhotonState(space, {ModeLabel(0, 10**20): 1.0})])
+    with pytest.raises(DomainError, match="beyond the label bound"):
+        EnsembleState(space, 1, {(ModeLabel(0, -(2**62) - 1),): 1.0})
+    with pytest.raises(DomainError, match="2\\*\\*62"):
+        ModeSpace(2**62 + 1)
+    edge = EnsembleState(space, 1, {(ModeLabel(1, -(2**62), V),): 1.0})
+    assert edge.amplitudes.winding.tolist() == [-(2**62)]
+    assert edge.occupied_labels() == [ModeLabel(1, -(2**62), V)]
+
+
+@pytest.mark.parametrize(
+    "bank",
+    [
+        HologramBank((2**61, 0)),  # gathers, then the bound check fails
+        HologramBank((-(2**61) - 7, 3)),  # shift past 2**61, image within
+        ReflectorBank((-(2**62), 0)),
+        HologramBank((10**25, 0)),  # shift past int64
+    ],
+)
+def test_a_bank_that_could_leave_the_bound_goes_label_by_label(bank):
+    state = EnsembleState(
+        ModeSpace(2, 10**30), 2, {(ModeLabel(0, 2**62), ModeLabel(1, -5)): 1.0}
+    )
+    expected = outcome(lambda: amplitude_bits(prefix_expansion_amplitudes(state, bank)))
+    evolved = outcome(lambda: amplitude_bits(apply_mode_map(state, bank).amplitudes))
+    assert evolved == expected
