@@ -17,14 +17,22 @@ Conventions used throughout the package:
   accounted for once per transit at the composite level.
 
 Every element acts as the identity on modes whose path differs from its
-port(s), and all of them ignore polarization.  They share the base
-:class:`PortElement`, a :class:`~oamnet.states.WholeMapOperator` whose
-``transit`` passes labels off the ports straight through and calls the
-element's ``mode_images`` only for labels on a port, and whose
+port(s), and all of them ignore polarization.  Each states its action once,
+as one :class:`PortRule` per port (``port_rules``): the image paths with
+their constant factors, in image order, and the image winding
+``sign * l + shift``; the Dove prism's factor is instead its winding phase
+``exp(-i*alpha*l)``.  The elements share the base :class:`PortElement`, a
+:class:`~oamnet.states.WholeMapOperator` whose ``mode_images`` is derived
+from the rules, whose ``transit`` passes labels off the ports straight
+through and calls ``mode_images`` only for labels on a port, and whose
 ``reversed()`` gives the element as a photon crossing it right to left sees
 it (holograms have no such convention and raise :class:`DomainError`).
-Elements act on states through :func:`~oamnet.states.apply_mode_map`; their
-ports are checked (``check_ports``) where they join a netlist or a device.
+Rules are built from the element's fields on first use and kept, so
+constructing an element costs no more than its fields.  The netlist
+certification of :mod:`oamnet.netlist` reads the rules of a whole round of
+elements as path-indexed tables.  Elements act on states through
+:func:`~oamnet.states.apply_mode_map`; their ports are checked
+(``check_ports``) where they join a netlist or a device.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DomainError
 from .states import PRUNE_TOL, ModeLabel, WholeMapOperator
@@ -60,6 +68,21 @@ def beamsplitter_block(theta: float, phi: float) -> list[list[complex]]:
     ]
 
 
+class PortRule(NamedTuple):
+    """What an element does to a label ``(port, l, pol)`` on one of its ports.
+
+    The label goes to ``(path, sign * l + shift, pol)`` with ``factor`` for
+    each ``(path, factor)`` of ``terms``, in that order.  A Dove prism sets
+    ``alpha``: its one term's factor is then ``exp(-i*alpha*l)`` of the
+    arriving winding ``l``.
+    """
+
+    terms: tuple[tuple[int, complex], ...]
+    sign: int = 1
+    shift: int = 0
+    alpha: float | None = None
+
+
 class PortElement(WholeMapOperator):
     """Base of the elements: acts on the paths in ``ports``, passes the rest.
 
@@ -68,13 +91,41 @@ class PortElement(WholeMapOperator):
     own ``mode_images`` only for a label on a port; those images must stay
     on the ports.  Sums and pruning follow the label-wise loop of
     :func:`~oamnet.states.compose_images`, so results agree bit for bit.
-    Each element's formula lives only in its ``mode_images``, which keeps
-    factors at or below ``PRUNE_TOL`` that ``transit`` prunes.
+    The built-in elements give one :class:`PortRule` per port in
+    ``port_rules``, and ``mode_images`` reads them; images keep factors at
+    or below ``PRUNE_TOL``, which ``transit`` prunes.  An element without
+    rules overrides ``mode_images``.
     """
 
     @property
     def ports(self) -> tuple[int, ...]:
         return (self.port,)
+
+    @property
+    def port_rules(self) -> tuple[PortRule, ...]:
+        """One rule per port, in ``ports`` order: ``_rules()``, built on
+        first use and kept in the instance dict, as ``cached_property``
+        does, for less per-element overhead."""
+        rules = self.__dict__.get("_port_rules")
+        if rules is None:
+            rules = self.__dict__["_port_rules"] = self._rules()
+        return rules
+
+    def _rules(self) -> tuple[PortRule, ...]:
+        raise NotImplementedError(f"{type(self).__name__} states no port rules")
+
+    def mode_images(self, label: ModeLabel):
+        ports = self.ports
+        if label.path not in ports:
+            return ((label, 1.0 + 0j),)
+        terms, sign, shift, alpha = self.port_rules[ports.index(label.path)]
+        oam = sign * label.oam + shift
+        if alpha is not None:
+            phase = cmath.exp(-1j * alpha * label.oam)
+            return ((ModeLabel(terms[0][0], oam, label.pol), phase),)
+        return tuple(
+            (ModeLabel(path, oam, label.pol), factor) for path, factor in terms
+        )
 
     def transit(self, amplitudes):
         ports = self.ports
@@ -118,10 +169,8 @@ class PhaseShifter(PortElement):
     port: int
     phi: float
 
-    def mode_images(self, label: ModeLabel):
-        if label.path != self.port:
-            return ((label, 1.0 + 0j),)
-        return ((label, cmath.exp(1j * self.phi)),)
+    def _rules(self) -> tuple[PortRule, ...]:
+        return (PortRule(((self.port, cmath.exp(1j * self.phi)),)),)
 
     def reversed(self) -> "PhaseShifter":
         return self
@@ -144,17 +193,11 @@ class BeamSplitter(PortElement):
     def ports(self) -> tuple[int, ...]:
         return (self.port_a, self.port_b)
 
-    def mode_images(self, label: ModeLabel):
-        if label.path == self.port_a:
-            column = 0
-        elif label.path == self.port_b:
-            column = 1
-        else:
-            return ((label, 1.0 + 0j),)
-        block = self._block
+    def _rules(self) -> tuple[PortRule, ...]:
+        (aa, ab), (ba, bb) = self._block
         return (
-            (ModeLabel(self.port_a, label.oam, label.pol), block[0][column]),
-            (ModeLabel(self.port_b, label.oam, label.pol), block[1][column]),
+            PortRule(((self.port_a, aa), (self.port_b, ba))),
+            PortRule(((self.port_a, ab), (self.port_b, bb))),
         )
 
     def reversed(self) -> "BeamSplitter":
@@ -165,10 +208,8 @@ class BeamSplitter(PortElement):
 class Mirror(PortElement):
     port: int
 
-    def mode_images(self, label: ModeLabel):
-        if label.path != self.port:
-            return ((label, 1.0 + 0j),)
-        return ((ModeLabel(label.path, -label.oam, label.pol), 1.0 + 0j),)
+    def _rules(self) -> tuple[PortRule, ...]:
+        return (PortRule(((self.port, 1.0 + 0j),), -1),)
 
     def reversed(self) -> "Mirror":
         return self
@@ -179,11 +220,8 @@ class DovePrism(PortElement):
     port: int
     alpha: float
 
-    def mode_images(self, label: ModeLabel):
-        if label.path != self.port:
-            return ((label, 1.0 + 0j),)
-        phase = cmath.exp(-1j * self.alpha * label.oam)
-        return ((ModeLabel(label.path, -label.oam, label.pol), phase),)
+    def _rules(self) -> tuple[PortRule, ...]:
+        return (PortRule(((self.port, 1.0 + 0j),), -1, 0, self.alpha),)
 
     def reversed(self) -> "DovePrism":
         return DovePrism(self.port, -self.alpha)
@@ -194,10 +232,8 @@ class Hologram(PortElement):
     port: int
     k: int
 
-    def mode_images(self, label: ModeLabel):
-        if label.path != self.port:
-            return ((label, 1.0 + 0j),)
-        return ((ModeLabel(label.path, label.oam + self.k, label.pol), 1.0 + 0j),)
+    def _rules(self) -> tuple[PortRule, ...]:
+        return (PortRule(((self.port, 1.0 + 0j),), 1, self.k),)
 
 
 @dataclass(frozen=True)
@@ -211,10 +247,8 @@ class ReflectiveHologram(PortElement):
     port: int
     k: int
 
-    def mode_images(self, label: ModeLabel):
-        if label.path != self.port:
-            return ((label, 1.0 + 0j),)
-        return ((ModeLabel(label.path, -label.oam - self.k, label.pol), 1.0 + 0j),)
+    def _rules(self) -> tuple[PortRule, ...]:
+        return (PortRule(((self.port, 1.0 + 0j),), -1, -self.k),)
 
 
 Element = Union[
@@ -231,6 +265,7 @@ __all__ = [
     "Mirror",
     "PhaseShifter",
     "PortElement",
+    "PortRule",
     "ReflectiveHologram",
     "beamsplitter_block",
 ]

@@ -11,22 +11,35 @@ reflections a photon suffers while crossing a synthesized multiport.
 
 ``oambs_netlist_error`` certifies an export by replaying every basis photon
 ``|l>_n`` through it, and sends all ``D**2`` of them through at once: one
-list of (photon, label, amplitude) rows, grouped by photon and in each
-photon's dict order, and one numpy round per group of elements on disjoint
-ports (the 88 elements of the D=8 OAM beamsplitter make 30 rounds).  A
+list of rows, each a (photon and polarization, path, winding, amplitude)
+entry of some photon's map, grouped by photon and in each photon's dict
+order.  The elements are grouped into rounds of elements on disjoint ports
+(the 88 elements of the D=8 OAM beamsplitter make 30 rounds), and each
 round fans the rows out to their images and sums equal rows with the
 ensemble's own kernels, so every photon's images equal
 ``Netlist.mode_images`` bit for bit and in key order, and memory follows
-the summed supports.  ``netlist_apply``, ``Netlist.mode_images`` and
-``compose_images`` remain the path for single states and the reference
-the tests compare the batch against.
+the summed supports.
+
+A round of the six built-in element types reads each element's port rules
+(:class:`~oamnet.elements.PortRule`) into port tables indexed by path:
+fan-out, image path and factor per term, winding sign and shift.  Every
+row's images then come from a few numpy gathers, and only a Dove prism's
+winding phase is computed, once per distinct (path, winding), by its own
+formula.  A round holding any other :class:`~oamnet.elements.PortElement`,
+subclasses of the six included, goes label by label: one ``mode_images``
+call per distinct label that a row holds.  ``ModeLabel`` values are built
+only for those calls and for the result.  ``netlist_apply``,
+``Netlist.mode_images`` and ``compose_images`` remain the path for single
+states and the reference the tests compare the batch against.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,13 +52,17 @@ from .elements import (
     Mirror,
     PhaseShifter,
     PortElement,
+    ReflectiveHologram,
     beamsplitter_block,
 )
 from .errors import DecompositionError, DomainError
 from .multiport import closed_form_error, global_phase_error, symmetric_matrix
 from .states import (
+    LABEL_BOUND,
     PRUNE_TOL,
     EnsembleState,
+    H,
+    V,
     ModeLabel,
     ModeSpace,
     PhotonState,
@@ -226,13 +243,220 @@ def _rounds(elements: Sequence[PortElement]) -> list[list[PortElement]]:
     rounds: list[list[PortElement]] = []
     next_round: dict[int, int] = {}
     for element in elements:
-        index = max(next_round.get(port, 0) for port in element.ports)
+        ports = element.ports
+        index = max([next_round.get(port, 0) for port in ports])
         if index == len(rounds):
             rounds.append([])
         rounds[index].append(element)
-        for port in element.ports:
+        for port in ports:
             next_round[port] = index + 1
     return rounds
+
+
+# the exact element types whose port rules a round reads as tables; any
+# other element, subclasses included, goes through its own mode_images
+_RULED = (PhaseShifter, BeamSplitter, Mirror, DovePrism, Hologram, ReflectiveHologram)
+
+
+class _PortTables(NamedTuple):
+    """Every round's port rules as tables (see :func:`_port_tables`)."""
+
+    ruled: list[bool]
+    start: np.ndarray
+    count: np.ndarray
+    path: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    sign: np.ndarray
+    shift: np.ndarray
+    dove: np.ndarray
+    alpha: list[dict[int, float]]
+    spread: list[bool]
+    moved: list[bool]
+    reach: list[int]
+    width: int
+
+
+def _port_tables(rounds: list[list[PortElement]], dimension: int) -> _PortTables:
+    """The port rules of each round's elements as tables indexed by round
+    and path, with the identity on every path off their ports.
+
+    ``ruled[r]`` tells whether round ``r`` holds only the six built-in
+    types; the tables hold the identity for the other rounds.  In round
+    ``r``, path ``p`` has ``count[r, p]`` terms, from ``start[p]`` on in
+    row ``r`` of ``path``, ``re`` and ``im`` (image path and factor parts),
+    ``width`` entries apart, and its image winding is ``sign[r, p] * l +
+    shift[r, p]``.  ``dove`` marks the Dove prisms' ports, ``alpha[r]``
+    holds their angles, and ``reach[r]`` is the round's largest ``|shift|``;
+    ``shift`` holds Python ints when one passes ``LABEL_BOUND``.
+    ``spread[r]`` tells that some term leaves its port or shares it with
+    another term, and ``moved[r]`` that some winding changes; a round that
+    is not spread sends distinct labels to distinct images on their own
+    paths.
+    """
+    ruled = [
+        all(type(element) in _RULED for element in elements) for elements in rounds
+    ]
+    rules = [
+        [
+            (port, rule)
+            for element in elements
+            for port, rule in zip(element.ports, element.port_rules)
+        ]
+        if is_ruled
+        else []
+        for elements, is_ruled in zip(rounds, ruled)
+    ]
+    width = max(
+        (len(rule.terms) for round_rules in rules for _, rule in round_rules),
+        default=1,
+    )
+    cells = len(rounds) * dimension
+    count = [1] * cells
+    paths = [p for p in range(dimension) for _ in range(width)] * len(rounds)
+    factors = [1.0 + 0j] * (cells * width)
+    sign = [1] * cells
+    shift = [0] * cells
+    dove = [False] * cells
+    alpha: list[dict[int, float]] = [{} for _ in rounds]
+    spread = [False] * len(rounds)
+    moved = [False] * len(rounds)
+    reach = [0] * len(rounds)
+    for r, round_rules in enumerate(rules):
+        for port, (terms, s, k, a) in round_rules:
+            cell = r * dimension + port
+            count[cell], sign[cell], shift[cell] = len(terms), s, k
+            at = cell * width
+            for image_path, factor in terms:
+                paths[at], factors[at] = image_path, factor
+                at += 1
+            spread[r] = spread[r] or len(terms) > 1 or terms[0][0] != port
+            moved[r] = moved[r] or s != 1 or k != 0
+            reach[r] = max(reach[r], abs(k))
+            if a is not None:
+                dove[cell] = True
+                alpha[r][port] = a
+    grid = (len(rounds), dimension)
+    terms = (len(rounds), dimension * width)
+    factor_array = np.array(factors, dtype=np.complex128).reshape(terms)
+    return _PortTables(
+        ruled,
+        np.arange(0, dimension * width, width),
+        np.array(count, dtype=np.int64).reshape(grid),
+        np.array(paths, dtype=np.int64).reshape(terms),
+        factor_array.real,
+        factor_array.imag,
+        np.array(sign, dtype=np.int64).reshape(grid),
+        np.array(
+            shift, dtype=object if max(reach, default=0) > LABEL_BOUND else np.int64
+        ).reshape(grid),
+        np.array(dove, dtype=bool).reshape(grid),
+        alpha,
+        spread,
+        moved,
+        reach,
+        width,
+    )
+
+
+def _row_keys(
+    path: np.ndarray,
+    winding: np.ndarray,
+    reach: int,
+    dimension: int | None,
+    stream: np.ndarray | int = 0,
+    streams: int = 1,
+) -> np.ndarray:
+    """One int64 key per row, equal exactly where rows hold the same path,
+    winding and stream.
+
+    With paths known to lie in ``[0, dimension)`` (``dimension`` not
+    ``None``), streams below ``streams``, windings within ``[-reach,
+    reach]`` and the product of those ranges checked in Python ints, the
+    columns pack into one int64 number; otherwise each distinct row is
+    numbered in order of first appearance.
+    """
+    span = 2 * reach + 1
+    if dimension is not None and streams * dimension * span <= 2**63:
+        offset = (winding + reach).astype(np.int64, copy=False)
+        return (stream * dimension + path) * span + offset
+    stream = np.broadcast_to(stream, path.shape)
+    groups: dict[tuple[int, int, int], int] = {}
+    return np.array(
+        [
+            groups.setdefault(row, len(groups))
+            for row in zip(stream.tolist(), path.tolist(), winding.tolist())
+        ],
+        dtype=np.int64,
+    )
+
+
+def _winding_column(values: list[int], wide: bool) -> tuple[np.ndarray, bool]:
+    """Windings as int64, or as Python ints once one may pass ``LABEL_BOUND``."""
+    wide = wide or max(map(abs, values), default=0) > LABEL_BOUND
+    return np.array(values, dtype=object if wide else np.int64), wide
+
+
+def _dove_phases(
+    alpha: dict[int, float],
+    dove: np.ndarray,
+    path: np.ndarray,
+    winding: np.ndarray,
+    reach: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows on Dove prism ports (``dove`` marks them by path), and each
+    one's prism phase, computed once per distinct (path, winding) by the
+    formula of ``DovePrism.mode_images``."""
+    at = np.flatnonzero(dove[path])
+    path, winding = path[at], winding[at]
+    _, first, inverse = np.unique(
+        _row_keys(path, winding, reach, len(dove)),
+        return_index=True,
+        return_inverse=True,
+    )
+    phases = [
+        cmath.exp(-1j * alpha[p] * l)
+        for p, l in zip(path[first].tolist(), winding[first].tolist())
+    ]
+    return at, np.array(phases, dtype=np.complex128)[inverse]
+
+
+def _label_round(
+    elements: Sequence[PortElement],
+    path: np.ndarray,
+    winding: np.ndarray,
+    vpol: np.ndarray,
+    reach: int,
+    dimension: int | None,
+) -> tuple[np.ndarray, np.ndarray, list[ModeLabel], list[complex]]:
+    """One round label by label: ``mode_images`` once per distinct label of
+    the rows, or the label itself with ``1+0j`` off the round's ports.
+
+    Returns the fan-out of :func:`~oamnet.states._fan_out` (each image row's
+    source row and its index in the flat image lists) and those lists.
+    """
+    by_port = {port: element for element in elements for port in element.ports}
+    _, first, inverse = np.unique(
+        _row_keys(path, winding, reach, dimension, vpol, 2),
+        return_index=True,
+        return_inverse=True,
+    )
+    pols = (H, V)
+    counts: list[int] = []
+    images: list[ModeLabel] = []
+    factors: list[complex] = []
+    labels = zip(path[first].tolist(), winding[first].tolist(), vpol[first].tolist())
+    for p, l, v in labels:
+        label = ModeLabel(p, l, pols[v])
+        element = by_port.get(p)
+        found = ((label, 1.0 + 0j),) if element is None else element.mode_images(label)
+        for image, factor in found:
+            images.append(image)
+            factors.append(factor)
+        counts.append(len(found))
+    count = np.array(counts, dtype=np.int64)
+    rows, pick = _fan_out(inverse, np.cumsum(count) - count, count)
+    return rows, pick, images, factors
 
 
 def _replay_columns(
@@ -241,56 +465,110 @@ def _replay_columns(
     """``netlist.mode_images(label)`` for every label of ``inputs`` at once.
 
     All maps share one row list: row ``r`` is the entry of label
-    ``code[r]`` in the map of ``inputs[photon[r]]``, worth
-    ``re[r] + i*im[r]``.  Rows stay grouped by photon and, within a photon,
-    in dict order, so order needs no keys.  Each round of :func:`_rounds`
-    calls ``mode_images`` once per label that a row holds on its ports (a
-    label off them is its own image with factor ``1+0j``, as in
-    ``PortElement.transit``), turns every row into its label's images with
-    split-form products, sums equal (photon, label) rows into the first of
-    them and prunes at ``PRUNE_TOL``: the ensemble's own fan-out and row
-    merge, which add the terms of ``transit``'s dict in its order.
-    """
-    index: dict[ModeLabel, int] = {}
-    photon = np.arange(len(inputs))
-    code = np.array([index.setdefault(l, len(index)) for l in inputs], dtype=np.int64)
-    re, im = np.ones(len(inputs)), np.zeros(len(inputs))
-    for elements in _rounds(netlist.elements):
-        by_port = {port: element for element in elements for port in element.ports}
-        labels = list(index)
-        start = np.zeros(len(labels), dtype=np.int64)
-        count = np.zeros(len(labels), dtype=np.int64)
-        image_codes: list[int] = []
-        factors: list[complex] = []
-        for c in np.unique(code).tolist():
-            label = labels[c]
-            element = by_port.get(label.path)
-            if element is None:
-                images = ((label, 1.0 + 0j),)
-            else:
-                images = element.mode_images(label)
-            start[c] = len(image_codes)
-            for image, factor in images:
-                image_codes.append(index.setdefault(image, len(index)))
-                factors.append(factor)
-            count[c] = len(image_codes) - start[c]
-        rows, pick = _fan_out(code, start, count)
-        factor = np.array(factors, dtype=np.complex128)[pick]
-        fr, fi, re, im = factor.real, factor.imag, re[rows], im[rows]
-        re, im = re * fr - im * fi, re * fi + im * fr
-        photon, code = photon[rows], np.array(image_codes, dtype=np.int64)[pick]
-        first, re, im = _sum_equal_rows(photon * len(index) + code, re, im)
-        keep = np.hypot(re, im) > PRUNE_TOL
-        first = first[keep]
-        photon, code, re, im = photon[first], code[first], re[keep], im[keep]
+    ``(path[r], winding[r], V if vpol else H)`` in the map of
+    ``inputs[photon]``, worth ``re[r] + i*im[r]``, where
+    ``stream[r] = 2 * photon + vpol``.  Rows stay grouped by photon and,
+    within a photon, in dict order, so order needs no keys.  Each round of
+    :func:`_rounds` turns every row into its label's images (a label off
+    the round's ports is its own image with factor ``1+0j``, as in
+    ``PortElement.transit``) with split-form products, sums equal (stream,
+    path, winding) rows into the first of them and prunes at
+    ``PRUNE_TOL``: the ensemble's own fan-out and row merge, which add the
+    terms of ``transit``'s dict in its order.
 
-    labels = list(index)
-    if netlist.parity_flip:
-        labels = [ModeLabel(l.path, -l.oam, l.pol) for l in labels]
+    A round of built-in elements reads their port rules as path-indexed
+    tables (:func:`_port_tables`) and gathers every row's images at once;
+    only a Dove prism's phase is computed per distinct (path, winding), by
+    the formula of its ``mode_images``.  A round holding any other element
+    goes label by label (:func:`_label_round`).  ``reach`` bounds every
+    |winding| in Python ints; windings are int64 while it stays within
+    ``LABEL_BOUND``, and Python ints once it may not, so none wraps.
+    """
+    dimension = netlist.dimension
+    stream = np.array(
+        [2 * photon + (label.pol is V) for photon, label in enumerate(inputs)],
+        dtype=np.int64,
+    )
+    path = np.array([label.path for label in inputs], dtype=np.int64)
+    winding, wide = _winding_column([label.oam for label in inputs], False)
+    re, im = np.ones(len(inputs)), np.zeros(len(inputs))
+    reach = max((abs(label.oam) for label in inputs), default=0)
+    # the tables index by path, and keys pack paths, within [0, dimension)
+    in_range = all(0 <= label.path < dimension for label in inputs)
+    rounds = _rounds(netlist.elements)
+    tables = _port_tables(rounds, dimension)
+    for r, elements in enumerate(rounds):
+        if in_range and tables.ruled[r]:
+            reach += tables.reach[r]
+            if reach > LABEL_BOUND and not wide:
+                winding, wide = winding.astype(object), True
+            source = path
+            if tables.spread[r]:
+                rows, pick = _fan_out(path, tables.start, tables.count[r])
+                stream, source, winding = stream[rows], path[rows], winding[rows]
+                re, im = re[rows], im[rows]
+                path = tables.path[r][pick]
+                fr, fi = tables.re[r][pick], tables.im[r][pick]
+            else:
+                # one term per path, on the path itself
+                fr = tables.re[r, :: tables.width][path]
+                fi = tables.im[r, :: tables.width][path]
+            if tables.alpha[r]:
+                at, phase = _dove_phases(
+                    tables.alpha[r], tables.dove[r], source, winding, reach
+                )
+                fr[at], fi[at] = phase.real, phase.imag
+            if tables.moved[r]:
+                winding = tables.sign[r][source] * winding + tables.shift[r][source]
+            merge = tables.spread[r]
+        else:
+            rows, pick, images, factors = _label_round(
+                elements,
+                path,
+                winding,
+                stream & 1,
+                reach,
+                dimension if in_range else None,
+            )
+            vpol = np.array([image.pol is V for image in images], dtype=bool)
+            stream = (stream[rows] & -2) | vpol[pick]
+            re, im = re[rows], im[rows]
+            path = np.array([image.path for image in images], dtype=np.int64)[pick]
+            windings = [image.oam for image in images]
+            winding, wide = _winding_column(windings, wide)
+            winding = winding[pick]
+            factor = np.array(factors, dtype=np.complex128)[pick]
+            fr, fi = factor.real, factor.imag
+            reach = max(map(abs, windings), default=0)
+            in_range = all(0 <= image.path < dimension for image in images)
+            merge = True
+        re, im = re * fr - im * fi, re * fi + im * fr
+        if merge:
+            key = _row_keys(
+                path,
+                winding,
+                reach,
+                dimension if in_range else None,
+                stream,
+                2 * len(inputs),
+            )
+            first, re, im = _sum_equal_rows(key, re, im)
+            keep = np.hypot(re, im) > PRUNE_TOL
+            first = first[keep]
+        else:
+            # distinct labels keep distinct images, so each sum is 0.0 + x
+            re, im = 0.0 + re, 0.0 + im
+            keep = np.hypot(re, im) > PRUNE_TOL
+            first = np.flatnonzero(keep)
+        stream, path, winding = stream[first], path[first], winding[first]
+        re, im = re[keep], im[keep]
+
+    sign = -1 if netlist.parity_flip else 1
+    pols = (H, V)
     values = map(complex, re.tolist(), im.tolist())
     replayed: list[list[tuple[ModeLabel, complex]]] = [[] for _ in inputs]
-    for p, c, value in zip(photon.tolist(), code.tolist(), values):
-        replayed[p].append((labels[c], value))
+    for s, n, l, value in zip(stream.tolist(), path.tolist(), winding.tolist(), values):
+        replayed[s >> 1].append((ModeLabel(n, sign * l, pols[s & 1]), value))
     return replayed
 
 

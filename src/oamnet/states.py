@@ -83,6 +83,9 @@ BUNCHING_TOL = 1e-12
 # paths and |windings| a state may hold, so that label columns are int64 and
 # a winding plus a bank shift of at most half the bound cannot wrap
 LABEL_BOUND = 2**62
+# rows an ensemble step may allocate: a D=20 MUX round trip (2**20 tuples)
+# still fits, a larger one raises DomainError before anything is allocated
+MAX_ENSEMBLE_ROWS = 2**20
 
 
 class Polarization(Enum):
@@ -613,6 +616,7 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
         # every row times every combination of the block's labels, in
         # row-major order; picks index the flat label and factor arrays
         shape = (len(re), *(starts[p + 1] - starts[p] for p in block))
+        _require_row_bound(math.prod(shape))
         row, *digits = np.unravel_index(np.arange(math.prod(shape)), shape)
         picks = np.array(digits) + offsets[block.start : block.stop, None]
         codes = np.concatenate((codes[row], label_codes[picks].T), axis=1)
@@ -853,7 +857,7 @@ def _apply_ensemble(
                 raised = failures[int(column[first])]
                 codes, re, im = codes[:first], re[:first], im[:first]
                 column = column[:first]
-            rows, pick = _fan_out(column, images.start, images.count)
+            rows, pick = _fan_out(column, images.start, images.count, bounded=True)
             codes, re, im = codes[rows], re[rows], im[rows]
             fr, fi = images.re[pick], images.im[pick]
             re, im = re * fr - im * fi, re * fi + im * fr
@@ -901,21 +905,34 @@ def _apply_ensemble(
 
 
 def _fan_out(
-    column: np.ndarray, start: np.ndarray, count: np.ndarray
+    column: np.ndarray, start: np.ndarray, count: np.ndarray, bounded: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row turned into its label's images, in row then image order.
 
     Label ``c``'s images sit at ``start[c]`` to ``start[c] + count[c] - 1``
     of flat image arrays, and row ``r`` holds label ``column[r]``.  Returns
     ``rows``, the source row of each image row, and ``pick``, the index of
-    its image in the flat arrays.
+    its image in the flat arrays.  When ``bounded``, more than
+    ``MAX_ENSEMBLE_ROWS`` image rows raise :class:`DomainError` before they
+    are allocated.
     """
     fan = count[column]
+    ends = np.cumsum(fan)
+    if bounded and len(ends):
+        _require_row_bound(int(ends[-1]))
     rows = np.repeat(np.arange(len(column)), fan)
-    pick = np.arange(len(rows)) + np.repeat(
-        start[column] - (np.cumsum(fan) - fan), fan
-    )
+    pick = np.arange(len(rows)) + np.repeat(start[column] - (ends - fan), fan)
     return rows, pick
+
+
+def _require_row_bound(rows: int) -> None:
+    """Raise :class:`DomainError` for an ensemble step of more than
+    ``MAX_ENSEMBLE_ROWS`` rows."""
+    if rows > MAX_ENSEMBLE_ROWS:
+        raise DomainError(
+            f"an ensemble step of {rows} rows exceeds the bound of "
+            f"{MAX_ENSEMBLE_ROWS} rows"
+        )
 
 
 def _sum_equal_rows(

@@ -268,3 +268,48 @@ def label_wise_netlist_error(netlist):
         return amp, math.sqrt(max(0.0, leftover))
 
     return closed_form_error(netlist.dimension, Direction.FORWARD, deviation)
+
+
+def seed_element_images(element, label):
+    """Images of one label under a built-in element by the six original
+    formulas, each written out on its own: the reference for the images
+    that ``mode_images`` derives from the element's port rules."""
+    import cmath
+
+    from oamnet import (
+        BeamSplitter,
+        DovePrism,
+        Hologram,
+        Mirror,
+        PhaseShifter,
+        ReflectiveHologram,
+    )
+
+    if isinstance(element, BeamSplitter):
+        if label.path == element.port_a:
+            column = 0
+        elif label.path == element.port_b:
+            column = 1
+        else:
+            return ((label, 1.0 + 0j),)
+        block = element._block
+        return (
+            (ModeLabel(element.port_a, label.oam, label.pol), block[0][column]),
+            (ModeLabel(element.port_b, label.oam, label.pol), block[1][column]),
+        )
+    if label.path != element.port:
+        return ((label, 1.0 + 0j),)
+    if isinstance(element, PhaseShifter):
+        return ((label, cmath.exp(1j * element.phi)),)
+    if isinstance(element, Mirror):
+        return ((ModeLabel(label.path, -label.oam, label.pol), 1.0 + 0j),)
+    if isinstance(element, DovePrism):
+        phase = cmath.exp(-1j * element.alpha * label.oam)
+        return ((ModeLabel(label.path, -label.oam, label.pol), phase),)
+    if isinstance(element, Hologram):
+        return ((ModeLabel(label.path, label.oam + element.k, label.pol), 1.0 + 0j),)
+    if isinstance(element, ReflectiveHologram):
+        return (
+            (ModeLabel(label.path, -label.oam - element.k, label.pol), 1.0 + 0j),
+        )
+    raise TypeError(f"no seed formula for {type(element).__name__}")

@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+import oamnet
 from oamnet import (
     Direction,
     SymmetricMultiport,
@@ -131,6 +135,49 @@ def test_a_window_past_int64_runs_the_mux_round_trip():
     )
     default = run_cli("scenario", "mux-roundtrip", "--dimension", "3")
     assert wide == default and wide[0] == 0
+
+
+def test_a_mux_round_trip_past_the_row_bound_is_config_error():
+    # 2**23 product tuples: refused from the count, before any allocation
+    code, out, err = run_cli(
+        "scenario", "mux-roundtrip", "--dimension", "23", "--seed", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: an ensemble step of 8388608 rows exceeds the bound of "
+        "1048576 rows\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["netlist", "--target", "oambs", "--dimension", "8"],
+        ["verify", "--dimension", "4", "--seed", "1"],
+        ["scenario", "mux-roundtrip", "--dimension", "5", "--seed", "1"],
+        ["route", "--kind", "star", "--from", "1", "--to", "0", "--dimension", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_do_not_import_numpy_ma(argv):
+    # a plain np.unique imports numpy.ma (about 10 ms) on its first call
+    script = (
+        "import contextlib, io, sys\n"
+        "from oamnet import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(oamnet.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_repeated_calls_share_one_parser_and_print_the_same_bytes():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamnet import (
     BeamSplitter,
@@ -23,7 +25,7 @@ from oamnet import (
     apply_mode_map,
     beamsplitter_block,
 )
-from oracles import matrix_of_operator
+from oracles import matrix_of_operator, seed_element_images
 
 SPACE = ModeSpace(3, 8)
 
@@ -286,3 +288,69 @@ def test_composite_device_validates_element_ports(element, message):
         CompositeDevice((element,), 3)
     with pytest.raises(DomainError, match=message):
         Netlist(3, (element,))
+
+
+# --- port rules against the seed formulas ------------------------------------
+
+RULE_DIMENSION = 3
+# windings up to 3D either way, and next to the label bound 2**62
+WINDINGS = st.one_of(
+    st.integers(-3 * RULE_DIMENSION, 3 * RULE_DIMENSION),
+    st.integers(2**62 - 3, 2**62 + 3),
+    st.integers(-(2**62) - 3, -(2**62) + 3),
+)
+# signed zeros give factors and phases with zero parts of either sign
+ANGLES = st.one_of(
+    st.floats(-2 * math.pi, 2 * math.pi),
+    st.sampled_from((0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1e-300, -1e-16)),
+)
+PORTS = st.integers(0, RULE_DIMENSION - 1)
+
+
+def ruled_elements():
+    pairs = st.tuples(PORTS, PORTS).filter(lambda pair: pair[0] != pair[1])
+    return st.one_of(
+        st.builds(PhaseShifter, PORTS, ANGLES),
+        st.builds(
+            lambda pair, theta, phi: BeamSplitter(pair[0], pair[1], theta, phi),
+            pairs,
+            ANGLES,
+            ANGLES,
+        ),
+        st.builds(Mirror, PORTS),
+        st.builds(DovePrism, PORTS, ANGLES),
+        st.builds(Hologram, PORTS, WINDINGS),
+        st.builds(ReflectiveHologram, PORTS, WINDINGS),
+    )
+
+
+def image_bits(images):
+    """Images with each factor's type and both parts in hex: equal only
+    when they agree bit for bit, signs of zeros included."""
+    return [
+        (image, type(factor), factor.real.hex(), factor.imag.hex())
+        for image, factor in images
+    ]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    ruled_elements(),
+    st.builds(ModeLabel, PORTS, WINDINGS, st.sampled_from((H, V))),
+)
+def test_port_rules_give_the_seed_formulas_bit_for_bit(element, label):
+    assert len(element.port_rules) == len(element.ports)
+    assert image_bits(element.mode_images(label)) == image_bits(
+        seed_element_images(element, label)
+    )
+
+
+def test_an_element_without_rules_must_give_its_own_images():
+    from oamnet.elements import PortElement
+
+    class Bare(PortElement):
+        port = 0
+
+    with pytest.raises(NotImplementedError, match="Bare states no port rules"):
+        Bare().mode_images(ModeLabel(0, 1))
+    assert Bare().mode_images(ModeLabel(1, 1)) == ((ModeLabel(1, 1), 1.0 + 0j),)

@@ -27,8 +27,9 @@ from oamnet import (
     path_probabilities,
     tensor,
 )
+from oamnet import states
 from oamnet.states import _require_unit_moduli, label_key
-from oracles import ensemble_vector, oam_beamsplitter_matrix, random_qubit
+from oracles import ensemble_vector, h_photon, oam_beamsplitter_matrix, random_qubit
 
 SPACE3 = ModeSpace(3)
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -381,3 +382,37 @@ def test_label_key_orders_path_then_winding_then_polarization():
         ModeLabel(1, 0, H),
         ModeLabel(1, 0, V),
     ]
+
+
+# --- the row bound of ensemble steps -----------------------------------------
+
+
+def equal_qubits(dimension):
+    space = ModeSpace(dimension)
+    spec = QubitSpec(ROOT_HALF, ROOT_HALF)
+    return [make_qubit_photon(spec, path, 0, space) for path in range(dimension)]
+
+
+def test_row_bound_admits_the_largest_swept_mux_round_trip():
+    # verify runs a D=16 round trip (2**16 tuples); the D sweep reaches D=18
+    assert 2**18 <= states.MAX_ENSEMBLE_ROWS
+
+
+def test_tensor_bound_counts_every_row(monkeypatch):
+    monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 8)
+    assert len(tensor(equal_qubits(3)).amplitudes) == 8
+    with pytest.raises(DomainError, match="^an ensemble step of 16 rows exceeds"):
+        tensor(equal_qubits(4))
+
+
+def test_multi_image_fan_out_refuses_rows_past_the_bound(monkeypatch):
+    # each slot's label splits in two: one tuple becomes 2, then 4 rows
+    pair = tensor([h_photon(SPACE3, 0, 0), h_photon(SPACE3, 1, 1)])
+    splitter = BeamSplitter(0, 1, math.pi / 4)
+    monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 4)
+    assert len(apply_mode_map(pair, splitter).amplitudes) == 4
+    monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 3)
+    with pytest.raises(
+        DomainError, match="^an ensemble step of 4 rows exceeds the bound of 3 rows$"
+    ):
+        apply_mode_map(pair, splitter)

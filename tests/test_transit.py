@@ -48,7 +48,7 @@ from oamnet import (
     sbmao,
 )
 from oamnet.elements import PortElement
-from oamnet.netlist import _replay_columns
+from oamnet.netlist import _replay_columns, _rounds
 from oamnet.states import PRUNE_TOL, compose_images
 from oracles import (
     amplitude_bits,
@@ -460,6 +460,49 @@ def test_batched_replay_with_tritters_matches_compose_images(data):
     ) == netlist_error_or_message(netlist, label_wise_netlist_error)
 
 
+def test_batched_replay_keeps_the_dove_phase_in_a_mixed_round():
+    # the second round holds a splitter and a Dove prism together, so its
+    # tables fan out and add the prism's winding phase at once
+    netlist = Netlist(
+        3,
+        (
+            PhaseShifter(0, 0.0),
+            PhaseShifter(2, 0.0),
+            DovePrism(2, 1.0),
+            BeamSplitter(0, 1, 0.0),
+        ),
+    )
+    assert [len(elements) for elements in _rounds(netlist.elements)] == [2, 2]
+    label = ModeLabel(2, 1)
+    [images] = _replay_columns(netlist, [label])
+    assert amplitude_bits(dict(images)) == amplitude_bits(
+        flipped_images(netlist, label)
+    )
+    [(image, amplitude)] = images
+    assert image == ModeLabel(2, -1)
+    assert amplitude == pytest.approx(cmath.exp(-1j))
+
+
+@dataclass(frozen=True)
+class HalvingSplitter(BeamSplitter):
+    """A subclass with its own images: the replay must not read the
+    parent's port rules for it."""
+
+    def mode_images(self, label):
+        return tuple(
+            (image, 0.5 * factor) for image, factor in super().mode_images(label)
+        )
+
+
+def test_batched_replay_calls_a_subclass_own_images():
+    netlist = Netlist(3, (BeamSplitter(0, 1, 0.3), HalvingSplitter(1, 2, 0.7, 0.1)))
+    inputs = [ModeLabel(p, l) for p in range(3) for l in (-1, 2)]
+    for label, images in zip(inputs, _replay_columns(netlist, inputs)):
+        assert amplitude_bits(dict(images)) == amplitude_bits(
+            flipped_images(netlist, label)
+        )
+
+
 def test_netlist_error_memory_follows_the_summed_supports():
     # the replay holds one row per (photon, label) entry of the maps; a
     # dense label-by-photon array at D=16 peaks above 10 MB
@@ -498,6 +541,47 @@ def test_netlist_error_raises_the_label_wise_window_error():
         label_wise_netlist_error(netlist)
     assert str(batched.value) == str(label_wise.value)
     assert str(batched.value) == "winding number 20 outside window [-12, 12]"
+
+
+@pytest.mark.parametrize(
+    "netlist, expected",
+    [
+        (
+            Netlist(2, (Hologram(0, 2**62), Hologram(0, 2**62))),
+            "WindowOverflowError: winding number 9223372036854775808 "
+            "outside window [-8, 8]",
+        ),
+        (Netlist(2, (Hologram(0, 2**62), Hologram(0, -(2**62)))), (1.0).hex()),
+        (
+            Netlist(2, (Hologram(0, 2**70),)),
+            "WindowOverflowError: winding number 1180591620717411303424 "
+            "outside window [-8, 8]",
+        ),
+        (
+            Netlist(2, (Hologram(1, 2**70),)),
+            "WindowOverflowError: winding number 1180591620717411303424 "
+            "outside window [-8, 8]",
+        ),
+        (Netlist(2, (Hologram(0, 1), Hologram(1, 2**70))), (1.0).hex()),
+        (
+            Netlist(
+                3,
+                (
+                    ReflectiveHologram(0, 2**70),
+                    BeamSplitter(0, 1, 0.3),
+                    DovePrism(1, 0.2),
+                ),
+            ),
+            "WindowOverflowError: winding number -1180591620717411303424 "
+            "outside window [-12, 12]",
+        ),
+    ],
+    ids=["2**63", "back-to-zero", "2**70-port-0", "2**70-port-1", "unreached", "mixed"],
+)
+def test_netlist_error_past_int64_matches_label_wise_walk(netlist, expected):
+    # windings past int64 are carried as Python ints, never wrapped
+    assert netlist_error_or_message(netlist, oambs_netlist_error) == expected
+    assert netlist_error_or_message(netlist, label_wise_netlist_error) == expected
 
 
 def test_netlist_error_is_one_when_the_first_amplitude_is_zero():
