@@ -50,14 +50,17 @@ from .networks import (
     bell_target,
     distribute_bell_pair,
 )
+from . import states
 from .serialize import dumps_canonical, netlist_dumps
 from .states import (
     ModeLabel,
     QubitSpec,
+    _fidelities,
+    _tensor_block,
     fidelity,
     make_qubit_photon,
     path_probabilities,
-    tensor,
+    tensor,  # unused here; bench/tracing.py wraps this binding
 )
 
 _VERIFY_RANDOM_UNITARIES = 5
@@ -193,23 +196,54 @@ def _closed_form_error(matrix, dimension: int, direction: Direction) -> float:
 
 
 def _mux_roundtrip(
-    network: MuxNetwork, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Transmit and round-trip fidelities for one qubit per user from ``rng``."""
+    network: MuxNetwork, rng: np.random.Generator, count: int = 1
+) -> list[tuple[float, float]]:
+    """Transmit and round-trip fidelities of ``count`` rounds, each of one
+    qubit per user from ``rng``.
+
+    The rounds cross the network together, as the amplitude columns of
+    blocks (see :mod:`oamnet.states`) of at most ``MAX_ENSEMBLE_ROWS``
+    amplitudes; each user's qubit doubles a block's ``2**D`` rows.  They
+    give the bits, and raise the error, of rounds run one by one.
+    """
+    dimension = network.dimension
+    width = max(1, states.MAX_ENSEMBLE_ROWS >> dimension)
+    results: list[tuple[float, float]] = []
+    while len(results) < count:
+        rounds = [
+            [_random_qubit(rng) for _ in range(dimension)]
+            for _ in range(min(width, count - len(results)))
+        ]
+        results += _mux_block(network, rounds)
+    return results
+
+
+def _mux_block(
+    network: MuxNetwork, rounds: list[list[QubitSpec]]
+) -> list[tuple[float, float]]:
+    """:func:`_mux_roundtrip` of one block of drawn rounds.
+
+    Every error it can raise is shared by all rounds, so it is the first
+    round's: the window, path and device checks see the same (path,
+    winding) in every row of a slot, the row bound counts ``2**D`` rows per
+    round, and unit-norm qubits pass the norm checks.
+    """
     space = network.space
-    qubits = [_random_qubit(rng) for _ in range(network.dimension)]
     # the product sent is also the state the round trip must restore
-    originals = tensor(
+    originals = _tensor_block([
         [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
-    )
+        for qubits in rounds
+    ])
     sent = network.merge(originals)
+    # each block is freed once it is compared or crossed
     tagged = [
-        make_qubit_photon(spec, 0, winding, space)
-        for winding, spec in enumerate(qubits)
+        [make_qubit_photon(spec, 0, tag, space) for tag, spec in enumerate(qubits)]
+        for qubits in rounds
     ]
-    transmit_fidelity = fidelity(sent, tensor(tagged))
+    transmit = _fidelities(sent, _tensor_block(tagged))
     received = network.receive(sent, restore_oam=True)
-    return transmit_fidelity, fidelity(received, originals)
+    del sent
+    return list(zip(transmit, _fidelities(received, originals)))
 
 
 def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
@@ -274,8 +308,7 @@ def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
 
     network = MuxNetwork(dimension, config.oam_window)
     worst = 0.0
-    for _ in range(_VERIFY_MUX_VECTORS):
-        transmit, roundtrip = _mux_roundtrip(network, rng)
+    for transmit, roundtrip in _mux_roundtrip(network, rng, _VERIFY_MUX_VECTORS):
         worst = max(worst, 1.0 - transmit, 1.0 - roundtrip)
     add("mux_roundtrip", worst < tol, worst)
 
@@ -363,7 +396,7 @@ def cmd_netlist(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _scenario_mux_roundtrip(config: RunConfig) -> dict[str, Any]:
     network = MuxNetwork(config.dimension, config.oam_window)
-    transmit_fidelity, roundtrip_fidelity = _mux_roundtrip(
+    [(transmit_fidelity, roundtrip_fidelity)] = _mux_roundtrip(
         network, np.random.default_rng(config.seed)
     )
     passed = (

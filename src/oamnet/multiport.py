@@ -71,6 +71,10 @@ from .states import (
 
 UNITARITY_TOL = 1e-12
 GENPERM_TOL = 1e-9
+# entries a dense device_matrix may hold (64 MiB of complex values): the
+# default basis of D <= 32 fits, and a larger one raises DomainError before
+# anything is allocated
+MAX_MATRIX_ENTRIES = 2**22
 
 
 @lru_cache(maxsize=None)
@@ -426,7 +430,8 @@ def device_matrix(
 
     The supplied windings must be closed under negation (include ``-l`` for
     every ``l``); images falling outside the enumerated basis raise
-    :class:`DomainError`.
+    :class:`DomainError`, and so does a matrix of more than
+    ``MAX_MATRIX_ENTRIES`` entries, before it is built.
     """
     dimension = device.dimension
     if oam_values is None:
@@ -438,9 +443,14 @@ def device_matrix(
             raise DomainError(
                 f"OAM values not closed under sign flip: {value} without {-value}"
             )
+    size = dimension * len(values)
+    if size * size > MAX_MATRIX_ENTRIES:
+        raise DomainError(
+            f"a device matrix of {size * size} entries exceeds the bound of "
+            f"{MAX_MATRIX_ENTRIES} entries"
+        )
     basis = device_basis(dimension, values)
     index = {label: i for i, label in enumerate(basis)}
-    size = len(basis)
     matrix = np.zeros((size, size), dtype=complex)
     for j, label in enumerate(basis):
         for image, amplitude in device.mode_images(label):

@@ -46,7 +46,10 @@ amplitudes: ``re*1 - im*0`` and ``re*0 + im*1`` equal ``re`` and ``im``
 except that a zero part may change sign, later split-form products keep
 the results equal up to the signs of zeros, and every result then passes
 through ``0.0 + x`` or a sum from ``0.0``, which makes every zero ``+0.0``.
-The moduli do not change, so ``PRUNE_TOL`` drops the same rows.
+The moduli do not change, so ``PRUNE_TOL`` drops the same rows, and when
+no row drops the norm check is skipped too: the state passed it with the
+same moduli.  Each step keeps its result's smallest amplitude modulus for
+the pruning test of the next.
 
 Column arithmetic reproduces the plain dict loops bit for bit, in key order
 and down to the signs of zeros.  Products are formed in split form,
@@ -57,10 +60,49 @@ amplitudes start from ``0.0`` and add in row order, as sums from ``0j`` do.
 One fan-out (:func:`_fan_out`, a row into its label's images) and one row
 merge (:func:`_sum_equal_rows`) serve both ensemble evolution and the
 netlist certification of :mod:`oamnet.netlist`.
+
+An amplitude block carries K ensembles over the same slots in one set of
+label columns and one code matrix, with ``re`` and ``im`` of shape ``(rows,
+K)``: amplitude column ``k`` is ensemble ``k``.  Blocks are private, and
+their tuple-keyed mapping is never read: :func:`_tensor_block` builds one
+from K rounds of photons, ``apply_mode_map`` evolves it and
+:func:`_fidelities` compares two, through the same code as one ensemble,
+whose parts are the one-dimensional case.  ``oamnet verify`` sends its MUX
+product states through the network as one block.  Each column gives the
+bits that its ensemble gives alone:
+
+* A row holds a tuple that some column holds.  An entry that its own
+  column drops at ``PRUNE_TOL`` becomes exactly ``+0.0``, and the row leaves
+  only when every column has dropped it.  Split-form products with finite
+  factors keep a zero entry a zero, so pruning drops it again.  A sum from
+  ``0.0`` adds such an entry without changing a bit, since a nonzero ``x``
+  plus a zero is ``x`` and ``0.0 + -0.0 == 0.0``; the overlap's running
+  sum may differ only in the sign of a zero sum, which ``abs`` drops; and
+  the exact norm sum adds ``0.0 ** 2``, which is ``+0.0``.  The dot
+  products that gate the exact norm sum may round differently with the
+  zeros in place, but the gate decides only whether the exact sum is
+  taken.  Zero entries make the pruning gates let pruning run more often,
+  which drops nothing that a column's own run would keep, by the same
+  margin that lets it skip.
+* Rows keep each column's own order: :func:`_tensor_block` lists each
+  slot's labels as the longest of its photons' label lists does (H before
+  V for qubit photons), which keeps every round's, and a single-image
+  map (the MUX banks and tabled devices) moves rows without reordering
+  them.  A merge of equal rows orders its sums by their first row over all
+  columns, which can differ from one column's order when the columns'
+  supports differ; the MUX check never merges.
+* The norm, bunching and fidelity checks run per column, and a block
+  raises where some column would.  Where errors depend on a column's
+  support, the first one may differ from that column's own; the MUX
+  check's errors do not (see ``cli._mux_block``).
+
+``MAX_ENSEMBLE_ROWS`` bounds rows × K, so a block of K states may hold at
+most ``MAX_ENSEMBLE_ROWS // K`` rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -86,6 +128,14 @@ LABEL_BOUND = 2**62
 # rows an ensemble step may allocate: a D=20 MUX round trip (2**20 tuples)
 # still fits, a larger one raises DomainError before anything is allocated
 MAX_ENSEMBLE_ROWS = 2**20
+
+# dot products down the rows, one per amplitude column (np.vecdot needs
+# numpy 2.0; einsum sums the same products, in its own order)
+_column_dot = (
+    functools.partial(np.vecdot, axis=0)
+    if hasattr(np, "vecdot")
+    else functools.partial(np.einsum, "i...,i...->...")
+)
 
 
 class Polarization(Enum):
@@ -307,14 +357,19 @@ class EnsembleAmplitudes(Mapping):
     number and whether its polarization is V; ``codes`` is an int64 matrix
     with one row per tuple and one column per slot whose entries are label
     codes, and ``re`` and ``im`` are float64 arrays holding each row's
-    amplitude.  ``labels`` lists the codes' labels as :class:`ModeLabel`
-    values; unless the state was made from such labels, it is built from
-    the columns on first use and kept.  ``len()`` is the row count and
-    builds nothing; the tuple-keyed dict behind every other read is built on
-    first use and kept.  The arrays are not writeable.
+    amplitude (one column per ensemble in an amplitude block; see the
+    module docstring).  ``labels`` lists the codes' labels as
+    :class:`ModeLabel` values; unless the state was made from such labels,
+    it is built from the columns on first use and kept, and so is the
+    smallest amplitude modulus unless the step that made the columns gave
+    it.  ``len()`` is the row count and builds nothing; the tuple-keyed
+    dict behind every other read is built on first use and kept.  The
+    arrays are not writeable.
     """
 
-    __slots__ = ("path", "winding", "vpol", "codes", "re", "im", "_named", "_dict")
+    __slots__ = (
+        "path", "winding", "vpol", "codes", "re", "im", "_named", "_dict", "_low"
+    )
 
     def __init__(
         self,
@@ -322,6 +377,7 @@ class EnsembleAmplitudes(Mapping):
         codes: np.ndarray,
         re: np.ndarray,
         im: np.ndarray,
+        low: float | None = None,
     ) -> None:
         self.path, self.winding, self.vpol, self._named = labels
         for column in (self.path, self.winding, self.vpol, codes, re, im):
@@ -330,6 +386,14 @@ class EnsembleAmplitudes(Mapping):
         self.re = re
         self.im = im
         self._dict: dict[tuple[ModeLabel, ...], complex] | None = None
+        self._low = low
+
+    def _smallest_modulus(self) -> float:
+        """The smallest amplitude modulus, from the step that built the
+        columns or else computed once."""
+        if self._low is None:
+            self._low = float(np.hypot(self.re, self.im).min())
+        return self._low
 
     @property
     def labels(self) -> list[ModeLabel]:
@@ -440,12 +504,14 @@ class EnsembleState:
         codes: np.ndarray,
         re: np.ndarray,
         im: np.ndarray,
+        low: float,
     ) -> "EnsembleState":
-        """Wrap columns that already passed every check of ``__post_init__``."""
+        """Wrap columns that already passed every check of ``__post_init__``
+        and whose smallest amplitude modulus is ``low``."""
         state = object.__new__(cls)
         object.__setattr__(state, "space", space)
         object.__setattr__(state, "slot_count", slot_count)
-        columns = EnsembleAmplitudes(labels, codes, re, im)
+        columns = EnsembleAmplitudes(labels, codes, re, im, low)
         object.__setattr__(state, "amplitudes", columns)
         return state
 
@@ -525,6 +591,15 @@ def fidelity(
     when the states are of different kinds or the ensembles disagree on
     slot count.
     """
+    (value,) = _fidelities(a, b)
+    return value
+
+
+def _fidelities(
+    a: PhotonState | EnsembleState, b: PhotonState | EnsembleState
+) -> list[float]:
+    """:func:`fidelity` of each amplitude column: one value for two states,
+    K for two blocks of K columns."""
     if isinstance(a, PhotonState) != isinstance(b, PhotonState):
         raise DomainError("cannot compare a single photon with an ensemble")
     if isinstance(a, EnsembleState):
@@ -532,24 +607,31 @@ def fidelity(
             raise DomainError(
                 f"slot counts differ: {a.slot_count} vs {b.slot_count}"
             )
-        overlap = _ensemble_overlap(a.amplitudes, b.amplitudes)
+        overlaps = _ensemble_overlap(a.amplitudes, b.amplitudes)
     else:
         overlap = 0j
         for key, amp in a.amplitudes.items():
             other = b.amplitudes.get(key)
             if other is not None:
                 overlap += amp.conjugate() * other
-    modulus = abs(overlap)
-    if modulus > 1.0 + NORM_TOL:
-        raise NormalizationError(
-            f"|<a|b>| = {modulus!r} exceeds 1: a state is not normalized"
-        )
-    return min(1.0, modulus ** 2)
+        overlaps = [overlap]
+    values = []
+    for overlap in overlaps:
+        modulus = abs(overlap)
+        if modulus > 1.0 + NORM_TOL:
+            raise NormalizationError(
+                f"|<a|b>| = {modulus!r} exceeds 1: a state is not normalized"
+            )
+        values.append(min(1.0, modulus ** 2))
+    return values
 
 
-def _ensemble_overlap(a: EnsembleAmplitudes, b: EnsembleAmplitudes) -> complex:
-    """``<a|b>``: each row of ``a`` joined to the equal row of ``b``, adding
-    ``conj(a) * b`` in split form and in ``a``'s row order."""
+def _ensemble_overlap(
+    a: EnsembleAmplitudes, b: EnsembleAmplitudes
+) -> list[complex]:
+    """``<a|b>`` per amplitude column: each row of ``a`` joined to the equal
+    row of ``b``, adding ``conj(a) * b`` in split form and in ``a``'s row
+    order."""
     index = {label: code for code, label in enumerate(a.labels)}
     # a label that a lacks gets code -1, so rows holding it match nothing
     b_codes = np.array(
@@ -566,11 +648,14 @@ def _ensemble_overlap(a: EnsembleAmplitudes, b: EnsembleAmplitudes) -> complex:
         found = match >= 0
         ar, ai = a.re[found], a.im[found]
         br, bi = b.re[match[found]], b.im[match[found]]
+    if not len(ar):
+        return [0j] * _width(ar)
     nai = -ai
-    # a running sum, as the dict loop's; a pairwise sum rounds differently
-    re = np.add.accumulate(ar * br - nai * bi)
-    im = np.add.accumulate(ar * bi + nai * br)
-    return complex(re[-1], im[-1]) if len(re) else 0j
+    # a running sum down each column, as the dict loop's; a pairwise sum
+    # rounds differently
+    re = np.add.accumulate(ar * br - nai * bi)[-1]
+    im = np.add.accumulate(ar * bi + nai * br)[-1]
+    return list(map(complex, re.reshape(-1).tolist(), im.reshape(-1).tolist()))
 
 
 def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
@@ -580,67 +665,121 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
     turn, with split-form products; products at or below ``PRUNE_TOL`` drop
     out as they form.
     """
+    space = _shared_space(photons)
+    return _product(
+        space,
+        [
+            (photon.amplitudes, photon.amplitudes.values(),
+             min(map(abs, photon.amplitudes.values())))
+            for photon in photons
+        ],
+    )
+
+
+def _tensor_block(rounds: Sequence[Sequence[PhotonState]]) -> EnsembleState:
+    """The products of ``rounds`` as one amplitude block (see the module
+    docstring): column ``k`` holds ``tensor(rounds[k])``.
+
+    Slot ``n`` offers the labels of every round's photon ``n``, with factor
+    0 where a round's photon lacks one.  They follow the longest of the
+    photons' label lists, then the labels that only others hold, so each
+    round's rows keep their own order whenever every photon ``n`` lists its
+    labels in the order of that longest list (qubit photons list H before
+    V).
+    """
+    space = _shared_space([photon for photons in rounds for photon in photons])
+    slots = []
+    for column in zip(*rounds):
+        orders = sorted(
+            dict.fromkeys(tuple(photon.amplitudes) for photon in column),
+            key=len,
+            reverse=True,
+        )
+        labels = list(dict.fromkeys(label for order in orders for label in order))
+        factors = [[photon.amplitude(label) for photon in column] for label in labels]
+        slots.append(
+            (labels, factors, min(abs(f) for row in factors for f in row))
+        )
+    return _product(space, slots)
+
+
+def _shared_space(photons: Sequence[PhotonState]) -> ModeSpace:
     if not photons:
         raise DomainError("tensor of an empty photon list")
     space = photons[0].space
     for photon in photons[1:]:
         if photon.space != space:
             raise DomainError("all photons must share one mode space")
-    # Every photon's label codes and factors, one photon after another.  A
-    # product over the first photons is at least the product of their
+    return space
+
+
+def _product(
+    space: ModeSpace,
+    slots: Sequence[tuple[Iterable[ModeLabel], Iterable, float]],
+) -> EnsembleState:
+    """The product state over ``slots``: per slot its labels, each label's
+    factor (a complex, or a list of one complex per amplitude column) and
+    the smallest factor modulus."""
+    # Every slot's label codes and factors, one slot after another.  A
+    # product over the first slots is at least the product of their
     # smallest moduli, give or take a rounding far under the factor 2, so
     # while that stays above 2 * PRUNE_TOL nothing can drop out: those
-    # photons grow the rows in one block, the rest one by one with pruning.
+    # slots grow the rows in one block, the rest one by one with pruning.
     index: dict[ModeLabel, int] = {}
     label_codes: list[int] = []
-    factors: list[complex] = []
+    factors: list = []
     starts: list[int] = []
     floor, safe = 1.0, 0
-    for photon in photons:
-        amplitudes = photon.amplitudes
+    for labels, values, low in slots:
         starts.append(len(label_codes))
-        label_codes += [index.setdefault(label, len(index)) for label in amplitudes]
-        factors += amplitudes.values()
-        floor *= min(map(abs, amplitudes.values()))
+        label_codes += [index.setdefault(label, len(index)) for label in labels]
+        factors += values
+        floor *= low
         if safe == len(starts) - 1 and floor > 2 * PRUNE_TOL:
             safe += 1
     starts.append(len(label_codes))
     blocks = [range(safe)] if safe else []
-    blocks += [range(p, p + 1) for p in range(safe, len(photons))]
+    blocks += [range(p, p + 1) for p in range(safe, len(slots))]
     label_codes = np.array(label_codes, dtype=np.int64)
     factors = np.array(factors, dtype=np.complex128)
     offsets = np.array(starts, dtype=np.int64)
     codes = np.empty((1, 0), dtype=np.int64)
-    re, im = np.ones(1), np.zeros(1)
+    width = factors.shape[1:]
+    re, im = np.ones((1, *width)), np.zeros((1, *width))
     for block in blocks:
         # every row times every combination of the block's labels, in
         # row-major order; picks index the flat label and factor arrays
         shape = (len(re), *(starts[p + 1] - starts[p] for p in block))
-        _require_row_bound(math.prod(shape))
+        _require_row_bound(math.prod(shape) * math.prod(width))
         row, *digits = np.unravel_index(np.arange(math.prod(shape)), shape)
         picks = np.array(digits) + offsets[block.start : block.stop, None]
         codes = np.concatenate((codes[row], label_codes[picks].T), axis=1)
         re, im = re[row], im[row]
-        for fr, fi in zip(factors.real[picks], factors.imag[picks]):
-            re, im = re * fr - im * fi, re * fi + im * fr
+        # gather the factors of as many slots at a time as fit in
+        # MAX_ENSEMBLE_ROWS amplitudes, so a block's gathers stay bounded
+        step = max(1, MAX_ENSEMBLE_ROWS // re.size)
+        for first in range(0, len(picks), step):
+            chunk = picks[first : first + step]
+            for fr, fi in zip(factors.real[chunk], factors.imag[chunk]):
+                re, im = re * fr - im * fi, re * fi + im * fr
         if block.stop > safe:
-            keep = np.hypot(re, im) > PRUNE_TOL
-            codes, re, im = codes[keep], re[keep], im[keep]
+            codes, re, im = _drop(np.hypot(re, im) > PRUNE_TOL, codes, re, im)
     labels = list(index)
     if len(labels) != len(label_codes):
-        # two photons share a label: reject the first tuple holding it twice
+        # two slots share a label: reject the first tuple holding it twice
         bunched = np.flatnonzero(_bunched_rows(codes))
         if len(bunched):
             row_labels = [labels[code] for code in codes[bunched[0]].tolist()]
             raise BunchingError(
                 "two slots share the label " + str(_first_duplicate(row_labels))
             )
-    _require_unit_moduli(np.hypot(re, im))
+    magnitude = np.hypot(re, im)
+    _require_unit_moduli(magnitude)
     columns = _LabelColumns.of(labels)
-    if safe < len(photons):
+    if safe < len(slots):
         columns, codes = _occupied(columns, codes)
     return EnsembleState._from_columns(
-        space, len(photons), columns, codes, re, im
+        space, len(slots), columns, codes, re, im, float(magnitude.min())
     )
 
 
@@ -815,20 +954,21 @@ def _apply_ensemble(
     # low ** slot_count, give or take a rounding far under the factor 2;
     # while that exceeds 2 * PRUNE_TOL, no product can drop out.
     prune = (
-        float(np.hypot(re, im).min()) * images.low ** state.slot_count
+        columns._smallest_modulus() * images.low ** state.slot_count
         <= 2 * PRUNE_TOL
     )
     single = images.count is None
     if single:
         # A label's code is the index of its one image.  Rows are products
-        # of elementwise factors, so a row that drops out at some slot is
-        # only marked dead, and all dead rows leave at the end.  Factors of
-        # exactly 1+0j change no part but the sign of a zero, and the sums
-        # from 0.0 below make every zero +0.0, so their products are
+        # of elementwise factors, so an entry that drops out at some slot is
+        # only marked dead, and all dead entries leave at the end.  Factors
+        # of exactly 1+0j change no part but the sign of a zero, and the
+        # sums from 0.0 below make every zero +0.0, so their products are
         # skipped; the moduli, and with them the pruning, stay the same.
         alive = None
         if images.re is not None:
-            fr_all, fi_all = images.re[codes.T], images.im[codes.T]
+            index = _per_row(codes.T, re)
+            fr_all, fi_all = images.re[index], images.im[index]
             for slot in range(state.slot_count):
                 fr, fi = fr_all[slot], fi_all[slot]
                 re, im = re * fr - im * fi, re * fi + im * fr
@@ -838,7 +978,7 @@ def _apply_ensemble(
         elif prune:
             alive = np.hypot(re, im) > PRUNE_TOL
         if alive is not None:
-            codes, re, im = codes[alive], re[alive], im[alive]
+            codes, re, im = _drop(alive, codes, re, im)
         if images.target is not None:
             codes = images.target[codes]
     else:
@@ -857,14 +997,15 @@ def _apply_ensemble(
                 raised = failures[int(column[first])]
                 codes, re, im = codes[:first], re[:first], im[:first]
                 column = column[:first]
-            rows, pick = _fan_out(column, images.start, images.count, bounded=True)
+            rows, pick = _fan_out(
+                column, images.start, images.count, width=_width(re)
+            )
             codes, re, im = codes[rows], re[rows], im[rows]
-            fr, fi = images.re[pick], images.im[pick]
+            fr, fi = _per_row(images.re[pick], re), _per_row(images.im[pick], re)
             re, im = re * fr - im * fi, re * fi + im * fr
             codes[:, slot] = images.target[pick]
             if prune:
-                keep = np.hypot(re, im) > PRUNE_TOL
-                codes, re, im = codes[keep], re[keep], im[keep]
+                codes, re, im = _drop(np.hypot(re, im) > PRUNE_TOL, codes, re, im)
         if raised is not None:
             raise raised
 
@@ -873,53 +1014,70 @@ def _apply_ensemble(
     # tuples stay distinct and unbunched; otherwise equal rows are summed.
     # Either way each sum starts from 0.0, as the dict loop's from 0j.
     merge = not single or not images.distinct
+    low = None
     if not merge:
         re, im = 0.0 + re, 0.0 + im
-        magnitude = np.hypot(re, im)
+        if images.re is None and alive is None:
+            # unit factors and no dropped row leave every modulus, and with
+            # them the norm that the state passed, as they were
+            low = columns._smallest_modulus()
+        else:
+            magnitude = np.hypot(re, im)
     else:
         groups: dict[tuple[int, ...], int] = {}
         group = [groups.setdefault(row, len(groups)) for row in map(tuple, codes.tolist())]
-        first, re, im = _sum_equal_rows(np.array(group, dtype=np.int64), re, im)
-        codes = codes[first]
+        # one key per (group, amplitude column), numbered row by row, so
+        # that every column is summed on its own and in row order
+        width = _width(re)
+        key = np.array(group, dtype=np.int64)[:, None] * width + np.arange(width)
+        first, re_sums, im_sums = _sum_equal_rows(
+            key.ravel(), re.reshape(-1), im.reshape(-1)
+        )
+        shape = (len(first) // width, *re.shape[1:])
+        codes = codes[first[::width] // width]
+        re, im = re_sums.reshape(shape), im_sums.reshape(shape)
         magnitude = np.hypot(re, im)
         bunched = _bunched_rows(codes)
-        loud = np.flatnonzero(bunched & (magnitude > BUNCHING_TOL))
+        loud = np.flatnonzero(
+            bunched & _any_column(magnitude > BUNCHING_TOL)
+        )
         if len(loud):
             # only the label-wise images merge, and they are named
             row_labels = [labels.named[code] for code in codes[loud[0]].tolist()]
+            moduli = magnitude[loud[0]].reshape(-1)
             raise BunchingError(
                 "operator drove two slots onto "
                 + str(_first_duplicate(row_labels))
-                + f" with amplitude {float(magnitude[loud[0]]):.3e}"
+                + f" with amplitude {float(moduli[moduli > BUNCHING_TOL][0]):.3e}"
             )
-        keep = (magnitude > PRUNE_TOL) & ~bunched
-        codes, re, im, magnitude = (
-            codes[keep], re[keep], im[keep], magnitude[keep]
-        )
-    _require_unit_moduli(magnitude)
+        keep = (magnitude > PRUNE_TOL) & ~_per_row(bunched, magnitude)
+        codes, re, im, magnitude = _drop(keep, codes, re, im, magnitude)
+    if low is None:
+        _require_unit_moduli(magnitude)
+        low = float(magnitude.min())
     if prune or merge:
         labels, codes = _occupied(labels, codes)
     return EnsembleState._from_columns(
-        space, state.slot_count, labels, codes, re, im
+        space, state.slot_count, labels, codes, re, im, low
     )
 
 
 def _fan_out(
-    column: np.ndarray, start: np.ndarray, count: np.ndarray, bounded: bool = False
+    column: np.ndarray, start: np.ndarray, count: np.ndarray, width: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row turned into its label's images, in row then image order.
 
     Label ``c``'s images sit at ``start[c]`` to ``start[c] + count[c] - 1``
     of flat image arrays, and row ``r`` holds label ``column[r]``.  Returns
     ``rows``, the source row of each image row, and ``pick``, the index of
-    its image in the flat arrays.  When ``bounded``, more than
-    ``MAX_ENSEMBLE_ROWS`` image rows raise :class:`DomainError` before they
-    are allocated.
+    its image in the flat arrays.  Given the ``width`` (amplitude columns)
+    of the rows, image rows whose amplitudes exceed ``MAX_ENSEMBLE_ROWS``
+    raise :class:`DomainError` before they are allocated.
     """
     fan = count[column]
     ends = np.cumsum(fan)
-    if bounded and len(ends):
-        _require_row_bound(int(ends[-1]))
+    if width and len(ends):
+        _require_row_bound(int(ends[-1]) * width)
     rows = np.repeat(np.arange(len(column)), fan)
     pick = np.arange(len(rows)) + np.repeat(start[column] - (ends - fan), fan)
     return rows, pick
@@ -927,7 +1085,8 @@ def _fan_out(
 
 def _require_row_bound(rows: int) -> None:
     """Raise :class:`DomainError` for an ensemble step of more than
-    ``MAX_ENSEMBLE_ROWS`` rows."""
+    ``MAX_ENSEMBLE_ROWS`` rows, a block's rows counted once per amplitude
+    column."""
     if rows > MAX_ENSEMBLE_ROWS:
         raise DomainError(
             f"an ensemble step of {rows} rows exceeds the bound of "
@@ -956,6 +1115,32 @@ def _sum_equal_rows(
     )
 
 
+def _width(parts: np.ndarray) -> int:
+    """Amplitude columns per row: 1 for a state, K for a block of K."""
+    return math.prod(parts.shape[1:])
+
+
+def _per_row(values: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """``values``, one per row along its last axis, shaped to broadcast
+    over the amplitude columns of ``parts``."""
+    return values.reshape(values.shape + (1,) * (parts.ndim - 1))
+
+
+def _any_column(mask: np.ndarray) -> np.ndarray:
+    """Per row, whether ``mask`` holds in some amplitude column."""
+    return mask.reshape(len(mask), _width(mask)).any(axis=1)
+
+
+def _drop(
+    keep: np.ndarray, codes: np.ndarray, *parts: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The rows that some amplitude column keeps, each entry that its own
+    column drops set to +0.0 (see the module docstring)."""
+    rows = _any_column(keep)
+    keep = keep[rows]
+    return (codes[rows], *(np.where(keep, part[rows], 0.0) for part in parts))
+
+
 def _occupied(
     labels: _LabelColumns, codes: np.ndarray
 ) -> tuple[_LabelColumns, np.ndarray]:
@@ -975,22 +1160,26 @@ def _bunched_rows(codes: np.ndarray) -> np.ndarray:
 
 
 def _require_unit_moduli(moduli: np.ndarray) -> None:
-    """The ensemble norm check on the kept amplitude moduli.
+    """The ensemble norm check on the kept amplitude moduli, per amplitude
+    column.
 
     A dot product lands within a few ulp of the term-by-term sum of
-    ``modulus ** 2`` that the constructor makes.  One near or past the
+    ``modulus ** 2`` that the constructor makes.  A column near or past the
     tolerance is redone term by term, so the decision and the message see
     exactly the constructor's sum; so is one whose dot product is NaN or
-    overflows.
+    overflows.  A block's zero entries add +0.0 to that sum.
     """
-    if not abs(float(moduli @ moduli) - 1.0) <= NORM_TOL / 2:
-        norm_sq = 0.0
-        try:
-            for modulus in moduli.tolist():
-                norm_sq += modulus ** 2
-        except OverflowError:
-            norm_sq = math.inf
-        _require_unit_norm(norm_sq, "ensemble norm^2")
+    norms = _column_dot(moduli, moduli)
+    for column, norm in enumerate(norms.reshape(-1).tolist()):
+        if not abs(norm - 1.0) <= NORM_TOL / 2:
+            columns = moduli.reshape(len(moduli), _width(moduli))
+            norm_sq = 0.0
+            try:
+                for modulus in columns[:, column].tolist():
+                    norm_sq += modulus ** 2
+            except OverflowError:
+                norm_sq = math.inf
+            _require_unit_norm(norm_sq, "ensemble norm^2")
 
 
 def path_probabilities(state: PhotonState) -> dict[int, float]:

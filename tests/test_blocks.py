@@ -1,0 +1,225 @@
+"""Amplitude blocks: K MUX round trips in one pass, against K separate ones.
+
+``cli._mux_roundtrip(network, rng, K)`` sends K rounds of qubits through
+the network as the amplitude columns of blocks.  Every transmit and
+round-trip fidelity must equal, bit for bit, what the public per-state API
+(``tensor``, ``MuxNetwork.merge`` and ``receive``, ``fidelity``) gives for
+each round alone, also when the rounds' supports differ (qubits with a
+zero or near-zero part) and when blocks are split by ``MAX_ENSEMBLE_ROWS``;
+an error must be the one the first failing round raises alone.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oamnet import (
+    DomainError,
+    MuxNetwork,
+    OamNetError,
+    QubitSpec,
+    fidelity,
+    make_qubit_photon,
+    tensor,
+)
+from oamnet import cli, states
+from oamnet.states import PRUNE_TOL, _tensor_block
+from oracles import random_qubit
+
+# qubits whose supports differ from a random qubit's: a part that the photon
+# prunes, or one just above PRUNE_TOL whose products prune later
+SPECIAL_QUBITS = (
+    QubitSpec(1, 0),
+    QubitSpec(0, 1),
+    QubitSpec(0, 1j),
+    QubitSpec(math.sqrt(1 - 4e-30), 2 * PRUNE_TOL),
+    QubitSpec(-2j * PRUNE_TOL, math.sqrt(1 - 4e-30)),
+    QubitSpec(math.sqrt(0.5), -math.sqrt(0.5) * 1j),
+)
+
+
+def outcome(compute):
+    """The result of ``compute()``, or the type and text of its error."""
+    try:
+        return compute()
+    except OamNetError as exc:
+        return type(exc), str(exc)
+
+
+def bits(results):
+    return [(transmit.hex(), roundtrip.hex()) for transmit, roundtrip in results]
+
+
+def round_alone(network, qubits):
+    """One round through the public per-state API."""
+    space = network.space
+    originals = tensor(
+        [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
+    )
+    sent = network.merge(originals)
+    tagged = tensor(
+        [make_qubit_photon(spec, 0, winding, space) for winding, spec in enumerate(qubits)]
+    )
+    transmit = fidelity(sent, tagged)
+    received = network.receive(sent, restore_oam=True)
+    return transmit, fidelity(received, originals)
+
+
+def rounds_alone(network, rounds):
+    return bits(round_alone(network, qubits) for qubits in rounds)
+
+
+def block_sizes(monkeypatch):
+    """The round count of every block that ``cli`` sends, as it sends them."""
+    sizes = []
+    block = cli._mux_block
+
+    def spy(network, rounds):
+        sizes.append(len(rounds))
+        return block(network, rounds)
+
+    monkeypatch.setattr(cli, "_mux_block", spy)
+    return sizes
+
+
+@st.composite
+def mixed_rounds(draw, dimension, count):
+    """``count`` rounds of random qubits, some swapped for special ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = st.one_of(st.none(), st.sampled_from(SPECIAL_QUBITS))
+    return [
+        [
+            random_qubit(rng) if (special := draw(specials)) is None else special
+            for _ in range(dimension)
+        ]
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dimension=st.integers(1, 9), count=st.sampled_from((1, 2, 20)))
+def test_a_block_gives_the_bits_of_its_rounds_alone(data, dimension, count):
+    network = MuxNetwork(dimension)
+    rounds = data.draw(mixed_rounds(dimension, count))
+    assert bits(cli._mux_block(network, rounds)) == rounds_alone(network, rounds)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dimension=st.integers(1, 9),
+    count=st.sampled_from((1, 2, 20)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mux_roundtrip_draws_and_matches_rounds_alone(dimension, count, seed):
+    network = MuxNetwork(dimension)
+    rng = np.random.default_rng(seed)
+    batched = bits(cli._mux_roundtrip(network, rng, count))
+    oracle_rng = np.random.default_rng(seed)
+    rounds = [
+        [random_qubit(oracle_rng) for _ in range(dimension)] for _ in range(count)
+    ]
+    assert batched == rounds_alone(network, rounds)
+    # one draw per qubit, in order, and nothing more
+    assert rng.standard_normal() == oracle_rng.standard_normal()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    dimension=st.integers(2, 7),
+    count=st.sampled_from((1, 2, 20)),
+)
+def test_a_failing_block_raises_the_first_rounds_error(data, dimension, count):
+    # a window below D - 1 rejects the holograms' or the tags' windings
+    window = data.draw(st.integers(0, dimension - 2))
+    network = MuxNetwork(dimension, window)
+    rounds = data.draw(mixed_rounds(dimension, count))
+    expected = outcome(lambda: rounds_alone(network, rounds))
+    assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
+    assert outcome(lambda: bits(cli._mux_block(network, rounds))) == expected
+
+
+def test_pruned_entries_are_positive_zeros_in_their_own_column():
+    space = MuxNetwork(3).space
+    rounds = [
+        # V on path 0 times the later parts drops below PRUNE_TOL in three
+        # of its four rows; round 1 holds no H on path 2
+        [
+            QubitSpec(math.sqrt(1 - 4e-30), 2 * PRUNE_TOL),
+            QubitSpec(0.6, 0.8),
+            QubitSpec(0.6, -0.8),
+        ],
+        [QubitSpec(0.8, 0.6j), QubitSpec(0.6, 0.8), QubitSpec(0, 1j)],
+    ]
+    block = _tensor_block([
+        [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
+        for qubits in rounds
+    ])
+    columns = block.amplitudes
+    assert columns.re.shape == columns.im.shape == (len(columns), 2)
+    rows = {row: i for i, row in enumerate(map(tuple, columns.codes.tolist()))}
+    kept = np.zeros((len(columns), 2), dtype=bool)
+    for k, qubits in enumerate(rounds):
+        alone = tensor(
+            [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
+        )
+        for key, amp in alone.amplitudes.items():
+            i = rows[tuple(columns.labels.index(label) for label in key)]
+            kept[i, k] = True
+            assert (columns.re[i, k].hex(), columns.im[i, k].hex()) == (
+                amp.real.hex(), amp.imag.hex()
+            )
+    # a row leaves only when every column drops it
+    assert kept.any(axis=1).all() and len(columns) == 6
+    assert (~kept).sum(axis=0).tolist() == [1, 2]
+    for part in (columns.re[~kept], columns.im[~kept]):
+        assert (part == 0.0).all() and not np.signbit(part).any()
+
+
+def test_a_row_leaves_when_every_column_drops_it():
+    space = MuxNetwork(2).space
+    rounds = [[QubitSpec(1, 0), QubitSpec(0, 1)], [QubitSpec(1, 0), QubitSpec(0.6, 0.8)]]
+    block = _tensor_block([
+        [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
+        for qubits in rounds
+    ])
+    # slot 0 is H in both rounds, so no row holds V there
+    assert block.amplitudes.re.shape == (2, 2)
+    assert [str(label) for label in block.amplitudes.labels] == [
+        "|0^H>_0", "|0^H>_1", "|0^V>_1",
+    ]
+
+
+def test_blocks_split_under_a_smaller_row_bound(monkeypatch):
+    monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 64)
+    sizes = block_sizes(monkeypatch)
+    network = MuxNetwork(5)
+    batched = bits(cli._mux_roundtrip(network, np.random.default_rng(9), 5))
+    # 64 amplitudes over 2**5 rows: two rounds per block
+    assert sizes == [2, 2, 1]
+    rng = np.random.default_rng(9)
+    rounds = [[random_qubit(rng) for _ in range(5)] for _ in range(5)]
+    assert batched == rounds_alone(network, rounds)
+
+
+def test_a_round_beyond_the_row_bound_fails_as_alone(monkeypatch):
+    # 2**5 rows exceed a bound of 16 even for a block of one round, with the
+    # message that tensor gives for the round alone
+    monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 16)
+    network = MuxNetwork(5)
+    rng = np.random.default_rng(4)
+    rounds = [[random_qubit(rng) for _ in range(5)]]
+    expected = outcome(lambda: rounds_alone(network, rounds))
+    assert expected == (
+        DomainError, "an ensemble step of 32 rows exceeds the bound of 16 rows"
+    )
+    assert outcome(lambda: cli._mux_roundtrip(network, np.random.default_rng(4), 3)) == expected
+
+
+def test_scenario_and_verify_blocks_use_count_one_and_twenty(monkeypatch):
+    sizes = block_sizes(monkeypatch)
+    assert cli.main(["scenario", "mux-roundtrip", "--dimension", "4", "--output", "/dev/null"]) == 0
+    assert cli.main(["verify", "--dimension", "4", "--output", "/dev/null"]) == 0
+    assert sizes == [1, cli._VERIFY_MUX_VECTORS]

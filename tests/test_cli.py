@@ -149,6 +149,16 @@ def test_a_mux_round_trip_past_the_row_bound_is_config_error():
     )
 
 
+def test_verify_past_the_matrix_bound_is_config_error():
+    # (40 * 79)**2 dense entries: refused from the count, before the matrix
+    code, out, err = run_cli("verify", "--dimension", "40", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a device matrix of 9985600 entries exceeds the bound of "
+        "4194304 entries\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -28,6 +28,7 @@ from oamnet import (
     MuxNetwork,
     OamNetError,
     PhotonState,
+    QubitSpec,
     ReflectorBank,
     RoutingDomainError,
     V,
@@ -255,8 +256,8 @@ def test_merge_of_the_product_is_transmit():
 
 
 def test_len_and_the_mux_round_trip_build_no_dict(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the tuple-keyed dict was built")
+    def refuse(self, *args):
+        raise AssertionError("the tuple-keyed dict or a label image was built")
 
     monkeypatch.setattr(EnsembleAmplitudes, "_mapping", refuse)
     network = MuxNetwork(6)
@@ -265,6 +266,36 @@ def test_len_and_the_mux_round_trip_build_no_dict(monkeypatch):
     cli._mux_roundtrip(network, np.random.default_rng(2))
     with pytest.raises(AssertionError):
         list(sent.amplitudes)
+    # warm, the batched check of verify reads only tables and bank shifts
+    for operator in (CompositeDevice, HologramBank):
+        monkeypatch.setattr(operator, "mode_images", refuse)
+    results = cli._mux_roundtrip(network, np.random.default_rng(3), 20)
+    assert len(results) == 20
+
+
+@pytest.mark.parametrize(
+    "qubit", [None, QubitSpec(math.sqrt(1 - 4e-30), 2 * PRUNE_TOL)], ids=["random", "pruning"]
+)
+def test_each_step_keeps_the_smallest_modulus_of_its_columns(qubit):
+    # the pruning test of the next step reads it instead of a fresh pass
+    network = MuxNetwork(5)
+    rng = np.random.default_rng(8)
+    qubits = [random_qubit(rng) for _ in range(5)]
+    if qubit is not None:
+        qubits[2] = qubit
+    state = tensor([make_qubit_photon(q, n, 0, network.space) for n, q in enumerate(qubits)])
+    steps = [state]
+    for operator in (network.input_holograms, network.core, network.demux_core,
+                     network.output_holograms):
+        steps.append(apply_mode_map(steps[-1], operator))
+    for step in steps:
+        columns = step.amplitudes
+        assert columns._low == float(np.hypot(columns.re, columns.im).min())
+    # a part of 2e-15 drops rows from the product
+    assert (len(steps[0].amplitudes) < 2**5) == (qubit is not None)
+    constructed = EnsembleState(network.space, 5, dict(steps[-1].amplitudes))
+    assert constructed.amplitudes._low is None
+    assert constructed.amplitudes._smallest_modulus() == steps[-1].amplitudes._low
 
 
 def test_amplitudes_are_a_read_only_mapping():

@@ -138,6 +138,29 @@ def test_device_matrix_requires_sign_closed_window():
         device_matrix(oambs(3), oam_values=[0, 1, 2])
 
 
+def test_device_matrix_counts_its_entries_before_building(monkeypatch):
+    # D=4 has 4 * 7 = 28 basis labels, so 784 entries
+    device = oambs(4)
+    monkeypatch.setattr(multiport, "MAX_MATRIX_ENTRIES", 783)
+
+    def refuse(*args):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(multiport.np, "zeros", refuse)
+    with pytest.raises(
+        DomainError,
+        match=r"^a device matrix of 784 entries exceeds the bound of 783 entries$",
+    ):
+        device_matrix(device)
+    monkeypatch.undo()
+    monkeypatch.setattr(multiport, "MAX_MATRIX_ENTRIES", 784)
+    assert device_matrix(device).shape == (28, 28)
+
+
+def test_the_matrix_bound_spares_verify_up_to_d20_and_stops_d40():
+    assert (20 * 39) ** 2 <= multiport.MAX_MATRIX_ENTRIES < (40 * 79) ** 2
+
+
 def test_device_matrix_detects_escaping_images():
     device = CompositeDevice((Hologram(0, 5),), 2)
     with pytest.raises(DomainError):
