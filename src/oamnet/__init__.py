@@ -62,12 +62,10 @@ from .networks import (
     RoutingReport,
     SimpleRoutingNetwork,
     StarNetwork,
-    bell_distribution_fidelity,
     bell_target,
     choose_winding_simple,
     delivered_star_oam,
     demux_receive,
-    detect_collisions,
     distribute_bell_pair,
     mux_transmit,
     routing_report,

@@ -71,14 +71,20 @@ from .states import (
 
 UNITARITY_TOL = 1e-12
 GENPERM_TOL = 1e-9
-# entries a dense device_matrix may hold (64 MiB of complex values): the
-# default basis of D <= 32 fits, and a larger one raises DomainError before
-# anything is allocated
+# entries a dense device_matrix or Fourier matrix may hold (64 MiB of
+# complex values): the default basis of D <= 32 and the Fourier matrix of
+# D <= 2048 fit, and a larger one raises DomainError before anything is
+# allocated
 MAX_MATRIX_ENTRIES = 2**22
 
 
 @lru_cache(maxsize=None)
 def _symmetric_matrix_cached(dimension: int) -> np.ndarray:
+    if dimension * dimension > MAX_MATRIX_ENTRIES:
+        raise DomainError(
+            f"a Fourier matrix of {dimension * dimension} entries exceeds the "
+            f"bound of {MAX_MATRIX_ENTRIES} entries"
+        )
     indices = np.arange(dimension)
     # reduce the integer phase index first: exp(2*pi*i*q/D) is periodic in
     # q mod D, and small arguments keep the cancellation noise well under
@@ -476,37 +482,28 @@ def is_generalized_permutation(
     array = np.asarray(matrix)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise DomainError(f"matrix must be square, got shape {array.shape}")
-    witness: dict[int, tuple[int, complex]] = {}
-    used_rows: set[int] = set()
-    for j in range(array.shape[1]):
-        column = array[:, j]
-        big = np.flatnonzero(np.abs(column) >= tol)
-        if big.size != 1:
-            return False, None
-        i = int(big[0])
-        if abs(abs(column[i]) - 1.0) > tol or i in used_rows:
-            return False, None
-        used_rows.add(i)
-        witness[j] = (i, complex(column[i]))
-    return True, witness
-
-
-def aligning_phase(candidate: np.ndarray, target: np.ndarray) -> float:
-    """Phase that best aligns ``candidate`` with ``target`` at the target's
-    largest-magnitude entry."""
-    target = np.asarray(target)
-    candidate = np.asarray(candidate)
-    flat = int(np.argmax(np.abs(target)))
-    i, j = np.unravel_index(flat, target.shape)
-    return float(np.angle(candidate[i, j]) - np.angle(target[i, j]))
+    magnitude = np.abs(array)
+    big = magnitude >= tol
+    # one large entry in every column and every row: the columns' outputs
+    # are distinct rows
+    if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
+        return False, None
+    inputs, outputs = np.nonzero(big.T)
+    if (np.abs(magnitude[outputs, inputs] - 1.0) > tol).any():
+        return False, None
+    return True, {
+        j: (i, complex(array[i, j])) for j, i in zip(inputs.tolist(), outputs.tolist())
+    }
 
 
 def global_phase_error(candidate: np.ndarray, target: np.ndarray) -> float:
-    """``max |candidate - e^{i*gamma}*target|`` for the aligning phase gamma."""
-    gamma = aligning_phase(candidate, target)
-    return float(
-        np.max(np.abs(np.asarray(candidate) - np.exp(1j * gamma) * np.asarray(target)))
-    )
+    """``max |candidate - e^{i*gamma}*target|`` for the phase gamma that
+    aligns ``candidate`` with ``target`` at the target's largest-magnitude
+    entry."""
+    candidate, target = np.asarray(candidate), np.asarray(target)
+    i, j = np.unravel_index(int(np.argmax(np.abs(target))), target.shape)
+    gamma = float(np.angle(candidate[i, j]) - np.angle(target[i, j]))
+    return float(np.max(np.abs(candidate - np.exp(1j * gamma) * target)))
 
 
 __all__ = [
@@ -516,7 +513,6 @@ __all__ = [
     "Stage",
     "SymmetricMultiport",
     "UNITARITY_TOL",
-    "aligning_phase",
     "default_oam_values",
     "device_basis",
     "device_matrix",

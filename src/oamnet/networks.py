@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .states import (
     V,
     _require_unit_norm,
     apply_mode_map,
-    fidelity,
+    fidelity,  # kept as a binding: bench/tracing.py wraps networks.fidelity
     make_qubit_photon,
     tensor,
 )
@@ -480,33 +480,6 @@ def routing_report(
     return RoutingReport(dimension, kind, side, rows)
 
 
-def detect_collisions(
-    assignments: Iterable[tuple[int, int]],
-    dimension: int,
-    side: Direction | str = Direction.FORWARD,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Output ports that multiple simultaneous senders would land on.
-
-    ``assignments`` are (sender, winding) pairs.  Collisions are reported,
-    not resolved: there is no arbitration mechanism in these networks.
-    """
-    forward = Direction.coerce(side) is Direction.FORWARD
-    by_port: dict[int, list[int]] = {}
-    for sender, winding in assignments:
-        _check_index(sender, dimension, "sender")
-        port = (
-            (-winding - sender) % dimension
-            if forward
-            else (winding - sender) % dimension
-        )
-        by_port.setdefault(port, []).append(sender)
-    return [
-        (port, tuple(senders))
-        for port, senders in sorted(by_port.items())
-        if len(senders) > 1
-    ]
-
-
 def mux_transmit(qubits: Sequence[QubitSpec]) -> EnsembleState:
     """Merge ``len(qubits)`` users' photons onto path 0 (one per port)."""
     return MuxNetwork(len(qubits)).transmit(qubits)
@@ -621,16 +594,6 @@ def bell_target(
     )
 
 
-def bell_distribution_fidelity(
-    x: int, y: int, n: int, m: int, dimension: int
-) -> float:
-    """Fidelity of the routed pair against its delivered-state template."""
-    return fidelity(
-        distribute_bell_pair(x, y, n, m, dimension),
-        bell_target(x, y, n, m, dimension),
-    )
-
-
 __all__ = [
     "HologramBank",
     "MuxNetwork",
@@ -640,12 +603,10 @@ __all__ = [
     "RoutingReport",
     "SimpleRoutingNetwork",
     "StarNetwork",
-    "bell_distribution_fidelity",
     "bell_target",
     "choose_winding_simple",
     "delivered_star_oam",
     "demux_receive",
-    "detect_collisions",
     "distribute_bell_pair",
     "dominant_label",
     "mux_transmit",

@@ -313,3 +313,22 @@ def seed_element_images(element, label):
             (ModeLabel(label.path, -label.oam - element.k, label.pol), 1.0 + 0j),
         )
     raise TypeError(f"no seed formula for {type(element).__name__}")
+
+
+def column_walk_generalized_permutation(matrix, tol):
+    """``is_generalized_permutation`` by the original walk, one column at a
+    time: the reference for its single pass over the whole matrix."""
+    array = np.asarray(matrix)
+    witness = {}
+    used_rows = set()
+    for j in range(array.shape[1]):
+        column = array[:, j]
+        big = np.flatnonzero(np.abs(column) >= tol)
+        if big.size != 1:
+            return False, None
+        i = int(big[0])
+        if abs(abs(column[i]) - 1.0) > tol or i in used_rows:
+            return False, None
+        used_rows.add(i)
+        witness[j] = (i, complex(column[i]))
+    return True, witness

@@ -35,9 +35,10 @@ from oamnet import (
     sbmao,
     symmetric_matrix,
 )
-from oamnet import multiport
+from oamnet import cli, multiport
+from oamnet.multiport import GENPERM_TOL
 from oamnet.states import compose_images
-from oracles import oam_beamsplitter_matrix
+from oracles import column_walk_generalized_permutation, oam_beamsplitter_matrix
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -161,6 +162,49 @@ def test_the_matrix_bound_spares_verify_up_to_d20_and_stops_d40():
     assert (20 * 39) ** 2 <= multiport.MAX_MATRIX_ENTRIES < (40 * 79) ** 2
 
 
+@pytest.fixture
+def fresh_matrix_caches():
+    # a cached Fourier matrix would skip the bound
+    multiport._symmetric_matrix_cached.cache_clear()
+    multiport._fourier_columns.cache_clear()
+    yield
+    multiport._symmetric_matrix_cached.cache_clear()
+    multiport._fourier_columns.cache_clear()
+
+
+def test_fourier_matrix_counts_its_entries_before_building(
+    fresh_matrix_caches, monkeypatch
+):
+    monkeypatch.setattr(multiport, "MAX_MATRIX_ENTRIES", 15)
+
+    def refuse(*args):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(multiport.np, "outer", refuse)
+    message = r"^a Fourier matrix of 16 entries exceeds the bound of 15 entries$"
+    with pytest.raises(DomainError, match=message):
+        symmetric_matrix(4)
+    with pytest.raises(DomainError, match=message):
+        SymmetricMultiport(4).mode_images(ModeLabel(0, 1))
+    monkeypatch.undo()
+    monkeypatch.setattr(multiport, "MAX_MATRIX_ENTRIES", 16)
+    assert symmetric_matrix(4).shape == (4, 4)
+
+
+def test_verify_exits_2_on_the_fourier_matrix_bound(
+    fresh_matrix_caches, monkeypatch, capsys
+):
+    monkeypatch.setattr(multiport, "MAX_MATRIX_ENTRIES", 15)
+    assert cli.main(["verify", "--dimension", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a Fourier matrix of 16 entries exceeds the bound of 15 entries\n"
+    )
+
+
+def test_the_matrix_bound_spares_the_fourier_matrix_up_to_d2048():
+    assert 2048**2 <= multiport.MAX_MATRIX_ENTRIES < 2049**2
+
+
 def test_device_matrix_detects_escaping_images():
     device = CompositeDevice((Hologram(0, 5),), 2)
     with pytest.raises(DomainError):
@@ -194,6 +238,45 @@ def test_is_generalized_permutation_witness_phases():
     assert ok
     assert witness[1] == (1, -1 + 0j)
     assert witness[2] == (2, 1j)
+
+
+# entries on both sides of every threshold of the check
+PERMUTATION_ENTRIES = (
+    0.0,
+    GENPERM_TOL / 2,
+    GENPERM_TOL,
+    1.0,
+    -1.0,
+    1j,
+    1.0 + GENPERM_TOL / 2,
+    1.0 + 2 * GENPERM_TOL,
+    complex(0.6, 0.8),
+    0.5,
+    math.nan,
+    complex(math.nan, 1.0),
+    math.inf,
+)
+
+
+@st.composite
+def near_permutations(draw):
+    size = draw(st.integers(0, 5))
+    matrix = np.zeros((size, size), dtype=complex)
+    rows = draw(st.permutations(range(size)))
+    for column, row in enumerate(rows):
+        matrix[row, column] = draw(st.sampled_from(PERMUTATION_ENTRIES[3:6]))
+    if size:
+        cell = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        for row, column in draw(st.lists(cell, max_size=3)):
+            matrix[row, column] = draw(st.sampled_from(PERMUTATION_ENTRIES))
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_permutations(), st.sampled_from((GENPERM_TOL, 1e-3, 0.5)))
+def test_is_generalized_permutation_matches_the_column_walk(matrix, tol):
+    result = is_generalized_permutation(matrix, tol)
+    assert repr(result) == repr(column_walk_generalized_permutation(matrix, tol))
 
 
 def test_raw_multiport_stage_fails_permutation_check():

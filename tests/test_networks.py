@@ -24,7 +24,6 @@ from oamnet import (
     choose_winding_simple,
     delivered_star_oam,
     demux_receive,
-    detect_collisions,
     distribute_bell_pair,
     fidelity,
     make_qubit_photon,
@@ -310,13 +309,6 @@ def test_ensembles_refuse_non_permutation_composites():
     splitter = CompositeDevice((BeamSplitter(0, 1, math.pi / 4),), 2)
     with pytest.raises(BunchingError):
         _device_apply(pair, splitter)
-
-
-def test_collision_detection():
-    # senders 0 and 2 both land on port 3 (forward): (-1-0) % 4 = (-3-2) % 4
-    collisions = detect_collisions([(0, 1), (2, 3), (1, 1)], 4)
-    assert collisions == [(3, (0, 2))]
-    assert detect_collisions([(0, 0), (1, 0)], 4) == []
 
 
 # ---------------------------------------------------------------- scenarios

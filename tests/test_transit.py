@@ -503,6 +503,48 @@ def test_batched_replay_calls_a_subclass_own_images():
         )
 
 
+@pytest.mark.parametrize("dimension", range(1, MAX_DIMENSION + 1))
+def test_exported_netlists_take_the_batch(dimension, monkeypatch):
+    # the photon-by-photon replay must never absorb the certification
+    netlist = oambs_netlist(dimension)
+
+    def refuse(self, label):
+        raise AssertionError(f"{label} replayed photon by photon")
+
+    monkeypatch.setattr(Netlist, "mode_images", refuse)
+    assert oambs_netlist_error(netlist) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "netlist, inputs",
+    [
+        (TRITTER_NETLISTS[0], [ModeLabel(p, 1) for p in range(3)]),
+        (
+            Netlist(3, (BeamSplitter(0, 1, 0.3), HalvingSplitter(1, 2, 0.7, 0.1))),
+            [ModeLabel(p, 0, V) for p in range(3)],
+        ),
+        (Netlist(2, (Hologram(0, 2**70),)), [ModeLabel(p, 1) for p in range(2)]),
+        (Netlist(2, (Hologram(0, 3),)), [ModeLabel(0, 1), ModeLabel(2, 1)]),
+    ],
+    ids=["tritter", "subclass", "2**70", "path-outside"],
+)
+def test_other_netlists_replay_photon_by_photon(netlist, inputs, monkeypatch):
+    calls = []
+    own_images = Netlist.mode_images
+
+    def counted(self, label):
+        calls.append(label)
+        return own_images(self, label)
+
+    monkeypatch.setattr(Netlist, "mode_images", counted)
+    replayed = _replay_columns(netlist, inputs)
+    assert calls == inputs
+    for label, images in zip(inputs, replayed):
+        assert amplitude_bits(dict(images)) == amplitude_bits(
+            flipped_images(netlist, label)
+        )
+
+
 def test_netlist_error_memory_follows_the_summed_supports():
     # the replay holds one row per (photon, label) entry of the maps; a
     # dense label-by-photon array at D=16 peaks above 10 MB
