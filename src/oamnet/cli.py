@@ -54,11 +54,8 @@ from . import states
 from .serialize import dumps_canonical, netlist_dumps
 from .states import (
     ModeLabel,
-    QubitSpec,
     _fidelities,
-    _tensor_block,
     fidelity,
-    make_qubit_photon,
     path_probabilities,
     tensor,  # unused here; bench/tracing.py wraps this binding
 )
@@ -170,12 +167,6 @@ def _write_output(text: str, config: RunConfig) -> int:
     return 0
 
 
-def _random_qubit(rng: np.random.Generator) -> QubitSpec:
-    raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    raw /= np.linalg.norm(raw)
-    return QubitSpec(complex(raw[0]), complex(raw[1]))
-
-
 def _closed_form_error(matrix, dimension: int, direction: Direction) -> float:
     """Worst deviation of the device matrix for ``direction`` from the
     closed-form routing map over all basis inputs, sharing one global phase;
@@ -195,6 +186,29 @@ def _closed_form_error(matrix, dimension: int, direction: Direction) -> float:
     return closed_form_error(dimension, direction, deviation)
 
 
+def _draw_qubits(
+    rng: np.random.Generator, count: int, dimension: int
+) -> np.ndarray:
+    """``count`` rounds of one random unit qubit per user, as a complex
+    array of shape (count, dimension, 2) holding each (alpha, beta).
+
+    Each qubit takes the real parts of alpha and beta, then their imaginary
+    parts, from ``rng`` and is divided by its norm, so the array holds the
+    bits, and leaves ``rng`` in the state, of drawing the qubits one by one
+    as ``n = standard_normal(2) + 1j * standard_normal(2)`` divided by
+    ``np.linalg.norm(n)``.  That norm is the square root of two dot products,
+    and a matmul of a row by a column makes the same ``dot`` call.
+    """
+    raw = rng.standard_normal((count, dimension, 2, 2))
+    re, im = raw[..., 0, :], raw[..., 1, :]
+    norm_sq = (
+        re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    )
+    qubits = re + 1j * im
+    qubits /= np.sqrt(norm_sq[..., 0])
+    return qubits
+
+
 def _mux_roundtrip(
     network: MuxNetwork, rng: np.random.Generator, count: int = 1
 ) -> list[tuple[float, float]]:
@@ -210,37 +224,36 @@ def _mux_roundtrip(
     width = max(1, states.MAX_ENSEMBLE_ROWS >> dimension)
     results: list[tuple[float, float]] = []
     while len(results) < count:
-        rounds = [
-            [_random_qubit(rng) for _ in range(dimension)]
-            for _ in range(min(width, count - len(results)))
-        ]
-        results += _mux_block(network, rounds)
+        qubits = _draw_qubits(rng, min(width, count - len(results)), dimension)
+        results += _mux_block(network, qubits)
     return results
 
 
 def _mux_block(
-    network: MuxNetwork, rounds: list[list[QubitSpec]]
+    network: MuxNetwork, qubits: np.ndarray
 ) -> list[tuple[float, float]]:
-    """:func:`_mux_roundtrip` of one block of drawn rounds.
+    """:func:`_mux_roundtrip` of one block of drawn rounds: ``qubits[k, n]``
+    holds round ``k``'s (alpha, beta) for user ``n``, as from
+    :func:`_draw_qubits`.
 
-    Every error it can raise is shared by all rounds, so it is the first
-    round's: the window, path and device checks see the same (path,
-    winding) in every row of a slot, the row bound counts ``2**D`` rows per
-    round, and unit-norm qubits pass the norm checks.
+    Its steps come in the order of a round run alone: originals (built
+    from the array by ``states._qubit_block``), ``merge``, tagged product,
+    transmit fidelities, ``receive``, round-trip fidelities.  Every error
+    it can raise is shared by all rounds, so it is the first round's: the
+    window, path and device checks see the same (path, winding) in every
+    row of a slot, so ``merge`` refuses a window below ``D - 1`` before the
+    tags are checked; the row bound counts ``2**D`` rows per round; and
+    unit-norm qubits pass the norm checks.
     """
     space = network.space
+    users = range(network.dimension)
     # the product sent is also the state the round trip must restore
-    originals = _tensor_block([
-        [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
-        for qubits in rounds
-    ])
+    originals = states._qubit_block(space, qubits, [(path, 0) for path in users])
     sent = network.merge(originals)
     # each block is freed once it is compared or crossed
-    tagged = [
-        [make_qubit_photon(spec, 0, tag, space) for tag, spec in enumerate(qubits)]
-        for qubits in rounds
-    ]
-    transmit = _fidelities(sent, _tensor_block(tagged))
+    transmit = _fidelities(
+        sent, states._qubit_block(space, qubits, [(0, tag) for tag in users])
+    )
     received = network.receive(sent, restore_oam=True)
     del sent
     return list(zip(transmit, _fidelities(received, originals)))

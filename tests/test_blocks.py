@@ -1,17 +1,20 @@
 """Amplitude blocks: K MUX round trips in one pass, against K separate ones.
 
-``cli._mux_roundtrip(network, rng, K)`` sends K rounds of qubits through
-the network as the amplitude columns of blocks.  Every transmit and
-round-trip fidelity must equal, bit for bit, what the public per-state API
-(``tensor``, ``MuxNetwork.merge`` and ``receive``, ``fidelity``) gives for
-each round alone, also when the rounds' supports differ (qubits with a
-zero or near-zero part) and when blocks are split by ``MAX_ENSEMBLE_ROWS``;
-an error must be the one the first failing round raises alone.
+``cli._mux_roundtrip(network, rng, K)`` draws K rounds of qubits as one
+array and sends them through the network as the amplitude columns of
+blocks.  The draw must give the bits of ``oracles.random_qubit`` called
+qubit by qubit.  Every transmit and round-trip fidelity must equal, bit for
+bit, what the public per-state API (``tensor``, ``MuxNetwork.merge`` and
+``receive``, ``fidelity``) gives for each round alone, also when the
+rounds' supports differ (qubits with a zero or near-zero part) and when
+blocks are split by ``MAX_ENSEMBLE_ROWS``; an error must be the one the
+first failing round raises alone.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,11 +28,11 @@ from oamnet import (
     tensor,
 )
 from oamnet import cli, states
-from oamnet.states import PRUNE_TOL, _tensor_block
+from oamnet.states import PRUNE_TOL, _qubit_block
 from oracles import random_qubit
 
 # qubits whose supports differ from a random qubit's: a part that the photon
-# prunes, or one just above PRUNE_TOL whose products prune later
+# prunes (zero or not), or one just above PRUNE_TOL whose products prune later
 SPECIAL_QUBITS = (
     QubitSpec(1, 0),
     QubitSpec(0, 1),
@@ -37,6 +40,7 @@ SPECIAL_QUBITS = (
     QubitSpec(math.sqrt(1 - 4e-30), 2 * PRUNE_TOL),
     QubitSpec(-2j * PRUNE_TOL, math.sqrt(1 - 4e-30)),
     QubitSpec(math.sqrt(0.5), -math.sqrt(0.5) * 1j),
+    QubitSpec(1, PRUNE_TOL / 2),
 )
 
 
@@ -46,6 +50,21 @@ def outcome(compute):
         return compute()
     except OamNetError as exc:
         return type(exc), str(exc)
+
+
+def qubit_array(rounds):
+    """Rounds of ``QubitSpec``s as the (K, D, 2) array that blocks take."""
+    return np.array(
+        [[(spec.alpha, spec.beta) for spec in qubits] for qubits in rounds],
+        dtype=complex,
+    )
+
+
+def originals_block(space, rounds):
+    """The block of the rounds' products on paths 0, 1, ... at winding 0."""
+    return _qubit_block(
+        space, qubit_array(rounds), [(path, 0) for path in range(len(rounds[0]))]
+    )
 
 
 def bits(results):
@@ -76,9 +95,9 @@ def block_sizes(monkeypatch):
     sizes = []
     block = cli._mux_block
 
-    def spy(network, rounds):
-        sizes.append(len(rounds))
-        return block(network, rounds)
+    def spy(network, qubits):
+        sizes.append(len(qubits))
+        return block(network, qubits)
 
     monkeypatch.setattr(cli, "_mux_block", spy)
     return sizes
@@ -103,7 +122,9 @@ def mixed_rounds(draw, dimension, count):
 def test_a_block_gives_the_bits_of_its_rounds_alone(data, dimension, count):
     network = MuxNetwork(dimension)
     rounds = data.draw(mixed_rounds(dimension, count))
-    assert bits(cli._mux_block(network, rounds)) == rounds_alone(network, rounds)
+    assert bits(cli._mux_block(network, qubit_array(rounds))) == rounds_alone(
+        network, rounds
+    )
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,6 +146,34 @@ def test_mux_roundtrip_draws_and_matches_rounds_alone(dimension, count, seed):
     assert rng.standard_normal() == oracle_rng.standard_normal()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    count=st.sampled_from((1, 2, 20)),
+    dimension=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_array_draw_gives_the_bits_of_qubits_drawn_one_by_one(
+    count, dimension, seed
+):
+    rng = np.random.default_rng(seed)
+    qubits = cli._draw_qubits(rng, count, dimension)
+    oracle_rng = np.random.default_rng(seed)
+    specs = [
+        [random_qubit(oracle_rng) for _ in range(dimension)] for _ in range(count)
+    ]
+    assert qubits.shape == (count, dimension, 2)
+    assert [
+        [(part.real.hex(), part.imag.hex()) for part in qubit]
+        for qubit in qubits.reshape(-1, 2).tolist()
+    ] == [
+        [(part.real.hex(), part.imag.hex()) for part in (spec.alpha, spec.beta)]
+        for row in specs
+        for spec in row
+    ]
+    # the array draw consumes exactly what the qubit-by-qubit draw does
+    assert rng.standard_normal() == oracle_rng.standard_normal()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -138,7 +187,7 @@ def test_a_failing_block_raises_the_first_rounds_error(data, dimension, count):
     rounds = data.draw(mixed_rounds(dimension, count))
     expected = outcome(lambda: rounds_alone(network, rounds))
     assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
-    assert outcome(lambda: bits(cli._mux_block(network, rounds))) == expected
+    assert outcome(lambda: bits(cli._mux_block(network, qubit_array(rounds)))) == expected
 
 
 def test_pruned_entries_are_positive_zeros_in_their_own_column():
@@ -153,11 +202,7 @@ def test_pruned_entries_are_positive_zeros_in_their_own_column():
         ],
         [QubitSpec(0.8, 0.6j), QubitSpec(0.6, 0.8), QubitSpec(0, 1j)],
     ]
-    block = _tensor_block([
-        [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
-        for qubits in rounds
-    ])
-    columns = block.amplitudes
+    columns = originals_block(space, rounds).amplitudes
     assert columns.re.shape == columns.im.shape == (len(columns), 2)
     rows = {row: i for i, row in enumerate(map(tuple, columns.codes.tolist()))}
     kept = np.zeros((len(columns), 2), dtype=bool)
@@ -181,15 +226,72 @@ def test_pruned_entries_are_positive_zeros_in_their_own_column():
 def test_a_row_leaves_when_every_column_drops_it():
     space = MuxNetwork(2).space
     rounds = [[QubitSpec(1, 0), QubitSpec(0, 1)], [QubitSpec(1, 0), QubitSpec(0.6, 0.8)]]
-    block = _tensor_block([
-        [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
-        for qubits in rounds
-    ])
+    block = originals_block(space, rounds)
     # slot 0 is H in both rounds, so no row holds V there
     assert block.amplitudes.re.shape == (2, 2)
     assert [str(label) for label in block.amplitudes.labels] == [
         "|0^H>_0", "|0^H>_1", "|0^V>_1",
     ]
+
+
+def test_a_slot_lists_h_before_v_when_rounds_prune_different_parts():
+    # round 0 prunes H on path 0 and round 1 prunes V there: the slot offers
+    # both labels, H first, each a factor of 0 in the column that prunes it
+    network = MuxNetwork(3)
+    rounds = [
+        [QubitSpec(0, 1j), QubitSpec(0.6, 0.8), QubitSpec(0.8, -0.6j)],
+        [QubitSpec(1, 0), QubitSpec(0.6, -0.8j), QubitSpec(0.6, 0.8)],
+    ]
+    block = originals_block(network.space, rounds)
+    assert [str(label) for label in block.amplitudes.labels] == [
+        "|0^H>_0", "|0^V>_0", "|0^H>_1", "|0^V>_1", "|0^H>_2", "|0^V>_2",
+    ]
+    assert bits(cli._mux_block(network, qubit_array(rounds))) == rounds_alone(
+        network, rounds
+    )
+
+
+def photons_alone(space, qubits, slots):
+    """Every round's qubit specs, then its photons on ``slots``, built one
+    by one, and each round's product."""
+    rounds = [[QubitSpec(*qubit) for qubit in row] for row in qubits.tolist()]
+    photons = [
+        [make_qubit_photon(spec, *slot, space) for spec, slot in zip(specs, slots)]
+        for specs in rounds
+    ]
+    return [tensor(row) for row in photons]
+
+
+ON_PATHS = [(0, 0), (1, 0), (2, 0)]
+TAGGED = [(0, 0), (0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "window, slots, bad",
+    [
+        # a qubit whose norm is off, is NaN or overflows its square
+        (None, ON_PATHS, {(1, 2): (1, 1), (1, 0): (2, 0)}),
+        (None, ON_PATHS, {(0, 1): (math.nan, 0)}),
+        (None, ON_PATHS, {(1, 1): (1e200, 0)}),
+        # a label beyond the window or the paths, where some photon keeps
+        # a part
+        (1, TAGGED, {}),
+        (1, TAGGED, {(0, 2): (1, 0), (1, 2): (0, 1)}),
+        (None, [(0, 0), (1, 0), (3, 0)], {(0, 2): (0, 1j)}),
+        # every qubit's norm is tested before any photon's label
+        (1, TAGGED, {(1, 0): (2, 0)}),
+    ],
+)
+def test_the_block_raises_the_error_of_its_photons_built_one_by_one(
+    window, slots, bad
+):
+    space = MuxNetwork(3, window).space
+    qubits = cli._draw_qubits(np.random.default_rng(5), 2, 3)
+    for (k, n), parts in bad.items():
+        qubits[k, n] = parts
+    expected = outcome(lambda: photons_alone(space, qubits, slots))
+    assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
+    assert outcome(lambda: _qubit_block(space, qubits, slots)) == expected
 
 
 def test_blocks_split_under_a_smaller_row_bound(monkeypatch):

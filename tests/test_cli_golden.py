@@ -1,9 +1,11 @@
 """CLI golden outputs: stdout bytes for a fixed matrix of invocations.
 
 Every subcommand in both report formats across dimensions 2 to 6, plus a
-star route at D=24, a MUX round trip and verify run at D=8, a verify run at
-D=10, a MUX round trip at D=12 (4096 tuples) and the OAMBS netlist at D=8
-and D=12, whose replay error sums final supports of up to 5 labels.  The
+star route at D=24, a MUX round trip and verify run at D=8, verify runs at
+D=5 (the benchmark's dimension), D=10 and D=16 (whose MUX check runs blocks
+of 16 and 4 round trips), a MUX round trip at D=12 (4096 tuples) and the
+OAMBS netlist at D=8 and D=12, whose replay error sums final supports of up
+to 5 labels.  The
 committed ``golden/*.out`` files pin the exact bytes, so any change in
 behaviour or float formatting shows up as a diff.  Regenerate them (only
 when an output change is intended) with::
@@ -57,6 +59,8 @@ CASES = {
     "verify_d8_seed2": ["verify", "--dimension", "8", "--seed", "2"],
     "scenario_mux_d12_seed1": ["scenario", "mux-roundtrip", "--dimension", "12", "--seed", "1"],
     "verify_d10_seed4": ["verify", "--dimension", "10", "--seed", "4"],
+    "verify_d5_seed11": ["verify", "--dimension", "5", "--seed", "11"],
+    "verify_d16_seed1": ["verify", "--dimension", "16", "--seed", "1"],
 }
 
 
