@@ -21,12 +21,10 @@ port(s), and all of them ignore polarization.  Each states its action once,
 as one :class:`PortRule` per port (``port_rules``): the image paths with
 their constant factors, in image order, and the image winding
 ``sign * l + shift``; the Dove prism's factor is instead its winding phase
-``exp(-i*alpha*l)``.  The elements share the base :class:`PortElement`, a
-:class:`~oamnet.states.WholeMapOperator` whose ``mode_images`` is derived
-from the rules, whose ``transit`` passes labels off the ports straight
-through and calls ``mode_images`` only for labels on a port, and whose
-``reversed()`` gives the element as a photon crossing it right to left sees
-it (holograms have no such convention and raise :class:`DomainError`).
+``exp(-i*alpha*l)``.  The elements share the base :class:`PortElement`,
+whose ``mode_images`` is derived from the rules and whose ``reversed()``
+gives the element as a photon crossing it right to left sees it (holograms
+have no such convention and raise :class:`DomainError`).
 Rules are built from the element's fields on first use and kept, so
 constructing an element costs no more than its fields.  The netlist
 certification of :mod:`oamnet.netlist` reads the rules of a whole round of
@@ -44,7 +42,7 @@ from enum import Enum
 from typing import NamedTuple, Union
 
 from .errors import DomainError
-from .states import PRUNE_TOL, ModeLabel, WholeMapOperator
+from .states import ModeLabel
 
 
 class Direction(Enum):
@@ -83,18 +81,15 @@ class PortRule(NamedTuple):
     alpha: float | None = None
 
 
-class PortElement(WholeMapOperator):
+class PortElement:
     """Base of the elements: acts on the paths in ``ports``, passes the rest.
 
-    ``transit`` passes a label off the element's ports through as
-    ``0j + amp * (1+0j)``, keeping its key position, and calls the element's
-    own ``mode_images`` only for a label on a port; those images must stay
-    on the ports.  Sums and pruning follow the label-wise loop of
-    :func:`~oamnet.states.compose_images`, so results agree bit for bit.
+    A label off the element's ports is its own image with factor ``1+0j``.
     The built-in elements give one :class:`PortRule` per port in
     ``port_rules``, and ``mode_images`` reads them; images keep factors at
-    or below ``PRUNE_TOL``, which ``transit`` prunes.  An element without
-    rules overrides ``mode_images``.
+    or below ``PRUNE_TOL``, which :func:`~oamnet.states.compose_images`
+    prunes after summing.  An element without rules overrides
+    ``mode_images``.
     """
 
     @property
@@ -126,27 +121,6 @@ class PortElement(WholeMapOperator):
         return tuple(
             (ModeLabel(path, oam, label.pol), factor) for path, factor in terms
         )
-
-    def transit(self, amplitudes):
-        ports = self.ports
-        mode_images = self.mode_images
-        out: dict[ModeLabel, complex] = {}
-        images: list[ModeLabel] = []
-        for label, amp in amplitudes.items():
-            if label.path in ports:
-                for image, factor in mode_images(label):
-                    out[image] = out.get(image, 0j) + amp * factor
-                    images.append(image)
-            else:
-                # a label passed through is final at once: the images of
-                # port labels stay on the ports and never add to it
-                total = 0j + amp * (1.0 + 0j)
-                if abs(total) > PRUNE_TOL:
-                    out[label] = total
-        for image in images:
-            if image in out and abs(out[image]) <= PRUNE_TOL:
-                del out[image]
-        return out
 
     def check_ports(self, dimension: int) -> None:
         """Raise :class:`DomainError` for a port outside ``[0, dimension-1]``."""

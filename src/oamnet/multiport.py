@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -417,45 +417,31 @@ def default_oam_values(dimension: int) -> tuple[int, ...]:
     return tuple(range(-(dimension - 1), dimension))
 
 
-def device_basis(
-    dimension: int, oam_values: Iterable[int]
-) -> list[ModeLabel]:
-    """Enumeration basis: path ascending, then OAM ascending (polarization
-    is a spectator for every device, so only H labels are enumerated)."""
-    values = sorted(set(int(v) for v in oam_values))
+def device_basis(dimension: int) -> list[ModeLabel]:
+    """Enumeration basis over ``default_oam_values``: path ascending, then
+    OAM ascending (polarization is a spectator for every device, so only H
+    labels are enumerated)."""
+    values = default_oam_values(dimension)
     return [
         ModeLabel(path, oam) for path in range(dimension) for oam in values
     ]
 
 
-def device_matrix(
-    device: CompositeDevice | Stage,
-    oam_values: Iterable[int] | None = None,
-) -> np.ndarray:
-    """Explicit matrix of ``device`` over the (path x OAM) basis.
+def device_matrix(device: CompositeDevice | Stage) -> np.ndarray:
+    """Explicit matrix of ``device`` over the :func:`device_basis` labels.
 
-    The supplied windings must be closed under negation (include ``-l`` for
-    every ``l``); images falling outside the enumerated basis raise
-    :class:`DomainError`, and so does a matrix of more than
-    ``MAX_MATRIX_ENTRIES`` entries, before it is built.
+    Images falling outside the basis raise :class:`DomainError`, and so
+    does a matrix of more than ``MAX_MATRIX_ENTRIES`` entries, before it is
+    built.
     """
     dimension = device.dimension
-    if oam_values is None:
-        oam_values = default_oam_values(dimension)
-    values = sorted(set(int(v) for v in oam_values))
-    value_set = set(values)
-    for value in values:
-        if -value not in value_set:
-            raise DomainError(
-                f"OAM values not closed under sign flip: {value} without {-value}"
-            )
-    size = dimension * len(values)
+    size = dimension * len(default_oam_values(dimension))
     if size * size > MAX_MATRIX_ENTRIES:
         raise DomainError(
             f"a device matrix of {size * size} entries exceeds the bound of "
             f"{MAX_MATRIX_ENTRIES} entries"
         )
-    basis = device_basis(dimension, values)
+    basis = device_basis(dimension)
     index = {label: i for i, label in enumerate(basis)}
     matrix = np.zeros((size, size), dtype=complex)
     for j, label in enumerate(basis):

@@ -107,21 +107,15 @@ class Netlist:
 
 
 def netlist_apply(
-    netlist: Netlist,
-    state: PhotonState | EnsembleState,
-    parity_flip: bool | None = None,
+    netlist: Netlist, state: PhotonState | EnsembleState
 ) -> PhotonState | EnsembleState:
-    """Run a state through the netlist; ``parity_flip`` overrides the
-    netlist's own declaration when given."""
+    """Run a state through the netlist."""
     if state.space.dimension != netlist.dimension:
         raise DomainError(
             f"state spans {state.space.dimension} paths, netlist "
             f"{netlist.dimension}"
         )
-    effective = netlist
-    if parity_flip is not None and parity_flip != netlist.parity_flip:
-        effective = replace(netlist, parity_flip=parity_flip)
-    return apply_mode_map(state, effective)
+    return apply_mode_map(state, netlist)
 
 
 def reck_decompose(target: np.ndarray) -> Netlist:
@@ -420,12 +414,14 @@ def _replay_columns(
     :func:`_rounds` reads its elements' port rules as path-indexed tables
     (:func:`_port_tables`) and gathers every row's images at once (a label
     off the round's ports is its own image with factor ``1+0j``, as in
-    ``PortElement.transit``); only a Dove prism's phase is computed per
+    ``PortElement.mode_images``); only a Dove prism's phase is computed per
     distinct (path, winding), by the formula of its ``mode_images``.  The
     round then multiplies in split form, sums equal (stream, path, winding)
     rows into the first of them and prunes at ``PRUNE_TOL``: the
-    ensemble's own fan-out and row merge, which add the terms of
-    ``transit``'s dict in its order.
+    ensemble's own fan-out and row merge, which add the terms in the order
+    of the label-wise loop of ``compose_images``.  A round that would fan
+    out to more than ``MAX_ENSEMBLE_ROWS`` rows raises
+    :class:`DomainError` before it allocates them.
 
     A netlist that :func:`_batch_reach` rejects (another element type, a
     path outside the netlist, or windings that may pass ``LABEL_BOUND``)
@@ -448,7 +444,7 @@ def _replay_columns(
     for r in range(len(rounds)):
         source = path
         if tables.spread[r]:
-            rows, pick = _fan_out(path, tables.start, tables.count[r])
+            rows, pick = _fan_out(path, tables.start, tables.count[r], width=1)
             stream, source, winding = stream[rows], path[rows], winding[rows]
             re, im = re[rows], im[rows]
             path = tables.path[r][pick]

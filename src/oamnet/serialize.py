@@ -1,12 +1,9 @@
-"""Canonical JSON interchange for netlists, reports, and matrices.
+"""Canonical JSON interchange for netlists and reports.
 
 The JSON output is deterministic byte for byte: objects serialize in
 insertion order and every float is rendered with 17 significant digits,
 enough to reconstruct the exact IEEE-754 double on any conforming parser
 (negative zero is written ``-0.0``, since ``-0`` would parse as an integer).
-Complex numbers are two-element ``[re, im]`` arrays; matrices are row-major
-lists of those pairs in the fixed (path ascending, OAM ascending, H before
-V) basis order.
 """
 
 from __future__ import annotations
@@ -60,16 +57,6 @@ def dumps_canonical(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(dumps_canonical(item) for item in value) + "]"
     raise DomainError(f"cannot serialize {type(value).__name__}")
-
-
-def complex_pair(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
-
-
-def matrix_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
-    """Row-major ``[re, im]`` dump of a complex matrix."""
-    array = np.asarray(matrix, dtype=complex)
-    return [[complex_pair(entry) for entry in row] for row in array]
 
 
 def element_to_dict(element: Element) -> dict[str, Any]:
@@ -202,11 +189,9 @@ def netlist_loads(text: str) -> Netlist:
 
 
 __all__ = [
-    "complex_pair",
     "dumps_canonical",
     "element_from_dict",
     "element_to_dict",
-    "matrix_pairs",
     "netlist_dumps",
     "netlist_from_dict",
     "netlist_loads",

@@ -815,9 +815,9 @@ def compose_images(
 ) -> list[tuple[ModeLabel, complex]]:
     """Image of one label under a chain of operators, applied left to right.
 
-    A :class:`WholeMapOperator` (every stage and element of this package)
-    takes the whole intermediate map in one ``transit`` call; any other
-    operator is applied label by label.
+    A :class:`WholeMapOperator` (the ``SymmetricMultiport`` and
+    ``DoveStage`` stages) takes the whole intermediate map in one
+    ``transit`` call; any other operator is applied label by label.
     """
     current: dict[ModeLabel, complex] = {label: 1.0 + 0j}
     for operator in operators:

@@ -20,11 +20,10 @@ from oamnet import (
     sbmao,
     symmetric_netlist,
 )
-from oamnet import cli
+from oamnet import cli, states
 from oamnet.cli import _closed_form_error, main
 from oamnet.serialize import (
     dumps_canonical,
-    matrix_pairs,
     netlist_dumps,
     netlist_loads,
 )
@@ -58,10 +57,11 @@ def test_netlist_json_round_trip_bit_for_bit():
     reloaded = netlist_loads(text)
     assert reloaded == built
     # replay of the imported netlist reproduces the replayed unitary
-    # bit for bit, through the serialized matrix entries
-    first = matrix_pairs(netlist_path_matrix(built))
-    second = matrix_pairs(netlist_path_matrix(reloaded))
-    assert dumps_canonical(first) == dumps_canonical(second)
+    # bit for bit
+    first = netlist_path_matrix(built)
+    second = netlist_path_matrix(reloaded)
+    assert (first.shape, first.dtype) == (second.shape, second.dtype)
+    assert first.tobytes() == second.tobytes()
     # and a second export of the reloaded netlist is byte-identical
     assert netlist_dumps(reloaded, replay_error=0.0) == text
 
@@ -364,6 +364,19 @@ def test_netlist_oambs_structure():
     last_bs = len(kinds) - 1 - kinds[::-1].index("beamsplitter")
     assert first_bs < kinds.index("dove") < last_bs
     assert data["metadata"]["replay_error"] < 1e-9
+
+
+def test_netlist_replay_rows_stay_under_the_row_bound(monkeypatch):
+    # the D=8 certification replay fans out to at most 832 rows at once,
+    # and its first round past 500 rows makes 656
+    monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 832)
+    assert run_cli("netlist", "--target", "oambs", "--dimension", "8")[0] == 0
+    monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 500)
+    assert run_cli("netlist", "--target", "oambs", "--dimension", "8") == (
+        2,
+        "",
+        "error: an ensemble step of 656 rows exceeds the bound of 500 rows\n",
+    )
 
 
 def test_netlist_unwritable_output_is_io_error(tmp_path):

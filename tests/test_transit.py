@@ -1,10 +1,11 @@
-"""Whole-map transit through Fourier multiports, Dove prism stages and
-elements.
+"""Whole-map transit through Fourier multiports and Dove prism stages, and
+chains of stages and elements through ``compose_images``.
 
-``transit`` is a pure speed-up of the label-wise loop: every result must
-agree bit for bit with ``oracles.label_wise_transit`` (amplitudes and key
-order, signs of zeros included), and the devices built from the stages must
-keep the invariants of the paper's OAM beamsplitter.  The batched replay
+A stage's ``transit`` is a pure speed-up of the label-wise loop, which
+``compose_images`` runs for every element: every result must agree bit for
+bit with ``oracles.label_wise_transit`` (amplitudes and key order, signs of
+zeros included), and the devices built from the stages must keep the
+invariants of the paper's OAM beamsplitter.  The batched replay
 behind ``oambs_netlist_error`` must likewise equal ``compose_images`` per
 input, and the metric must equal ``oracles.label_wise_netlist_error``,
 errors included.
@@ -177,52 +178,6 @@ def test_transit_matches_label_wise_loop_on_any_map(case):
     assert transit_or_error(
         [stage], amplitudes_in, lambda ops, amps: ops[0].transit(amps)
     ) == transit_or_error([stage], amplitudes_in, label_wise_transit)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, MAX_DIMENSION).flatmap(
-    lambda d: st.tuples(elements(d), amplitude_maps(d, path_slack=1))
-))
-def test_element_transit_matches_label_wise_loop_on_any_map(case):
-    element, amplitudes_in = case
-    assert amplitude_bits(element.transit(amplitudes_in)) == amplitude_bits(
-        label_wise_transit([element], amplitudes_in)
-    )
-
-
-@pytest.mark.parametrize(
-    "amplitudes_in",
-    [
-        # signed zeros, on the ports (0 and 1) and off them (2)
-        {
-            ModeLabel(2, 1): complex(-1.0, -0.0),
-            ModeLabel(0, 2, V): complex(-0.0, -0.5),
-            ModeLabel(2, 3, V): complex(-0.0, 0.25),
-        },
-        # sums of exactly PRUNE_TOL are pruned on and off the ports
-        {
-            ModeLabel(2, 0): complex(PRUNE_TOL, 0.0),
-            ModeLabel(0, 1): complex(0.0, PRUNE_TOL),
-            ModeLabel(1, 0, V): 1.0 + 0j,
-        },
-    ],
-)
-@pytest.mark.parametrize(
-    "element",
-    [
-        Mirror(0),
-        PhaseShifter(1, 0.0),
-        DovePrism(0, 0.0),
-        Hologram(0, 0),
-        ReflectiveHologram(0, 0),
-        BeamSplitter(1, 0, 0.0),
-        BeamSplitter(0, 1, 1e-16, 0.5),
-    ],
-)
-def test_element_signed_zeros_and_prune_threshold(element, amplitudes_in):
-    assert amplitude_bits(element.transit(amplitudes_in)) == amplitude_bits(
-        label_wise_transit([element], amplitudes_in)
-    )
 
 
 @settings(max_examples=150, deadline=None)
