@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +37,8 @@ from .errors import (
 )
 from .multiport import (
     CompositeDevice,
-    device_matrix,
-    is_generalized_permutation,
+    device_matrix,  # kept as a binding: bench/tracing.py wraps it
+    is_generalized_permutation,  # kept as a binding: bench/tracing.py wraps it
     oambs,
     sbmao,
 )
@@ -53,6 +52,8 @@ from .states import (
     PhotonState,
     QubitSpec,
     V,
+    _apply_ensemble,
+    _label_images,
     _require_unit_norm,
     apply_mode_map,
     fidelity,  # kept as a binding: bench/tracing.py wraps networks.fidelity
@@ -70,7 +71,7 @@ def sender_tag(oam: int, dimension: int) -> int:
 
 @dataclass(frozen=True)
 class HologramBank:
-    """Independent OAM shift per port; ports with shift 0 are pass-through.
+    """Independent OAM shift per port: ``|l> -> |l+k_p>`` on port ``p``.
 
     A bank, not a chain of :class:`~oamnet.elements.Hologram` elements:
     the images are equal, but one lookup per label costs about a tenth of
@@ -79,6 +80,8 @@ class HologramBank:
 
     shifts: tuple[int, ...]
 
+    _sign = 1
+
     @property
     def dimension(self) -> int:
         return len(self.shifts)
@@ -88,79 +91,49 @@ class HologramBank:
             raise DomainError(
                 f"path {label.path} outside bank of {len(self.shifts)} ports"
             )
-        shift = self.shifts[label.path]
-        if shift == 0:
-            return ((label, 1.0 + 0j),)
-        return ((ModeLabel(label.path, label.oam + shift, label.pol), 1.0 + 0j),)
+        oam = self._sign * (label.oam + self.shifts[label.path])
+        return ((ModeLabel(label.path, oam, label.pol), 1.0 + 0j),)
 
     def label_images(self, path: np.ndarray, winding: np.ndarray):
         """``mode_images`` of every label at once (see
-        :class:`~oamnet.states.ModeOperator`)."""
-        shifts = _bank_shifts(self.shifts, path)
-        if shifts is None:
+        :class:`~oamnet.states.ModeOperator`); ``None`` for a path outside
+        the bank or a shift past half the label bound, which could carry a
+        winding within the bound out of int64."""
+        shifts = self.shifts
+        if int(path.max()) >= len(shifts) or max(map(abs, shifts)) > LABEL_BOUND // 2:
             return None
-        return path, winding + shifts[path], None, None
+        shifted = winding + np.array(shifts, dtype=np.int64)[path]
+        return path, shifted if self._sign == 1 else -shifted, None, None
 
 
 @dataclass(frozen=True)
-class ReflectorBank:
+class ReflectorBank(HologramBank):
     """Reflective hologram per port: ``|l> -> |-l-k_p>`` on port ``p``.
 
     A bank for the cost reason given in :class:`HologramBank`.
     """
 
-    shifts: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.shifts)
-
-    def mode_images(self, label: ModeLabel):
-        if not 0 <= label.path < len(self.shifts):
-            raise DomainError(
-                f"path {label.path} outside bank of {len(self.shifts)} ports"
-            )
-        shift = self.shifts[label.path]
-        return (
-            (ModeLabel(label.path, -label.oam - shift, label.pol), 1.0 + 0j),
-        )
-
-    def label_images(self, path: np.ndarray, winding: np.ndarray):
-        """``mode_images`` of every label at once (see
-        :class:`~oamnet.states.ModeOperator`)."""
-        shifts = _bank_shifts(self.shifts, path)
-        if shifts is None:
-            return None
-        return path, -winding - shifts[path], None, None
-
-
-def _bank_shifts(shifts: tuple[int, ...], path: np.ndarray) -> np.ndarray | None:
-    """A bank's shifts as an int64 column, or ``None`` when some label's
-    path lies outside the bank or some shift exceeds half the label bound
-    (a winding within the bound plus such a shift could leave int64)."""
-    if int(path.max()) >= len(shifts) or max(map(abs, shifts)) > LABEL_BOUND // 2:
-        return None
-    return np.array(shifts, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _ensure_slot_safe(device: CompositeDevice) -> None:
-    # Slot-wise ensemble evolution is exact only for generalized
-    # permutations; verify once per device before any ensemble crosses it.
-    ok, _ = is_generalized_permutation(device_matrix(device))
-    if not ok:
-        raise BunchingError(
-            "device is not a generalized permutation on mode labels; "
-            "ensembles cannot cross it slot-wise"
-        )
+    _sign = -1
 
 
 def _device_apply(
     state: PhotonState | EnsembleState, device: CompositeDevice
 ) -> PhotonState | EnsembleState:
-    if isinstance(state, EnsembleState):
-        _ensure_slot_safe(device)
-    return apply_mode_map(state, device)
+    """``device`` applied to ``state``.  An ensemble crosses slot-wise, which
+    is exact only while each occupied label has one image and distinct
+    labels have distinct images: after any error its images record, a
+    crossing that is not one to one raises :class:`BunchingError`."""
+    if not isinstance(state, EnsembleState):
+        return apply_mode_map(state, device)
+    images = _label_images(device, state.amplitudes, state.space)
+    if images.count is None and images.distinct:
+        return _apply_ensemble(state, images)
+    if images.failures:
+        _apply_ensemble(state, images)  # raises the error the expansion meets
+    raise BunchingError(
+        "device does not map the occupied labels one to one; "
+        "ensembles cannot cross it slot-wise"
+    )
 
 
 def _check_index(value: int, dimension: int, name: str) -> None:

@@ -11,11 +11,17 @@ Winding numbers are true signed integers.  Devices routinely produce negative
 values (every reflection flips the sign) and routing formulas reduce them
 modulo the path count only where they must; the state itself never wraps.
 
-Multi-photon states use distinguishable slots.  That is exact as long as each
-operator sends every occupied label to a single label (all composite devices
-in this package do); driving two slots onto one label raises
-:class:`~oamnet.errors.BunchingError` instead of silently producing wrong
-interference terms.
+Multi-photon states use distinguishable slots: each slot evolves on its own.
+That is exact while an operator sends the occupied labels one to one, each
+onto a single label, as the composite devices of this package do; the
+networks check it on every crossing and raise
+:class:`~oamnet.errors.BunchingError` otherwise.  Where a label fans out,
+``apply_mode_map`` computes distinguishable photons, without the exchange
+symmetry of identical ones, and raises only for a row holding one label in
+two slots above ``BUNCHING_TOL``.  So a polarization singlet
+``(|0,H>|1,V> - |0,V>|1,H>)/sqrt(2)`` through a 50:50 beamsplitter on paths
+0 and 1 puts both photons on one path with probability 0.5, where identical
+photons never would.
 
 An ensemble is stored as columns (:class:`EnsembleAmplitudes`): the labels
 its tuples use, as an int64 path column, an int64 winding column and a bool
@@ -590,9 +596,8 @@ def fidelity(
     and a result that rounding lifts above 1 is clamped to 1.  Raises
     :class:`NormalizationError` when ``|<a|b>|`` exceeds that bound, which
     only a state that bypassed its constructor's checks can do, and
-    :class:`DomainError`
-    when the states are of different kinds or the ensembles disagree on
-    slot count.
+    :class:`DomainError` when an argument is not a state, when the states
+    are of different kinds or when the ensembles disagree on slot count.
     """
     (value,) = _fidelities(a, b)
     return value
@@ -603,6 +608,9 @@ def _fidelities(
 ) -> list[float]:
     """:func:`fidelity` of each amplitude column: one value for two states,
     K for two blocks of K columns."""
+    for state in (a, b):
+        if not isinstance(state, (PhotonState, EnsembleState)):
+            raise DomainError(f"not a state: {type(state).__name__}")
     if isinstance(a, PhotonState) != isinstance(b, PhotonState):
         raise DomainError("cannot compare a single photon with an ensemble")
     if isinstance(a, EnsembleState):
@@ -668,9 +676,15 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
     turn, with split-form products; products at or below ``PRUNE_TOL`` drop
     out as they form.
     """
-    space = _shared_space(photons)
+    if not photons:
+        raise DomainError("tensor of an empty photon list")
+    for photon in photons:
+        if not isinstance(photon, PhotonState):
+            raise DomainError(f"not a photon state: {type(photon).__name__}")
+        if photon.space != photons[0].space:
+            raise DomainError("all photons must share one mode space")
     return _product(
-        space,
+        photons[0].space,
         [
             (photon.amplitudes, photon.amplitudes.values(),
              min(map(abs, photon.amplitudes.values())))
@@ -728,16 +742,6 @@ def _qubit_block(
             (labels, list(factors[:, n, used].T), float(moduli[:, n, used].min()))
         )
     return _product(space, product)
-
-
-def _shared_space(photons: Sequence[PhotonState]) -> ModeSpace:
-    if not photons:
-        raise DomainError("tensor of an empty photon list")
-    space = photons[0].space
-    for photon in photons[1:]:
-        if photon.space != space:
-            raise DomainError("all photons must share one mode space")
-    return space
 
 
 def _product(
@@ -838,18 +842,18 @@ def apply_mode_map(
 ) -> PhotonState | EnsembleState:
     """Apply a single-photon linear operator to a state.
 
-    Single photons evolve by plain linearity.  Ensembles evolve slot by
-    slot: each slot's label is replaced by its image and the tuple
-    amplitudes recombined, which is exact for the generalized-permutation
-    devices this package builds.  An output tuple that collides two slots
-    on one label with magnitude above ``BUNCHING_TOL`` raises
-    :class:`BunchingError`; collisions at or below it are numerical dust
-    and are dropped.
+    Single photons evolve by plain linearity, ensembles slot by slot (the
+    module docstring says what that computes).  An output tuple that
+    collides two slots on one label with magnitude above ``BUNCHING_TOL``
+    raises :class:`BunchingError`; collisions at or below it are numerical
+    dust and are dropped.
     """
     if isinstance(state, PhotonState):
         return _apply_photon(state, operator)
     if isinstance(state, EnsembleState):
-        return _apply_ensemble(state, operator)
+        return _apply_ensemble(
+            state, _label_images(operator, state.amplitudes, state.space)
+        )
     raise DomainError(f"not a state: {type(state).__name__}")
 
 
@@ -966,16 +970,14 @@ def _label_images(
     )
 
 
-def _apply_ensemble(
-    state: EnsembleState, operator: ModeOperator
-) -> EnsembleState:
-    """Slot by slot over the columns, as the prefix expansion goes tuple by
-    tuple: a label of ``n`` images turns its row into ``n`` rows in image
-    order, products at or below ``PRUNE_TOL`` drop out as they form, and a
-    dropped row reaches none of its later slots' labels."""
+def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
+    """``state`` along the :func:`_label_images` of its labels, slot by slot
+    as the prefix expansion goes tuple by tuple: a label of ``n`` images
+    turns its row into ``n`` rows in image order, products at or below
+    ``PRUNE_TOL`` drop out as they form, and a dropped row reaches none of
+    its later slots' labels."""
     space = state.space
     columns = state.amplitudes
-    images = _label_images(operator, columns, space)
     codes, re, im = columns.codes, columns.re, columns.im
     # Every partial product is at least the smallest row modulus times
     # low ** slot_count, give or take a rounding far under the factor 2;

@@ -1,14 +1,22 @@
 """MUX/DEMUX, simple and star self-routing, and the two-photon scenarios."""
 
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 from oamnet import (
+    BeamSplitter,
+    BunchingError,
+    CompositeDevice,
     DomainError,
     EnsembleState,
     H,
+    Hologram,
+    Mirror,
     ModeLabel,
     ModeSpace,
     MuxNetwork,
@@ -37,6 +45,8 @@ from oamnet import (
     superposed_destination,
     tensor,
 )
+from oamnet import cli, multiport, networks
+from oamnet.networks import _device_apply
 from oracles import random_qubit
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -294,8 +304,8 @@ def test_star_fault_injection_localized():
 
 
 def test_ensembles_refuse_non_permutation_composites():
-    # the slot model is checked against the device matrix before any
-    # ensemble crosses a composite device
+    # the slot model is checked on the images of the occupied labels
+    # whenever an ensemble crosses a composite device
     from oamnet import BeamSplitter, BunchingError, CompositeDevice
     from oamnet.networks import _device_apply
 
@@ -309,6 +319,128 @@ def test_ensembles_refuse_non_permutation_composites():
     splitter = CompositeDevice((BeamSplitter(0, 1, math.pi / 4),), 2)
     with pytest.raises(BunchingError):
         _device_apply(pair, splitter)
+
+
+def _h_pair(space, first, second):
+    return tensor([PhotonState(space, {label: 1.0}) for label in (first, second)])
+
+
+@pytest.mark.parametrize(
+    "device",
+    [
+        # windings shift past any dense basis window, yet map one to one
+        CompositeDevice((Mirror(0), Hologram(1, 2)), 6),
+        # the splitter mixes only ports the pair does not occupy
+        CompositeDevice((BeamSplitter(2, 3, math.pi / 4),), 6),
+    ],
+    ids=["shifted-windings", "splitter-elsewhere"],
+)
+def test_ensembles_cross_devices_that_are_one_to_one_on_their_labels(device):
+    pair = _h_pair(ModeSpace(6), ModeLabel(0, 1, H), ModeLabel(1, 2, V))
+    crossed = _device_apply(pair, device)
+    assert dict(crossed.amplitudes) == dict(apply_mode_map(pair, device).amplitudes)
+    assert len(crossed.amplitudes) == 1
+
+
+def test_ensembles_refuse_a_singlet_through_a_splitter():
+    # apply_mode_map alone evolves it as distinguishable photons, which
+    # share a path with probability 1/2 where identical ones never would
+    space = ModeSpace(2)
+    singlet = EnsembleState(
+        space,
+        2,
+        {
+            (ModeLabel(0, 0, H), ModeLabel(1, 0, V)): ROOT_HALF,
+            (ModeLabel(0, 0, V), ModeLabel(1, 0, H)): -ROOT_HALF,
+        },
+    )
+    splitter = CompositeDevice((BeamSplitter(0, 1, math.pi / 4),), 2)
+    spread = apply_mode_map(singlet, splitter)
+    together = sum(
+        abs(amp) ** 2
+        for labels, amp in spread.amplitudes.items()
+        if labels[0].path == labels[1].path
+    )
+    assert together == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(BunchingError, match="one to one"):
+        _device_apply(singlet, splitter)
+
+
+def test_a_recorded_image_error_raises_before_the_slot_check():
+    # path 5 lies outside the D=4 device
+    pair = _h_pair(ModeSpace(6), ModeLabel(0, 0, H), ModeLabel(5, 0, H))
+    with pytest.raises(DomainError) as direct:
+        apply_mode_map(pair, oambs(4))
+    with pytest.raises(DomainError) as crossed:
+        _device_apply(pair, oambs(4))
+    assert type(crossed.value) is type(direct.value)
+    assert str(crossed.value) == str(direct.value)
+
+
+def test_an_ensemble_crossing_gathers_its_images_once(monkeypatch):
+    calls = []
+    gather = CompositeDevice.label_images
+
+    def spy(self, path, winding):
+        calls.append(self)
+        return gather(self, path, winding)
+
+    monkeypatch.setattr(CompositeDevice, "label_images", spy)
+    network = MuxNetwork(4)
+    merged = network.transmit([QubitSpec(ROOT_HALF, ROOT_HALF)] * 4)
+    assert calls == [oambs(4)]
+    network.receive(merged)
+    assert calls == [oambs(4), sbmao(4)]
+    calls.clear()
+    distribute_bell_pair(0, 1, 2, 3, 4)
+    assert calls == [oambs(4), sbmao(4)]
+
+
+def test_network_ensembles_build_no_device_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense device matrix was built")
+
+    monkeypatch.setattr(multiport, "device_matrix", refuse)
+    monkeypatch.setattr(networks, "device_matrix", refuse)
+    monkeypatch.setattr(networks, "is_generalized_permutation", refuse)
+    for argv in (
+        ["scenario", "mux-roundtrip", "--dimension", "6"],
+        ["scenario", "bell", "--src", "0,1", "--dst", "2,3", "--dimension", "4"],
+    ):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    results = cli._mux_roundtrip(MuxNetwork(5), np.random.default_rng(1), 20)
+    assert len(results) == 20
+    qubits = [random_qubit(np.random.default_rng(2)) for _ in range(5)]
+    assert len(demux_receive(mux_transmit(qubits)).amplitudes) == 2**5
+
+
+@pytest.mark.parametrize("dimension", [33, 64])
+def test_bell_runs_past_the_device_matrix_bound(dimension):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(
+            ["scenario", "bell", "--src", "0,1", "--dst", "2,3",
+             "--dimension", str(dimension)]
+        )
+    assert code == 0
+    report = json.loads(out.getvalue())
+    assert report["fidelity"] >= 1.0 - 1e-9
+    assert report["delivered_tags"] == report["sources"] == [0, 1]
+    assert report["pass"] is True
+
+
+def test_bell_stops_at_the_fourier_bound():
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(
+            ["scenario", "bell", "--src", "0,1", "--dst", "2,3", "--dimension", "2049"]
+        )
+    assert code == 2
+    assert err.getvalue() == (
+        "error: a Fourier matrix of 4198401 entries exceeds the bound of "
+        "4194304 entries\n"
+    )
 
 
 # ---------------------------------------------------------------- scenarios

@@ -1,5 +1,6 @@
 """State construction, fidelity, tensor products, and operator application."""
 
+import functools
 import math
 import pickle
 
@@ -103,6 +104,40 @@ def test_column_norm_check_rejects_nan_and_overflow(moduli):
         _require_unit_moduli(np.array(moduli))
 
 
+def _norm_outcome(moduli):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _require_unit_moduli(moduli)
+    except NormalizationError as exc:
+        return str(exc)
+    return None
+
+
+def test_column_norm_check_is_the_same_with_the_einsum_dot(monkeypatch):
+    # numpy < 2 has no vecdot; states then sums the column dot products with
+    # einsum, whose rounding may differ, but the check redoes any column near
+    # or past the tolerance term by term, so outcome and message agree
+    root = math.sqrt(0.5)
+    columns = [
+        np.array([[root, root], [root, root]]),
+        np.array([[0.6, math.nan], [0.8, 0.0]]),
+        np.array([[math.inf, 0.6], [0.0, 0.8]]),
+        np.array([[1e200], [0.0]]),
+    ]
+    for excess in (0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, -0.5, -1.0, -1.001):
+        norm_sq = 1.0 + excess * states.NORM_TOL
+        for split in (0.5, 0.3):
+            columns.append(
+                np.array([[math.sqrt(norm_sq * split)], [math.sqrt(norm_sq * (1 - split))]])
+            )
+    native = [_norm_outcome(moduli) for moduli in columns]
+    monkeypatch.setattr(
+        states, "_column_dot", functools.partial(np.einsum, "i...,i...->...")
+    )
+    assert [_norm_outcome(moduli) for moduli in columns] == native
+    assert native.count(None) not in (0, len(native))
+
+
 def test_photon_state_prunes_dust():
     photon = PhotonState(SPACE3, {ModeLabel(0, 0): 1.0, ModeLabel(1, 0): 1e-16})
     assert list(photon.amplitudes) == [ModeLabel(0, 0)]
@@ -158,15 +193,35 @@ def test_fidelity_clamps_rounding_within_norm_tolerance():
 def test_fidelity_kind_mismatch():
     photon = make_qubit_photon(QubitSpec(1, 0), 0, 0, SPACE3)
     ensemble = tensor([photon])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^cannot compare a single photon with an ensemble$"):
         fidelity(photon, ensemble)
 
 
 def test_fidelity_slot_count_mismatch():
     p0 = make_qubit_photon(QubitSpec(1, 0), 0, 0, SPACE3)
     p1 = make_qubit_photon(QubitSpec(1, 0), 1, 0, SPACE3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^slot counts differ: 1 vs 2$"):
         fidelity(tensor([p0]), tensor([p0, p1]))
+
+
+def test_fidelity_refuses_non_states():
+    photon = make_qubit_photon(QubitSpec(1, 0), 0, 0, SPACE3)
+    for a, b, kind in (
+        (1, 2, "int"),
+        (None, None, "NoneType"),
+        (photon, photon.amplitudes, "dict"),
+        (photon.amplitudes, photon, "dict"),
+    ):
+        with pytest.raises(DomainError, match=f"^not a state: {kind}$"):
+            fidelity(a, b)
+
+
+def test_tensor_refuses_entries_that_are_not_photons():
+    photon = make_qubit_photon(QubitSpec(1, 0), 0, 0, SPACE3)
+    ensemble = tensor([make_qubit_photon(QubitSpec(1, 0), 1, 0, SPACE3)])
+    for entry, kind in ((None, "NoneType"), (ensemble, "EnsembleState")):
+        with pytest.raises(DomainError, match=f"^not a photon state: {kind}$"):
+            tensor([photon, entry])
 
 
 def test_tensor_singleton():
