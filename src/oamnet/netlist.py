@@ -11,12 +11,17 @@ reflections a photon suffers while crossing a synthesized multiport.
 
 ``oambs_netlist_error`` certifies an export by replaying every basis photon
 ``|l>_n`` through it, and sends all ``D**2`` of them through at once: one
-list of rows, each a (photon and polarization, path, winding, amplitude)
-entry of some photon's map, grouped by photon and in each photon's dict
-order.  The elements are grouped into rounds of elements on disjoint ports
-(the 88 elements of the D=8 OAM beamsplitter make 30 rounds), and each
-round fans the rows out to their images and sums equal rows with the
-ensemble's own kernels, so every photon's images equal
+list of rows, each a (lane, path, amplitude) entry of some photon's map,
+grouped by photon and in each photon's dict order.  A lane stands for one
+(photon and polarization, winding) pair, and per-lane arrays hold each
+lane's photon, polarization and winding, so a row carries two integers and
+two floats.  The elements are grouped into rounds of elements on disjoint
+ports (the 88 elements of the D=8 OAM beamsplitter make 30 rounds), and
+each round fans the rows out to their images and sums equal (lane, path)
+rows with the ensemble's own kernels: the first of each is found in a
+table indexed by ``lane * D + path``, with no sort.  Only a round that
+changes windings (a mirror, prism or hologram) renumbers the lanes; the
+beamsplitter and phase rounds keep them.  Every photon's images equal
 ``Netlist.mode_images`` bit for bit and in key order, and memory follows
 the summed supports.
 
@@ -68,6 +73,7 @@ from .states import (
     ModeSpace,
     PhotonState,
     _fan_out,
+    _first_rows,
     _sum_equal_rows,
     apply_mode_map,
     compose_images,
@@ -128,10 +134,15 @@ def reck_decompose(target: np.ndarray) -> Netlist:
     work = np.array(target, dtype=complex)
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
         raise DecompositionError(f"target must be square, got {work.shape}")
+    if not np.isfinite(work).all():
+        raise DecompositionError("target has non-finite entries")
     dimension = work.shape[0]
     identity = np.eye(dimension)
-    defect = float(np.max(np.abs(work.conj().T @ work - identity)))
-    if defect > 1e-10:
+    # finite entries past 1e154 overflow the product; the gate refuses the
+    # inf or NaN that results
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.max(np.abs(work.conj().T @ work - identity)))
+    if not defect <= 1e-10:
         raise DecompositionError(
             f"target is not unitary: max |U^H U - I| = {defect:.3e}"
         )
@@ -144,17 +155,20 @@ def reck_decompose(target: np.ndarray) -> Netlist:
             if abs(v) <= _NULL_TOL:
                 continue
             theta = math.atan2(abs(v), abs(u))
-            phi = float(np.angle(-v * np.conj(u))) - math.pi / 2.0
+            # the arctan2 that np.angle calls, without its wrapper
+            w = -v * np.conj(u)
+            phi = float(np.arctan2(w.imag, w.real)) - math.pi / 2.0
             block = np.array(beamsplitter_block(theta, phi))
-            work[:, [a, b]] = work[:, [a, b]] @ block
+            # columns a and b = a + 1 as a view, rewritten in place
+            pair = work[:, a : b + 1]
+            pair[...] = pair @ block
             # The netlist needs the inverse of the nulling block, which is
             # the same convention with the mixing angle negated.
             splitters.append(BeamSplitter(a, b, -theta, phi))
 
+    angles = [float(np.angle(work[port, port])) for port in range(dimension)]
     shifters = [
-        PhaseShifter(port, float(np.angle(work[port, port])))
-        for port in range(dimension)
-        if np.angle(work[port, port]) != 0.0
+        PhaseShifter(port, angle) for port, angle in enumerate(angles) if angle != 0.0
     ]
     return Netlist(dimension, tuple(splitters) + tuple(shifters))
 
@@ -254,127 +268,113 @@ def _rounds(elements: Sequence[PortElement]) -> list[list[PortElement]]:
 _RULED = (PhaseShifter, BeamSplitter, Mirror, DovePrism, Hologram, ReflectiveHologram)
 
 
+# the most terms a rule of the six types has: a beamsplitter's two
+_WIDTH = 2
+
+
 class _PortTables(NamedTuple):
     """Every round's port rules as tables (see :func:`_port_tables`)."""
 
     start: np.ndarray
     count: np.ndarray
     path: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
+    factor: np.ndarray
     sign: np.ndarray
     shift: np.ndarray
     dove: np.ndarray
     alpha: list[dict[int, float]]
     spread: list[bool]
     moved: list[bool]
-    width: int
+    reach: int
 
 
-def _port_tables(rounds: list[list[PortElement]], dimension: int) -> _PortTables:
-    """The port rules of each round's elements as tables indexed by round
-    and path, with the identity on every path off their ports.
+def _port_tables(
+    netlist: Netlist, inputs: Sequence[ModeLabel]
+) -> _PortTables | None:
+    """The port rules of each round's elements (:func:`_rounds`) as tables
+    indexed by round and path, with the identity on every path off their
+    ports, or ``None`` when the inputs must be replayed photon by photon.
 
     In round ``r``, path ``p`` has ``count[r, p]`` terms, from ``start[p]``
-    on in row ``r`` of ``path``, ``re`` and ``im`` (image path and factor
-    parts), ``width`` entries apart, and its image winding is ``sign[r, p] *
-    l + shift[r, p]``.  ``dove`` marks the Dove prisms' ports and
-    ``alpha[r]`` holds their angles.  ``spread[r]`` tells that some term
-    leaves its port or shares it with another term, and ``moved[r]`` that
-    some winding changes; a round that is not spread sends distinct labels
-    to distinct images on their own paths.
-    """
-    rules = [
-        [
-            (port, rule)
-            for element in elements
-            for port, rule in zip(element.ports, element.port_rules)
-        ]
-        for elements in rounds
-    ]
-    width = max(
-        (len(rule.terms) for round_rules in rules for _, rule in round_rules),
-        default=1,
-    )
-    cells = len(rounds) * dimension
-    count = [1] * cells
-    paths = [p for p in range(dimension) for _ in range(width)] * len(rounds)
-    factors = [1.0 + 0j] * (cells * width)
-    sign = [1] * cells
-    shift = [0] * cells
-    dove = [False] * cells
-    alpha: list[dict[int, float]] = [{} for _ in rounds]
-    spread = [False] * len(rounds)
-    moved = [False] * len(rounds)
-    for r, round_rules in enumerate(rules):
-        for port, (terms, s, k, a) in round_rules:
-            cell = r * dimension + port
-            count[cell], sign[cell], shift[cell] = len(terms), s, k
-            at = cell * width
-            for image_path, factor in terms:
-                paths[at], factors[at] = image_path, factor
-                at += 1
-            spread[r] = spread[r] or len(terms) > 1 or terms[0][0] != port
-            moved[r] = moved[r] or s != 1 or k != 0
-            if a is not None:
-                dove[cell] = True
-                alpha[r][port] = a
-    grid = (len(rounds), dimension)
-    terms = (len(rounds), dimension * width)
-    factor_array = np.array(factors, dtype=np.complex128).reshape(terms)
-    return _PortTables(
-        np.arange(0, dimension * width, width),
-        np.array(count, dtype=np.int64).reshape(grid),
-        np.array(paths, dtype=np.int64).reshape(terms),
-        factor_array.real,
-        factor_array.imag,
-        np.array(sign, dtype=np.int64).reshape(grid),
-        np.array(shift, dtype=np.int64).reshape(grid),
-        np.array(dove, dtype=bool).reshape(grid),
-        alpha,
-        spread,
-        moved,
-        width,
-    )
-
-
-def _batch_reach(
-    netlist: Netlist, rounds: list[list[PortElement]], inputs: Sequence[ModeLabel]
-) -> int | None:
-    """The bound on every |winding| of the batched replay, or ``None`` when
-    the inputs must be replayed photon by photon.
+    on in row ``r`` of ``path`` and ``factor`` (image path and factor),
+    ``_WIDTH`` entries apart, and its image winding is ``sign[r, p] * l +
+    shift[r, p]``.  ``dove`` marks the Dove prisms' ports and ``alpha[r]``
+    holds their angles.  ``spread[r]`` tells that some term leaves its port
+    or shares it with another term, and ``moved[r]`` that some winding
+    changes; a round that is not spread sends distinct labels to distinct
+    images on their own paths.
 
     The batch needs elements of the six built-in types, input paths in
-    ``[0, D)``, and a reach (the inputs' largest |winding| plus each
+    ``[0, D)``, and a ``reach`` (the inputs' largest |winding| plus each
     round's largest |shift|, in Python ints) within ``LABEL_BOUND``, such
-    that the row keys of :func:`_row_keys` over the ``2 * len(inputs)``
-    streams fit int64.
+    that the int64 keys of :func:`_lanes` over the ``2 * len(inputs)``
+    streams and of :func:`_dove_phases` over the ``D`` paths fit.
     """
     dimension = netlist.dimension
     if not inputs or not all(type(e) in _RULED for e in netlist.elements):
         return None
     if not all(0 <= label.path < dimension for label in inputs):
         return None
-    reach = max(abs(label.oam) for label in inputs) + sum(
-        max(abs(rule.shift) for element in elements for rule in element.port_rules)
-        for elements in rounds
-    )
+    rounds = _rounds(netlist.elements)
+    cells = len(rounds) * dimension
+    count = [1] * cells
+    paths = [p for p in range(dimension) for _ in range(_WIDTH)] * len(rounds)
+    factors = [1.0 + 0j] * (cells * _WIDTH)
+    sign = [1] * cells
+    shift = [0] * cells
+    dove = [False] * cells
+    alpha: list[dict[int, float]] = [{} for _ in rounds]
+    spread = [False] * len(rounds)
+    moved = [False] * len(rounds)
+    reach = max(abs(label.oam) for label in inputs)
+    for r, elements in enumerate(rounds):
+        top = 0
+        for element in elements:
+            for port, (terms, s, k, a) in zip(element.ports, element.port_rules):
+                cell = r * dimension + port
+                count[cell], sign[cell], shift[cell] = len(terms), s, k
+                at = cell * _WIDTH
+                for image_path, factor in terms:
+                    paths[at], factors[at] = image_path, factor
+                    at += 1
+                spread[r] = spread[r] or len(terms) > 1 or terms[0][0] != port
+                if s != 1 or k != 0:
+                    moved[r] = True
+                    top = max(top, abs(k))
+                if a is not None:
+                    dove[cell] = True
+                    alpha[r][port] = a
+        reach += top
     keys = 2 * len(inputs) * dimension * (2 * reach + 1)
-    return reach if reach <= LABEL_BOUND and keys <= 2**63 else None
+    if reach > LABEL_BOUND or keys > 2**63:
+        return None
+    grid = (len(rounds), dimension)
+    terms = (len(rounds), dimension * _WIDTH)
+    return _PortTables(
+        np.arange(0, dimension * _WIDTH, _WIDTH),
+        np.array(count, dtype=np.int64).reshape(grid),
+        np.array(paths, dtype=np.int64).reshape(terms),
+        np.array(factors, dtype=np.complex128).reshape(terms),
+        np.array(sign, dtype=np.int64).reshape(grid),
+        np.array(shift, dtype=np.int64).reshape(grid),
+        np.array(dove, dtype=bool).reshape(grid),
+        alpha,
+        spread,
+        moved,
+        reach,
+    )
 
 
-def _row_keys(
-    path: np.ndarray,
-    winding: np.ndarray,
-    reach: int,
-    dimension: int,
-    stream: np.ndarray | int = 0,
-) -> np.ndarray:
-    """One int64 key per row, equal exactly where rows hold the same path,
-    winding and stream: paths in ``[0, dimension)`` and windings within
-    ``[-reach, reach]`` pack with the stream into one number
-    (:func:`_batch_reach` checks that it fits)."""
-    return (stream * dimension + path) * (2 * reach + 1) + (winding + reach)
+def _lanes(
+    stream: np.ndarray, winding: np.ndarray, streams: int, reach: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every lane's stream and winding, and each row's lane: the rank of
+    its (stream, winding) pair by first appearance.  With streams in ``[0,
+    streams)`` and windings within ``[-reach, reach]``, a pair packs into
+    one int64 key."""
+    span = 2 * reach + 1
+    first, lane = _first_rows(stream * span + (winding + reach), streams * span)
+    return stream[first], winding[first], lane
 
 
 def _dove_phases(
@@ -387,18 +387,15 @@ def _dove_phases(
     """The rows on Dove prism ports (``dove`` marks them by path), and each
     one's prism phase, computed once per distinct (path, winding) by the
     formula of ``DovePrism.mode_images``."""
-    at = np.flatnonzero(dove[path])
+    at = dove[path].nonzero()[0]
     path, winding = path[at], winding[at]
-    _, first, inverse = np.unique(
-        _row_keys(path, winding, reach, len(dove)),
-        return_index=True,
-        return_inverse=True,
-    )
+    span = 2 * reach + 1
+    first, group = _first_rows(path * span + (winding + reach), len(dove) * span)
     phases = [
         cmath.exp(-1j * alpha[p] * l)
         for p, l in zip(path[first].tolist(), winding[first].tolist())
     ]
-    return at, np.array(phases, dtype=np.complex128)[inverse]
+    return at, np.array(phases, dtype=np.complex128)[group]
 
 
 def _replay_columns(
@@ -406,74 +403,92 @@ def _replay_columns(
 ) -> list[list[tuple[ModeLabel, complex]]]:
     """``netlist.mode_images(label)`` for every label of ``inputs`` at once.
 
-    All maps share one row list: row ``r`` is the entry of label
-    ``(path[r], winding[r], V if vpol else H)`` in the map of
-    ``inputs[photon]``, worth ``re[r] + i*im[r]``, where
-    ``stream[r] = 2 * photon + vpol``.  Rows stay grouped by photon and,
-    within a photon, in dict order, so order needs no keys.  Each round of
-    :func:`_rounds` reads its elements' port rules as path-indexed tables
-    (:func:`_port_tables`) and gathers every row's images at once (a label
-    off the round's ports is its own image with factor ``1+0j``, as in
-    ``PortElement.mode_images``); only a Dove prism's phase is computed per
-    distinct (path, winding), by the formula of its ``mode_images``.  The
-    round then multiplies in split form, sums equal (stream, path, winding)
-    rows into the first of them and prunes at ``PRUNE_TOL``: the
-    ensemble's own fan-out and row merge, which add the terms in the order
-    of the label-wise loop of ``compose_images``.  A round that would fan
-    out to more than ``MAX_ENSEMBLE_ROWS`` rows raises
-    :class:`DomainError` before it allocates them.
+    All maps share one row list: row ``r`` is the entry of label ``(path[r],
+    w, V if vpol else H)`` in the map of ``inputs[photon]``, worth ``re[r] +
+    i*im[r]``, where ``lane[r]`` is a lane: a number standing for one pair
+    of stream ``2 * photon + vpol`` and winding ``w``, whose stream and
+    winding the per-lane arrays ``lane_stream`` and ``lane_winding`` hold.
+    Rows stay grouped by photon and, within a photon, in dict order, so
+    order needs no keys.
 
-    A netlist that :func:`_batch_reach` rejects (another element type, a
+    Each round of :func:`_rounds` reads its elements' port rules as
+    path-indexed tables (:func:`_port_tables`) and gathers every row's
+    images at once (a label off the round's ports is its own image with
+    factor ``1+0j``, as in ``PortElement.mode_images``); only a Dove
+    prism's phase is computed per distinct (path, winding), by the formula
+    of its ``mode_images``.  A round that moves windings gives the rows new
+    windings and so new pairs, and :func:`_lanes` renumbers the lanes by
+    first appearance; every other round keeps them.  The round then
+    multiplies in split form, sums equal (lane, path) rows into the first
+    of them and prunes at ``PRUNE_TOL``: the ensemble's own fan-out and row
+    merge, which add the terms in the order of the label-wise loop of
+    ``compose_images``.  The merge finds each row's first equal row in a
+    table indexed by ``lane * D + path`` (:func:`~oamnet.states._first_rows`),
+    sized by the lanes and so by the rows, and sorts only where the table
+    would pass ``_TABLE_PER_ROW`` entries per row.  A round that would fan out to more
+    than ``MAX_ENSEMBLE_ROWS`` rows raises :class:`DomainError` before it
+    allocates them.
+
+    A netlist that :func:`_port_tables` rejects (another element type, a
     path outside the netlist, or windings that may pass ``LABEL_BOUND``)
     is replayed photon by photon through ``netlist.mode_images``, whose
     Python ints never wrap.
     """
-    rounds = _rounds(netlist.elements)
-    reach = _batch_reach(netlist, rounds, inputs)
-    if reach is None:
+    tables = _port_tables(netlist, inputs)
+    if tables is None:
         return [list(netlist.mode_images(label)) for label in inputs]
-    dimension = netlist.dimension
-    tables = _port_tables(rounds, dimension)
-    stream = np.array(
+    dimension, reach = netlist.dimension, tables.reach
+    # every input is a stream of its own, so its own lane
+    lane_stream = np.array(
         [2 * photon + (label.pol is V) for photon, label in enumerate(inputs)],
         dtype=np.int64,
     )
+    lane_winding = np.array([label.oam for label in inputs], dtype=np.int64)
+    lane = np.arange(len(inputs))
     path = np.array([label.path for label in inputs], dtype=np.int64)
-    winding = np.array([label.oam for label in inputs], dtype=np.int64)
     re, im = np.ones(len(inputs)), np.zeros(len(inputs))
-    for r in range(len(rounds)):
+    rounds = zip(
+        tables.spread, tables.moved, tables.alpha, tables.count, tables.path,
+        tables.factor, tables.sign, tables.shift, tables.dove,
+    )
+    for spread, moved, alpha, count, image_path, factor, sign, shift, dove in rounds:
         source = path
-        if tables.spread[r]:
-            rows, pick = _fan_out(path, tables.start, tables.count[r], width=1)
-            stream, source, winding = stream[rows], path[rows], winding[rows]
-            re, im = re[rows], im[rows]
-            path = tables.path[r][pick]
-            fr, fi = tables.re[r][pick], tables.im[r][pick]
+        if spread:
+            rows, pick = _fan_out(path, tables.start, count, width=1)
+            lane, re, im = lane[rows], re[rows], im[rows]
+            if moved:
+                source = path[rows]
+            path, factor = image_path[pick], factor[pick]
         else:
             # one term per path, on the path itself
-            fr = tables.re[r, :: tables.width][path]
-            fi = tables.im[r, :: tables.width][path]
-        if tables.alpha[r]:
-            at, phase = _dove_phases(
-                tables.alpha[r], tables.dove[r], source, winding, reach
+            factor = factor[::_WIDTH][path]
+        if moved:
+            winding = lane_winding[lane]
+            # a Dove prism flips the winding, so its round is a moving one
+            if alpha:
+                at, phase = _dove_phases(alpha, dove, source, winding, reach)
+                factor[at] = phase
+            winding = sign[source] * winding + shift[source]
+            lane_stream, lane_winding, lane = _lanes(
+                lane_stream[lane], winding, 2 * len(inputs), reach
             )
-            fr[at], fi[at] = phase.real, phase.imag
-        if tables.moved[r]:
-            winding = tables.sign[r][source] * winding + tables.shift[r][source]
+        fr, fi = factor.real, factor.imag
         re, im = re * fr - im * fi, re * fi + im * fr
-        if tables.spread[r]:
-            key = _row_keys(path, winding, reach, dimension, stream)
-            first, re, im = _sum_equal_rows(key, re, im)
-            keep = np.hypot(re, im) > PRUNE_TOL
-            first = first[keep]
+        if spread:
+            first, re, im = _sum_equal_rows(
+                lane * dimension + path, re, im, len(lane_stream) * dimension
+            )
         else:
             # distinct labels keep distinct images, so each sum is 0.0 + x
-            re, im = 0.0 + re, 0.0 + im
-            keep = np.hypot(re, im) > PRUNE_TOL
-            first = np.flatnonzero(keep)
-        stream, path, winding = stream[first], path[first], winding[first]
-        re, im = re[keep], im[keep]
+            first, re, im = None, 0.0 + re, 0.0 + im
+        keep = np.hypot(re, im) > PRUNE_TOL
+        if not keep.all():
+            first = keep.nonzero()[0] if first is None else first[keep]
+            re, im = re[keep], im[keep]
+        if first is not None:
+            lane, path = lane[first], path[first]
 
+    stream, winding = lane_stream[lane], lane_winding[lane]
     sign = -1 if netlist.parity_flip else 1
     pols = (H, V)
     values = map(complex, re.tolist(), im.tolist())

@@ -4,13 +4,23 @@ The JSON output is deterministic byte for byte: objects serialize in
 insertion order and every float is rendered with 17 significant digits,
 enough to reconstruct the exact IEEE-754 double on any conforming parser
 (negative zero is written ``-0.0``, since ``-0`` would parse as an integer).
+
+:func:`dumps_canonical` first dispatches on the exact ``type()`` of the
+value: ``float``, ``str``, ``int``, ``dict`` and ``list``, the types that
+reports and netlist records are built from, each cost one identity test.
+Everything else falls back to an ``isinstance`` chain: ``bool``, ``None``,
+tuples, numpy integer and float scalars, other :class:`Mapping` types such
+as an ensemble's amplitudes, and subclasses of the five exact types.  Both
+routes write the same text for the same value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Mapping
+from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any
 
 import numpy as np
 
@@ -28,7 +38,7 @@ from .netlist import Netlist
 
 
 def _format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise DomainError(f"non-finite float {value!r} is not serializable")
     text = format(value, ".17g")
     return "-0.0" if text == "-0" else text
@@ -36,6 +46,17 @@ def _format_float(value: float) -> str:
 
 def dumps_canonical(value: Any) -> str:
     """Deterministic JSON text for plain dict/list/str/number/bool trees."""
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is dict:
+        return _dumps_items(value)
+    if kind is list:
+        return "[" + ", ".join([dumps_canonical(item) for item in value]) + "]"
     if value is None:
         return "null"
     if value is True:
@@ -43,20 +64,27 @@ def dumps_canonical(value: Any) -> str:
     if value is False:
         return "false"
     if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return _quote(value)
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _format_float(float(value))
     if isinstance(value, Mapping):
-        items = ", ".join(
-            f"{json.dumps(str(key))}: {dumps_canonical(item)}"
-            for key, item in value.items()
-        )
-        return "{" + items + "}"
+        return _dumps_items(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(dumps_canonical(item) for item in value) + "]"
+        return "[" + ", ".join([dumps_canonical(item) for item in value]) + "]"
     raise DomainError(f"cannot serialize {type(value).__name__}")
+
+
+def _dumps_items(value: Mapping) -> str:
+    """A JSON object of the items, each key written as ``str(key)``."""
+    items = ", ".join(
+        [
+            f"{_quote(str(key))}: {dumps_canonical(item)}"
+            for key, item in value.items()
+        ]
+    )
+    return "{" + items + "}"
 
 
 def element_to_dict(element: Element) -> dict[str, Any]:
@@ -178,10 +206,15 @@ def netlist_dumps(netlist: Netlist, replay_error: float | None = None) -> str:
     return dumps_canonical(netlist_to_dict(netlist, replay_error)) + "\n"
 
 
-def netlist_loads(text: str) -> Netlist:
+def netlist_loads(text: str | bytes | bytearray) -> Netlist:
+    """Netlist from its JSON document, as strict as
+    :func:`netlist_from_dict`; anything but a ``str``, ``bytes`` or
+    ``bytearray`` holding a JSON object raises :class:`DomainError`."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise DomainError(f"not a JSON document: {type(text).__name__}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DomainError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError("netlist document must be a JSON object")

@@ -1060,7 +1060,7 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
         width = _width(re)
         key = np.array(group, dtype=np.int64)[:, None] * width + np.arange(width)
         first, re_sums, im_sums = _sum_equal_rows(
-            key.ravel(), re.reshape(-1), im.reshape(-1)
+            key.ravel(), re.reshape(-1), im.reshape(-1), key.size
         )
         shape = (len(first) // width, *re.shape[1:])
         codes = codes[first[::width] // width]
@@ -1104,11 +1104,11 @@ def _fan_out(
     raise :class:`DomainError` before they are allocated.
     """
     fan = count[column]
-    ends = np.cumsum(fan)
+    ends = fan.cumsum()
     if width and len(ends):
         _require_row_bound(int(ends[-1]) * width)
-    rows = np.repeat(np.arange(len(column)), fan)
-    pick = np.arange(len(rows)) + np.repeat(start[column] - (ends - fan), fan)
+    rows = np.arange(len(column)).repeat(fan)
+    pick = np.arange(len(rows)) + (start[column] - (ends - fan)).repeat(fan)
     return rows, pick
 
 
@@ -1123,22 +1123,46 @@ def _require_row_bound(rows: int) -> None:
         )
 
 
+# a first-appearance table may hold this many entries per row before the
+# rows are sorted instead: it then costs no more memory than the few
+# per-row arrays around it
+_TABLE_PER_ROW = 16
+
+
+def _first_rows(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct int64 ``key``, all keys lying in
+    ``[0, bound)``, in order of first appearance, and each row's rank among
+    those first rows.
+
+    While ``bound`` is at most ``_TABLE_PER_ROW`` entries per row, a table
+    of ``bound`` entries takes the smallest row index of each key, with no
+    sort; otherwise a sort finds it.
+    """
+    rows = np.arange(len(key))
+    if bound <= _TABLE_PER_ROW * len(key):
+        table = np.full(bound, len(key))
+        np.minimum.at(table, key, rows)
+        first_of = table[key]
+    else:
+        _, first_of, inverse = np.unique(key, return_index=True, return_inverse=True)
+        first_of = first_of[inverse.reshape(-1)]
+    new = first_of == rows
+    return new.nonzero()[0], (new.cumsum() - 1)[first_of]
+
+
 def _sum_equal_rows(
-    key: np.ndarray, re: np.ndarray, im: np.ndarray
+    key: np.ndarray, re: np.ndarray, im: np.ndarray, bound: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of equal int64 ``key`` summed into the first of them.
+    """Rows of equal int64 ``key``, in ``[0, bound)``, summed into the
+    first of them (:func:`_first_rows`).
 
     Returns the first row of each sum, in order of first appearance, and
     the sums; each runs from 0.0 in row order (``bincount`` adds in input
     order), as a dict's sum from ``0j`` does.
     """
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    group = rank[inverse.reshape(-1)]
+    first, group = _first_rows(key, bound)
     return (
-        first[order],
+        first,
         np.bincount(group, re, len(first)),
         np.bincount(group, im, len(first)),
     )

@@ -332,3 +332,41 @@ def column_walk_generalized_permutation(matrix, tol):
         used_rows.add(i)
         witness[j] = (i, complex(column[i]))
     return True, witness
+
+
+def reference_dumps_canonical(value):
+    """``serialize.dumps_canonical`` as one ``isinstance`` chain: the
+    reference for its dispatch on exact types."""
+    import json
+    import math
+    from collections.abc import Mapping
+
+    from oamnet import DomainError
+
+    def format_float(value):
+        if math.isnan(value) or math.isinf(value):
+            raise DomainError(f"non-finite float {value!r} is not serializable")
+        text = format(value, ".17g")
+        return "-0.0" if text == "-0" else text
+
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value))
+    if isinstance(value, Mapping):
+        items = ", ".join(
+            f"{json.dumps(str(key))}: {reference_dumps_canonical(item)}"
+            for key, item in value.items()
+        )
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(reference_dumps_canonical(item) for item in value) + "]"
+    raise DomainError(f"cannot serialize {type(value).__name__}")

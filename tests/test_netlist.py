@@ -1,6 +1,7 @@
 """Triangular synthesis, netlist replay, and the flat device netlists."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,44 @@ def test_reck_rejects_non_unitary():
         reck_decompose(np.ones((3, 3)))
     with pytest.raises(DecompositionError):
         reck_decompose(np.ones((2, 3)))
+
+
+def nan_target():
+    # every entry NaN: the unitarity gate compared NaN > 1e-10, which is
+    # false, and six elements with NaN angles came out
+    return np.full((3, 3), np.nan)
+
+
+def inf_target():
+    # one infinite entry: the gate's product warned "invalid value
+    # encountered in matmul", and a splitter with a NaN angle came out
+    target = np.eye(3, dtype=complex)
+    target[1, 2] = np.inf
+    return target
+
+
+@pytest.mark.parametrize("build", [nan_target, inf_target], ids=["nan", "inf"])
+def test_reck_refuses_non_finite_targets_without_a_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DecompositionError, match="non-finite"):
+            reck_decompose(build())
+
+
+@pytest.mark.parametrize(
+    "target, defect",
+    [
+        (np.eye(3) * 1e300, "inf"),
+        # inf - inf in every entry of U^H U: NaN > 1e-10 let it pass
+        (np.array([[1e200, 1e200], [1e200, -1e200]]) * (1 + 1j), "nan"),
+    ],
+    ids=["inf", "nan"],
+)
+def test_reck_refuses_targets_whose_gate_overflows_without_a_warning(target, defect):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DecompositionError, match=f"not unitary: .* = {defect}$"):
+            reck_decompose(target)
 
 
 def test_netlist_validates_ports():

@@ -2,15 +2,20 @@
 
 import json
 import math
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamnet import (
     DomainError,
+    H,
+    ModeLabel,
     Netlist,
     OamNetError,
+    V,
     dove_stage_elements,
     oambs_netlist,
 )
@@ -21,6 +26,8 @@ from oamnet.serialize import (
     netlist_from_dict,
     netlist_loads,
 )
+from oracles import reference_dumps_canonical
+from test_transit import netlists
 
 ELEMENT_TYPES = (
     "beamsplitter",
@@ -202,3 +209,137 @@ def test_negative_zero_survives_the_round_trip():
     assert math.copysign(1.0, loaded.elements[0].alpha) == -1.0
     assert netlist_dumps(loaded) == text
     assert dumps_canonical([-0.0, 0.0, -1.0]) == "[-0.0, 0, -1]"
+
+
+@pytest.mark.parametrize("value", [5, None, 2.5, ["{}"], {"dimension": 1}])
+def test_loading_what_is_not_a_document_is_a_domain_error(value):
+    # 5 and None used to leak TypeError from json.loads
+    with pytest.raises(
+        DomainError, match=f"^not a JSON document: {type(value).__name__}$"
+    ):
+        netlist_loads(value)
+
+
+def test_documents_load_from_bytes_and_undecodable_bytes_are_invalid():
+    text = netlist_dumps(oambs_netlist(3))
+    assert netlist_loads(text.encode()) == netlist_loads(bytearray(text.encode()))
+    # used to leak UnicodeDecodeError
+    with pytest.raises(DomainError, match="not valid JSON"):
+        netlist_loads(b"\xff")
+
+
+def test_a_document_nested_past_the_parser_is_invalid():
+    # used to leak RecursionError
+    with pytest.raises(DomainError, match="not valid JSON: maximum recursion"):
+        netlist_loads("[" * 100_000 + "]" * 100_000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists())
+def test_netlists_of_every_element_type_round_trip(netlist):
+    text = netlist_dumps(netlist)
+    loaded = netlist_loads(text)
+    assert loaded.elements == netlist.elements
+    assert netlist_dumps(loaded) == text
+
+
+class Amplitudes(Mapping):
+    """A read-only mapping from label tuples to amplitudes, as an
+    ensemble's amplitudes are."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+class Row(list):
+    pass
+
+
+LABEL_TUPLES = st.lists(
+    st.builds(
+        ModeLabel, st.integers(-3, 3), st.integers(-3, 3), st.sampled_from((H, V))
+    ),
+    min_size=1,
+    max_size=2,
+).map(tuple)
+
+WRITER_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    # -0.0, subnormals, NaN and infinities included
+    st.floats(),
+    st.sampled_from((-0.0, 5e-324, -2.2250738585072014e-308)),
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(max_magnitude=2.0),
+    st.text(max_size=3).map(Text),
+    st.integers(-5, 5).map(Count),
+    st.floats().map(Real),
+)
+
+WRITER_KEYS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=3),
+    st.integers(),
+    st.floats(),
+    st.none(),
+    st.booleans(),
+    LABEL_TUPLES,
+)
+
+WRITER_TREES = st.recursive(
+    WRITER_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(children, max_size=3).map(Row),
+        st.dictionaries(WRITER_KEYS, children, max_size=3),
+        st.dictionaries(WRITER_KEYS, children, max_size=3).map(Record),
+        st.dictionaries(LABEL_TUPLES, children, max_size=3).map(Amplitudes),
+    ),
+    max_leaves=12,
+)
+
+
+def writer_outcome(write, tree):
+    try:
+        return write(tree)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(WRITER_TREES)
+def test_writer_matches_the_isinstance_chain(tree):
+    assert writer_outcome(dumps_canonical, tree) == writer_outcome(
+        reference_dumps_canonical, tree
+    )

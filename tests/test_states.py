@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oamnet import (
     BeamSplitter,
@@ -29,7 +31,7 @@ from oamnet import (
     tensor,
 )
 from oamnet import states
-from oamnet.states import _require_unit_moduli, label_key
+from oamnet.states import _first_rows, _require_unit_moduli, label_key
 from oracles import ensemble_vector, h_photon, oam_beamsplitter_matrix, random_qubit
 
 SPACE3 = ModeSpace(3)
@@ -471,3 +473,15 @@ def test_multi_image_fan_out_refuses_rows_past_the_bound(monkeypatch):
         DomainError, match="^an ensemble step of 4 rows exceeds the bound of 3 rows$"
     ):
         apply_mode_map(pair, splitter)
+
+
+@given(st.lists(st.integers(0, 20), max_size=40))
+def test_first_rows_by_table_and_by_sort_match_a_dict(keys):
+    ranks: dict[int, int] = {}
+    group = [ranks.setdefault(key, len(ranks)) for key in keys]
+    first = [keys.index(key) for key in ranks]
+    # a bound of 21 takes the table from 2 rows on; 10**9 always sorts
+    for bound in (21, 10**9):
+        rows, ranked = _first_rows(np.array(keys, dtype=np.int64), bound)
+        assert rows.tolist() == first
+        assert ranked.tolist() == group

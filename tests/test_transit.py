@@ -13,6 +13,7 @@ errors included.
 
 import cmath
 import math
+import random
 import tracemalloc
 from dataclasses import dataclass
 
@@ -512,6 +513,44 @@ def test_netlist_error_memory_follows_the_summed_supports():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_batched_replay_of_every_basis_photon_at_dimension_32():
+    netlist = oambs_netlist(32)
+    basis = [ModeLabel(p, l) for p in range(32) for l in range(32)]
+    replayed = _replay_columns(netlist, basis)
+    for index in random.Random(32).sample(range(len(basis)), 32):
+        assert amplitude_bits(dict(replayed[index])) == amplitude_bits(
+            dict(netlist.mode_images(basis[index]))
+        )
+
+
+def test_replay_memory_follows_the_supports_when_lanes_near_rows():
+    # a splitter, then a hologram on its first port: each photon's windings
+    # part on the two paths, so every (photon, winding) lane holds about
+    # one row, and a lane-by-path table at D=128 would take 1 kB a row
+    dimension = 128
+    elements = []
+    for step in range(40):
+        port = step % (dimension - 1)
+        elements += [BeamSplitter(port, port + 1, 0.7, 0.3), Hologram(port, 1 << step)]
+    netlist = Netlist(dimension, elements)
+    inputs = [ModeLabel(p, 0) for p in range(dimension)]
+    replayed = _replay_columns(netlist, inputs)
+    supports = sum(len(images) for images in replayed)
+    lanes = {
+        (photon, label.oam)
+        for photon, images in enumerate(replayed)
+        for label, _ in images
+    }
+    assert len(lanes) == supports
+    tracemalloc.start()
+    try:
+        _replay_columns(netlist, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * supports
 
 
 def netlist_error_or_message(netlist, error):
