@@ -485,10 +485,16 @@ def is_generalized_permutation(
 def global_phase_error(candidate: np.ndarray, target: np.ndarray) -> float:
     """``max |candidate - e^{i*gamma}*target|`` for the phase gamma that
     aligns ``candidate`` with ``target`` at the target's largest-magnitude
-    entry."""
+    entry.  Raises :class:`DomainError` unless both are non-empty arrays of
+    one shape."""
     candidate, target = np.asarray(candidate), np.asarray(target)
-    i, j = np.unravel_index(int(np.argmax(np.abs(target))), target.shape)
-    gamma = float(np.angle(candidate[i, j]) - np.angle(target[i, j]))
+    if candidate.shape != target.shape or not target.size:
+        raise DomainError(
+            "need two non-empty arrays of one shape, got "
+            f"{candidate.shape} and {target.shape}"
+        )
+    at = np.unravel_index(int(np.argmax(np.abs(target))), target.shape)
+    gamma = float(np.angle(candidate[at]) - np.angle(target[at]))
     return float(np.max(np.abs(candidate - np.exp(1j * gamma) * target)))
 
 

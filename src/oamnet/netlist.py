@@ -45,7 +45,7 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, get_args
 
 import numpy as np
 
@@ -54,11 +54,9 @@ from .elements import (
     Direction,
     DovePrism,
     Element,
-    Hologram,
     Mirror,
     PhaseShifter,
     PortElement,
-    ReflectiveHologram,
     beamsplitter_block,
 )
 from .errors import DecompositionError, DomainError
@@ -132,8 +130,10 @@ def reck_decompose(target: np.ndarray) -> Netlist:
     exactly (up to accumulated round-off, well under 1e-9).
     """
     work = np.array(target, dtype=complex)
-    if work.ndim != 2 or work.shape[0] != work.shape[1]:
-        raise DecompositionError(f"target must be square, got {work.shape}")
+    if work.ndim != 2 or work.shape[0] != work.shape[1] or not work.size:
+        raise DecompositionError(
+            f"target must be a non-empty square matrix, got {work.shape}"
+        )
     if not np.isfinite(work).all():
         raise DecompositionError("target has non-finite entries")
     dimension = work.shape[0]
@@ -265,7 +265,7 @@ def _rounds(elements: Sequence[PortElement]) -> list[list[PortElement]]:
 # the exact element types whose port rules the batch reads as tables; a
 # netlist holding any other element, subclasses included, is replayed
 # photon by photon
-_RULED = (PhaseShifter, BeamSplitter, Mirror, DovePrism, Hologram, ReflectiveHologram)
+_RULED = get_args(Element)
 
 
 # the most terms a rule of the six types has: a beamsplitter's two
@@ -307,8 +307,8 @@ def _port_tables(
     The batch needs elements of the six built-in types, input paths in
     ``[0, D)``, and a ``reach`` (the inputs' largest |winding| plus each
     round's largest |shift|, in Python ints) within ``LABEL_BOUND``, such
-    that the int64 keys of :func:`_lanes` over the ``2 * len(inputs)``
-    streams and of :func:`_dove_phases` over the ``D`` paths fit.
+    that the int64 keys of :func:`_lanes` fit, over the ``2 * len(inputs)``
+    streams of the rows and over the ``D`` paths of :func:`_dove_phases`.
     """
     dimension = netlist.dimension
     if not inputs or not all(type(e) in _RULED for e in netlist.elements):
@@ -385,15 +385,14 @@ def _dove_phases(
     reach: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows on Dove prism ports (``dove`` marks them by path), and each
-    one's prism phase, computed once per distinct (path, winding) by the
-    formula of ``DovePrism.mode_images``."""
+    one's prism phase, computed by the formula of ``DovePrism.mode_images``
+    once per distinct (path, winding): :func:`_lanes` ranks the pairs, with
+    paths as its streams."""
     at = dove[path].nonzero()[0]
-    path, winding = path[at], winding[at]
-    span = 2 * reach + 1
-    first, group = _first_rows(path * span + (winding + reach), len(dove) * span)
+    paths, windings, group = _lanes(path[at], winding[at], len(dove), reach)
     phases = [
         cmath.exp(-1j * alpha[p] * l)
-        for p, l in zip(path[first].tolist(), winding[first].tolist())
+        for p, l in zip(paths.tolist(), windings.tolist())
     ]
     return at, np.array(phases, dtype=np.complex128)[group]
 

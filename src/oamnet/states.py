@@ -331,13 +331,11 @@ class PhotonState:
 
 class _LabelColumns(NamedTuple):
     """Labels as an int64 path column, an int64 winding column and a bool
-    column that is true for V polarization; ``named`` holds the same labels
-    as :class:`ModeLabel` values when they are at hand, else ``None``."""
+    column that is true for V polarization."""
 
     path: np.ndarray
     winding: np.ndarray
     vpol: np.ndarray
-    named: list[ModeLabel] | None = None
 
     @classmethod
     def of(cls, labels: list[ModeLabel]) -> "_LabelColumns":
@@ -346,17 +344,11 @@ class _LabelColumns(NamedTuple):
             np.array([label.path for label in labels], dtype=np.int64),
             np.array([label.oam for label in labels], dtype=np.int64),
             np.array([label.pol is V for label in labels], dtype=bool),
-            labels,
         )
 
     def take(self, used: np.ndarray) -> "_LabelColumns":
         """The labels where ``used`` is true."""
-        named = self.named
-        if named is not None:
-            named = [label for label, keep in zip(named, used.tolist()) if keep]
-        return _LabelColumns(
-            self.path[used], self.winding[used], self.vpol[used], named
-        )
+        return _LabelColumns(*(column[used] for column in self))
 
 
 class EnsembleAmplitudes(Mapping):
@@ -368,12 +360,11 @@ class EnsembleAmplitudes(Mapping):
     codes, and ``re`` and ``im`` are float64 arrays holding each row's
     amplitude (one column per ensemble in an amplitude block; see the
     module docstring).  ``labels`` lists the codes' labels as
-    :class:`ModeLabel` values; unless the state was made from such labels,
-    it is built from the columns on first use and kept, and so is the
-    smallest amplitude modulus unless the step that made the columns gave
-    it.  ``len()`` is the row count and builds nothing; the tuple-keyed
-    dict behind every other read is built on first use and kept.  The
-    arrays are not writeable.
+    :class:`ModeLabel` values, built from the columns on first use and
+    kept, and so is the smallest amplitude modulus unless the step that
+    made the columns gave it.  ``len()`` is the row count and builds
+    nothing; the tuple-keyed dict behind every other read is built on first
+    use and kept.  The arrays are not writeable.
     """
 
     __slots__ = (
@@ -388,7 +379,8 @@ class EnsembleAmplitudes(Mapping):
         im: np.ndarray,
         low: float | None = None,
     ) -> None:
-        self.path, self.winding, self.vpol, self._named = labels
+        self.path, self.winding, self.vpol = labels
+        self._named: list[ModeLabel] | None = None
         for column in (self.path, self.winding, self.vpol, codes, re, im):
             column.setflags(write=False)
         self.codes = codes
@@ -407,16 +399,18 @@ class EnsembleAmplitudes(Mapping):
     @property
     def labels(self) -> list[ModeLabel]:
         if self._named is None:
-            self._named = self._build_labels()
+            self._named = self._build_labels(self.path, self.winding, self.vpol)
         return self._named
 
-    def _build_labels(self) -> list[ModeLabel]:
+    @staticmethod
+    def _build_labels(
+        path: np.ndarray, winding: np.ndarray, vpol: np.ndarray
+    ) -> list[ModeLabel]:
+        """The labels of label columns (see :class:`_LabelColumns`)."""
         pols = (H, V)
         return [
-            ModeLabel(path, winding, pols[vpol])
-            for path, winding, vpol in zip(
-                self.path.tolist(), self.winding.tolist(), self.vpol.tolist()
-            )
+            ModeLabel(p, w, pols[v])
+            for p, w, v in zip(path.tolist(), winding.tolist(), vpol.tolist())
         ]
 
     def _mapping(self) -> dict[tuple[ModeLabel, ...], complex]:
@@ -532,12 +526,9 @@ class EnsembleState:
         (tuple by tuple, then slot by slot)."""
         columns = self.amplitudes
         flat = columns.codes.ravel()
-        # the label list holds exactly the occupied labels, so every code
-        # has a first position
-        first = np.full(len(columns.path), len(flat), dtype=np.int64)
-        np.minimum.at(first, flat, np.arange(len(flat)))
+        first, _ = _first_rows(flat, len(columns.path))
         labels = columns.labels
-        return [labels[code] for code in np.argsort(first).tolist()]
+        return [labels[code] for code in flat[first].tolist()]
 
     def tuples(self) -> list[tuple[ModeLabel, ...]]:
         return sorted(
@@ -1026,9 +1017,7 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
                 raised = failures[int(column[first])]
                 codes, re, im = codes[:first], re[:first], im[:first]
                 column = column[:first]
-            rows, pick = _fan_out(
-                column, images.start, images.count, width=_width(re)
-            )
+            rows, pick = _fan_out(column, images.start, images.count, _width(re))
             codes, re, im = codes[rows], re[rows], im[rows]
             fr, fi = _per_row(images.re[pick], re), _per_row(images.im[pick], re)
             re, im = re * fr - im * fi, re * fi + im * fr
@@ -1071,8 +1060,8 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
             bunched & _any_column(magnitude > BUNCHING_TOL)
         )
         if len(loud):
-            # only the label-wise images merge, and they are named
-            row_labels = [labels.named[code] for code in codes[loud[0]].tolist()]
+            named = EnsembleAmplitudes._build_labels(*labels)
+            row_labels = [named[code] for code in codes[loud[0]].tolist()]
             moduli = magnitude[loud[0]].reshape(-1)
             raise BunchingError(
                 "operator drove two slots onto "
@@ -1092,20 +1081,20 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
 
 
 def _fan_out(
-    column: np.ndarray, start: np.ndarray, count: np.ndarray, width: int = 0
+    column: np.ndarray, start: np.ndarray, count: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row turned into its label's images, in row then image order.
 
     Label ``c``'s images sit at ``start[c]`` to ``start[c] + count[c] - 1``
     of flat image arrays, and row ``r`` holds label ``column[r]``.  Returns
     ``rows``, the source row of each image row, and ``pick``, the index of
-    its image in the flat arrays.  Given the ``width`` (amplitude columns)
-    of the rows, image rows whose amplitudes exceed ``MAX_ENSEMBLE_ROWS``
-    raise :class:`DomainError` before they are allocated.
+    its image in the flat arrays.  Image rows whose amplitudes, ``width``
+    (amplitude columns) to a row, exceed ``MAX_ENSEMBLE_ROWS`` raise
+    :class:`DomainError` before they are allocated.
     """
     fan = count[column]
     ends = fan.cumsum()
-    if width and len(ends):
+    if len(ends):
         _require_row_bound(int(ends[-1]) * width)
     rows = np.arange(len(column)).repeat(fan)
     pick = np.arange(len(rows)) + (start[column] - (ends - fan)).repeat(fan)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,43 @@ def test_a_mux_round_trip_past_the_row_bound_is_config_error():
         "error: an ensemble step of 8388608 rows exceeds the bound of "
         "1048576 rows\n"
     )
+
+
+@pytest.mark.parametrize(
+    "kind, change, failing",
+    [
+        # a row that misses its destination fails both simple sides
+        (
+            "simple",
+            {"passed": False},
+            {"routing_simple_forward", "routing_simple_reverse"},
+        ),
+        # every row passes, but the first carries another sender's tag
+        ("star", {"sender_tag": 1}, {"routing_star"}),
+    ],
+    ids=["simple", "star-tag"],
+)
+def test_verify_fails_a_routing_check_whose_report_fails(
+    monkeypatch, kind, change, failing
+):
+    real = cli.routing_report
+
+    def report(network, **kwargs):
+        built = real(network, **kwargs)
+        if built.kind != kind:
+            return built
+        first, *rest = built.rows
+        return replace(built, rows=(replace(first, **change), *rest))
+
+    monkeypatch.setattr(cli, "routing_report", report)
+    code, out, _ = run_cli("verify", "--dimension", "3")
+    assert code == 1
+    checks = {check["name"]: check for check in json.loads(out)["checks"]}
+    for name, check in checks.items():
+        if name in failing:
+            assert (check["pass"], check["measured_error"]) == (False, 1.0)
+        else:
+            assert check["pass"] is True
 
 
 def test_verify_past_the_matrix_bound_is_config_error():

@@ -527,3 +527,23 @@ def test_a_bank_that_could_leave_the_bound_goes_label_by_label(bank):
     expected = outcome(lambda: amplitude_bits(prefix_expansion_amplitudes(state, bank)))
     evolved = outcome(lambda: amplitude_bits(apply_mode_map(state, bank).amplitudes))
     assert evolved == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_occupied_labels_follow_the_tuples_then_the_slots(data):
+    if data.draw(st.booleans()):
+        state = data.draw(ensembles())
+    else:
+        # a product numbers its labels slot by slot, not as the rows meet them
+        space = ModeSpace(data.draw(st.integers(2, 10)))
+        paths = st.lists(
+            st.integers(0, space.dimension - 1), min_size=1, max_size=4, unique=True
+        )
+        state = tensor([data.draw(photons(space, path)) for path in data.draw(paths)])
+    operator = data.draw(operators(state.space.dimension))
+    evolved = outcome(lambda: apply_mode_map(state, operator))
+    for ensemble in (state, evolved):
+        if isinstance(ensemble, EnsembleState):
+            walk = [label for key in ensemble.amplitudes for label in key]
+            assert ensemble.occupied_labels() == list(dict.fromkeys(walk))

@@ -22,6 +22,7 @@ from oamnet import (
     ModeSpace,
     Netlist,
     PhotonState,
+    QubitSpec,
     ReflectorBank,
     SymmetricMultiport,
     V,
@@ -30,15 +31,22 @@ from oamnet import (
     device_matrix,
     global_phase_error,
     is_generalized_permutation,
+    make_qubit_photon,
     oambs,
     oambs_closed_form,
     sbmao,
     symmetric_matrix,
+    tensor,
 )
 from oamnet import cli, multiport
 from oamnet.multiport import GENPERM_TOL
 from oamnet.states import compose_images
-from oracles import column_walk_generalized_permutation, oam_beamsplitter_matrix
+from oracles import (
+    amplitude_bits,
+    column_walk_generalized_permutation,
+    oam_beamsplitter_matrix,
+    prefix_expansion_amplitudes,
+)
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -503,3 +511,56 @@ def test_sector_table_leaves_equality_hash_and_repr_alone(dimension):
     assert repr(device) == (
         f"CompositeDevice(stages={device.stages!r}, dimension={dimension})"
     )
+
+
+def test_an_ensemble_through_table_entries_of_several_images_is_the_expansion():
+    # one multiport fans every label out, so no table entry has one image
+    device = CompositeDevice((SymmetricMultiport(3),), 3)
+    space = ModeSpace(3)
+    state = tensor(
+        [
+            make_qubit_photon(QubitSpec(0.6, 0.8j), 0, 1, space),
+            make_qubit_photon(QubitSpec(1, 0), 2, -1, space),
+        ]
+    )
+    evolved = apply_mode_map(state, device)
+    assert device._dense.image.min() == -1
+    assert amplitude_bits(evolved.amplitudes) == amplitude_bits(
+        prefix_expansion_amplitudes(state, device)
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: oambs(0), "dimension must be >= 1, got 0"),
+        (lambda: oambs_closed_form(0, 0, 0), "dimension must be >= 1, got 0"),
+        (lambda: oambs_closed_form(0, 3, 3), r"path 3 outside \[0, 2\]"),
+        (
+            lambda: is_generalized_permutation(np.ones((2, 3))),
+            r"matrix must be square, got shape \(2, 3\)",
+        ),
+    ],
+    ids=["oambs", "closed-form-dimension", "closed-form-path", "non-square"],
+)
+def test_device_helpers_refuse_arguments_out_of_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "candidate, target, shapes",
+    [
+        (np.zeros((0, 0)), np.zeros((0, 0)), r"\(0, 0\) and \(0, 0\)"),
+        (np.zeros(0), np.zeros(0), r"\(0,\) and \(0,\)"),
+        (np.eye(2), np.eye(3), r"\(2, 2\) and \(3, 3\)"),
+        (np.eye(2), np.ones(2), r"\(2, 2\) and \(2,\)"),
+    ],
+    ids=["empty", "empty-1d", "mismatched", "broadcastable"],
+)
+def test_global_phase_error_refuses_empty_and_mismatched_arrays(
+    candidate, target, shapes
+):
+    message = f"^need two non-empty arrays of one shape, got {shapes}$"
+    with pytest.raises(DomainError, match=message):
+        global_phase_error(candidate, target)

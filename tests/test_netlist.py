@@ -21,6 +21,7 @@ from oamnet import (
     global_phase_error,
     netlist_apply,
     netlist_path_matrix,
+    oambs,
     oambs_closed_form,
     oambs_netlist,
     oambs_netlist_error,
@@ -233,3 +234,19 @@ def test_oambs_netlist_error_values(build, dimension, expected):
 def test_netlist_path_matrix_rejects_oam_elements():
     with pytest.raises(DomainError):
         netlist_path_matrix(Netlist(2, (Mirror(0),)))
+
+
+def test_netlist_holds_elementary_elements_only():
+    with pytest.raises(
+        DomainError,
+        match="^netlists hold elementary elements only, got CompositeDevice$",
+    ):
+        Netlist(2, (oambs(2),))
+
+
+def test_reck_refuses_an_empty_target():
+    with pytest.raises(
+        DecompositionError,
+        match=r"^target must be a non-empty square matrix, got \(0, 0\)$",
+    ):
+        reck_decompose(np.zeros((0, 0)))

@@ -16,6 +16,7 @@ from oamnet import (
     EnsembleState,
     H,
     Hologram,
+    HologramBank,
     Mirror,
     ModeLabel,
     ModeSpace,
@@ -585,3 +586,22 @@ def test_bell_fidelity_sweep(dimension):
         )
         target = bell_target(int(x), int(y), int(n), int(m), dimension)
         assert fidelity(delivered, target) >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------- refusals
+
+
+def test_a_bank_refuses_a_path_outside_its_ports():
+    with pytest.raises(DomainError, match="^path 2 outside bank of 2 ports$"):
+        HologramBank((0, 1)).mode_images(ModeLabel(2, 0))
+
+
+def test_demux_refuses_a_state_of_another_dimension():
+    state = tensor([make_qubit_photon(QubitSpec(1, 0), 0, 0, ModeSpace(4))])
+    with pytest.raises(DomainError, match="^state spans 4 paths, demux has 3$"):
+        MuxNetwork(3).receive(state)
+
+
+def test_no_report_for_a_network_that_does_not_route():
+    with pytest.raises(DomainError, match="^no report for MuxNetwork$"):
+        routing_report(MuxNetwork(3))

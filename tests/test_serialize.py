@@ -22,6 +22,7 @@ from oamnet import (
 from oamnet.serialize import (
     dumps_canonical,
     element_from_dict,
+    element_to_dict,
     netlist_dumps,
     netlist_from_dict,
     netlist_loads,
@@ -343,3 +344,19 @@ def test_writer_matches_the_isinstance_chain(tree):
     assert writer_outcome(dumps_canonical, tree) == writer_outcome(
         reference_dumps_canonical, tree
     )
+
+
+def test_writer_refuses_an_element_of_another_type():
+    class Marker:
+        """Not an optical element."""
+
+    with pytest.raises(DomainError, match="^unknown element Marker$"):
+        element_to_dict(Marker())
+
+
+@pytest.mark.parametrize("data", [[], "netlist", None])
+def test_netlist_record_must_be_an_object(data):
+    with pytest.raises(
+        DomainError, match="^netlist record must be a JSON object, got "
+    ):
+        netlist_from_dict(data)

@@ -485,3 +485,39 @@ def test_first_rows_by_table_and_by_sort_match_a_dict(keys):
         rows, ranked = _first_rows(np.array(keys, dtype=np.int64), bound)
         assert rows.tolist() == first
         assert ranked.tolist() == group
+
+
+# --- refusals of the constructors and entry points ---------------------------
+
+
+@pytest.mark.parametrize(
+    "dimension, window, message",
+    [
+        (2**62 + 1, None, r"dimension must be <= 2\*\*62, got 4611686018427387905"),
+        (3, -1, "oam_window must be >= 0, got -1"),
+    ],
+    ids=["dimension", "window"],
+)
+def test_mode_space_refuses_dimensions_and_windows_out_of_bounds(
+    dimension, window, message
+):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ModeSpace(dimension, window)
+
+
+def test_ensemble_refuses_no_slots_and_tuples_of_another_arity():
+    with pytest.raises(DomainError, match="^slot_count must be >= 1, got 0$"):
+        EnsembleState(SPACE3, 0, {})
+    with pytest.raises(DomainError, match="^tuple arity 1 != slot_count 2$"):
+        EnsembleState(SPACE3, 2, {(ModeLabel(0, 0),): 1.0})
+
+
+def test_tensor_refuses_photons_in_different_spaces():
+    photons = [h_photon(SPACE3, 0, 0), h_photon(ModeSpace(4), 1, 0)]
+    with pytest.raises(DomainError, match="^all photons must share one mode space$"):
+        tensor(photons)
+
+
+def test_apply_mode_map_refuses_what_is_not_a_state():
+    with pytest.raises(DomainError, match="^not a state: dict$"):
+        apply_mode_map({ModeLabel(0, 0): 1.0}, oambs(3))
