@@ -168,20 +168,50 @@ def _write_output(text: str, config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
+def _closed_form_entries(
+    dimension: int, direction: Direction
+) -> tuple[np.ndarray, np.ndarray]:
+    """The device matrix entries that :func:`closed_form_error` walks, in
+    its order: each basis input's closed-form image row and input column,
+    in :func:`device_basis` order."""
+    index = {label: i for i, label in enumerate(device_basis(dimension))}
+    entries: list[tuple[int, int]] = []
+
+    def record(label: ModeLabel, expected: ModeLabel) -> tuple[complex, float]:
+        entries.append((index[expected], index[label]))
+        return 1.0, 0.0
+
+    closed_form_error(dimension, direction, record)
+    rows, columns = np.array(entries, dtype=np.intp).T
+    rows.setflags(write=False)
+    columns.setflags(write=False)
+    return rows, columns
+
+
 def _closed_form_error(matrix, dimension: int, direction: Direction) -> float:
     """Worst deviation of the device matrix for ``direction`` from the
     closed-form routing map over all basis inputs, sharing one global phase;
-    the residual is the largest entry off the expected row."""
-    index = {label: i for i, label in enumerate(device_basis(dimension))}
+    the residual is the largest entry off the expected row.
 
-    def deviation(label: ModeLabel, expected: ModeLabel) -> tuple[complex, float]:
-        column = matrix[:, index[label]]
-        i = index[expected]
-        off = np.abs(column)
-        off[i] = 0.0
-        return column[i], float(off.max(initial=0.0))
-
-    return closed_form_error(dimension, direction, deviation)
+    :func:`closed_form_error`'s walk in one pass over the entries it reads:
+    the phase is the first amplitude's numpy quotient, deviations are
+    ``np.hypot`` of their parts (numpy's scalar ``abs``), the residuals
+    ``np.abs`` of the whole columns, and the largest value is taken in walk
+    order.
+    """
+    rows, columns = _closed_form_entries(dimension, direction)
+    amplitudes = matrix[rows, columns]
+    first = amplitudes[0]
+    if first == 0:
+        return 1.0
+    deviation = amplitudes - first / abs(first)
+    off = np.abs(matrix[:, columns])
+    off[rows, np.arange(len(rows))] = 0.0
+    walk = np.column_stack(
+        (np.hypot(deviation.real, deviation.imag), off.max(axis=0, initial=0.0))
+    )
+    return max(0.0, *walk.ravel().tolist())
 
 
 def _draw_qubits(

@@ -53,7 +53,14 @@ class Direction(Enum):
 
     @classmethod
     def coerce(cls, value: "Direction | str") -> "Direction":
-        return value if isinstance(value, cls) else cls(value)
+        """``value`` as a direction; :class:`DomainError` for anything
+        other than a direction or its name."""
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls(value)
+        except ValueError:
+            raise DomainError(f"not a direction: {value!r}") from None
 
 
 def beamsplitter_block(theta: float, phi: float) -> list[list[complex]]:

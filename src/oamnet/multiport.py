@@ -427,23 +427,67 @@ def device_basis(dimension: int) -> list[ModeLabel]:
     ]
 
 
-def device_matrix(device: CompositeDevice | Stage) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _basis_columns(dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The labels of :func:`device_basis` as int64 path and winding
+    columns, and the position of label ``(p, l)`` in it at ``position[p,
+    l - lowest]``, ``lowest`` being the smallest basis winding."""
+    basis = device_basis(dimension)
+    path = np.array([label.path for label in basis], dtype=np.int64)
+    winding = np.array([label.oam for label in basis], dtype=np.int64)
+    values = default_oam_values(dimension)
+    position = np.zeros((dimension, len(values)), dtype=np.int64)
+    position[path, winding - values[0]] = np.arange(len(basis))
+    for column in (path, winding, position):
+        column.setflags(write=False)
+    return path, winding, position
+
+
+def device_matrix(
+    device: CompositeDevice | SymmetricMultiport | DoveStage,
+) -> np.ndarray:
     """Explicit matrix of ``device`` over the :func:`device_basis` labels.
 
-    Images falling outside the basis raise :class:`DomainError`, and so
-    does a matrix of more than ``MAX_MATRIX_ENTRIES`` entries, before it is
-    built.
+    A device with ``label_images`` (a tabled :class:`CompositeDevice`, a
+    bank) gives the images of the whole basis in one gather, and each
+    column receives its one entry as the label loop would add it to zero;
+    any other device, and a gather whose images leave the basis, goes label
+    by label through ``mode_images``.  Images falling outside the basis
+    raise :class:`DomainError`, naming the first basis label that has one,
+    and so does a matrix of more than ``MAX_MATRIX_ENTRIES`` entries,
+    before it is built, and an argument that is not a mode operator with a
+    ``dimension``.
     """
+    if not (hasattr(device, "mode_images") and hasattr(device, "dimension")):
+        raise DomainError(f"not a device: {type(device).__name__}")
     dimension = device.dimension
-    size = dimension * len(default_oam_values(dimension))
+    values = default_oam_values(dimension)
+    size = dimension * len(values)
     if size * size > MAX_MATRIX_ENTRIES:
         raise DomainError(
             f"a device matrix of {size * size} entries exceeds the bound of "
             f"{MAX_MATRIX_ENTRIES} entries"
         )
+    matrix = np.zeros((size, size), dtype=complex)
+    gather = getattr(device, "label_images", None)
+    if gather is not None and size:
+        path, winding, position = _basis_columns(dimension)
+        found = gather(path, winding)
+        if found is not None:
+            image_path, image_winding, re, im = found
+            offset = image_winding - values[0]
+            if (
+                int(image_path.max()) < dimension
+                and int(offset.min()) >= 0
+                and int(offset.max()) < len(values)
+            ):
+                amplitudes = np.ones(size, dtype=complex)
+                if re is not None:
+                    amplitudes.real, amplitudes.imag = re, im
+                matrix[position[image_path, offset], np.arange(size)] += amplitudes
+                return matrix
     basis = device_basis(dimension)
     index = {label: i for i, label in enumerate(basis)}
-    matrix = np.zeros((size, size), dtype=complex)
     for j, label in enumerate(basis):
         for image, amplitude in device.mode_images(label):
             i = index.get(image)

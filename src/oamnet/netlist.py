@@ -176,28 +176,35 @@ def reck_decompose(target: np.ndarray) -> Netlist:
 def netlist_path_matrix(netlist: Netlist) -> np.ndarray:
     """Path-space matrix replayed from beamsplitters and phase shifters.
 
-    Only path-acting elements are admissible here; OAM-acting elements have
-    no path-matrix meaning and raise :class:`DomainError`.
+    Each element is embedded in one identity buffer, which multiplies the
+    product from the left and is then restored.  Only path-acting elements
+    are admissible here; OAM-acting elements have no path-matrix meaning
+    and raise :class:`DomainError`, and so does an argument that is not a
+    :class:`Netlist`.
     """
+    if not isinstance(netlist, Netlist):
+        raise DomainError(f"not a netlist: {type(netlist).__name__}")
     dimension = netlist.dimension
     matrix = np.eye(dimension, dtype=complex)
+    embedded = np.eye(dimension, dtype=complex)
     for element in netlist.elements:
         if isinstance(element, BeamSplitter):
-            embedded = np.eye(dimension, dtype=complex)
-            block = beamsplitter_block(element.theta, element.phi)
             a, b = element.port_a, element.port_b
-            embedded[a, a] = block[0][0]
-            embedded[a, b] = block[0][1]
-            embedded[b, a] = block[1][0]
-            embedded[b, b] = block[1][1]
+            (embedded[a, a], embedded[a, b]), (embedded[b, a], embedded[b, b]) = (
+                element._block
+            )
+            matrix = embedded @ matrix
+            embedded[a, a] = embedded[b, b] = 1.0
+            embedded[a, b] = embedded[b, a] = 0.0
         elif isinstance(element, PhaseShifter):
-            embedded = np.eye(dimension, dtype=complex)
-            embedded[element.port, element.port] = np.exp(1j * element.phi)
+            port = element.port
+            embedded[port, port] = np.exp(1j * element.phi)
+            matrix = embedded @ matrix
+            embedded[port, port] = 1.0
         else:
             raise DomainError(
                 f"{type(element).__name__} has no path-only matrix"
             )
-        matrix = embedded @ matrix
     return matrix
 
 
@@ -530,7 +537,10 @@ def oambs_netlist_error(netlist: Netlist) -> float:
 
 def random_unitary(dimension: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary from the QR factorization of a complex
-    Gaussian matrix, with the phase ambiguity of R's diagonal removed."""
+    Gaussian matrix, with the phase ambiguity of R's diagonal removed.
+    A dimension below 1 raises :class:`DomainError` before ``rng`` draws."""
+    if dimension < 1:
+        raise DomainError(f"dimension must be >= 1, got {dimension}")
     gaussian = rng.standard_normal((dimension, dimension))
     gaussian = gaussian + 1j * rng.standard_normal((dimension, dimension))
     q, r = np.linalg.qr(gaussian)

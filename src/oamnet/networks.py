@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -291,6 +292,24 @@ class SimpleRoutingNetwork:
         )
 
 
+# A star is rebuilt for every one-shot delivery (star_deliver), so its
+# space and reflectors are cached on the star's fields, not per instance.
+# typed: 3 and 3.0 make different spaces.  An invalid field raises on
+# every call, since lru_cache keeps no exceptions.
+_mode_space = lru_cache(maxsize=None, typed=True)(ModeSpace)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _star_reflectors(
+    dimension: int, overrides: tuple[tuple[int, int], ...]
+) -> ReflectorBank:
+    shifts = [(-port) % dimension for port in range(dimension)]
+    for port, shift in overrides:
+        _check_index(port, dimension, "override port")
+        shifts[port] = shift
+    return ReflectorBank(tuple(shifts))
+
+
 @dataclass(frozen=True)
 class StarNetwork:
     """All-to-all routing through one central node.
@@ -308,7 +327,7 @@ class StarNetwork:
 
     @property
     def space(self) -> ModeSpace:
-        return ModeSpace(self.dimension, self.oam_window)
+        return _mode_space(self.dimension, self.oam_window)
 
     @property
     def core(self) -> CompositeDevice:
@@ -320,11 +339,18 @@ class StarNetwork:
 
     @property
     def reflectors(self) -> ReflectorBank:
-        shifts = [(-port) % self.dimension for port in range(self.dimension)]
-        for port, shift in self.reflector_overrides:
-            _check_index(port, self.dimension, "override port")
-            shifts[port] = shift
-        return ReflectorBank(tuple(shifts))
+        overrides = self.reflector_overrides
+        # the cache key must be hashable, whatever sequences were passed
+        key = tuple(map(tuple, overrides)) if overrides else ()
+        return _star_reflectors(self.dimension, key)
+
+    def _transits(self) -> Iterator[CompositeDevice | HologramBank]:
+        """The devices a delivered photon crosses, in order; the reflectors
+        are built only once the photons have crossed the core, where
+        :meth:`route_state` builds them."""
+        yield self.core
+        yield self.reflectors
+        yield self.return_core
 
     def route_state(
         self, state: PhotonState | EnsembleState
@@ -387,7 +413,13 @@ def choose_winding_simple(
     """Winding number that delivers ``sender``'s photon to ``destination``."""
     _check_index(sender, dimension, "sender")
     _check_index(destination, dimension, "destination")
-    if Direction.coerce(side) is Direction.FORWARD:
+    return _simple_winding(sender, destination, dimension, Direction.coerce(side))
+
+
+def _simple_winding(sender, destination, dimension: int, side: Direction):
+    """:func:`choose_winding_simple` without its checks, for ints and for
+    int64 arrays alike."""
+    if side is Direction.FORWARD:
         return (-destination - sender) % dimension
     return (destination + sender) % dimension
 
@@ -396,6 +428,42 @@ def dominant_label(state: PhotonState) -> tuple[ModeLabel, float]:
     """The label of largest amplitude modulus, and that modulus."""
     label = max(state.amplitudes, key=lambda l: abs(state.amplitudes[l]))
     return label, abs(state.amplitudes[label])
+
+
+def _routing_kind(network: SimpleRoutingNetwork | StarNetwork) -> tuple[str, str]:
+    """The ``kind`` and ``side`` of a report on ``network``."""
+    if isinstance(network, SimpleRoutingNetwork):
+        return "simple", network.side.value
+    if isinstance(network, StarNetwork):
+        return "star", "star"
+    if isinstance(network, MuxNetwork):
+        raise DomainError(f"no report for {type(network).__name__}")
+    raise DomainError(f"not a routing network: {type(network).__name__}")
+
+
+def _judged_row(
+    network: SimpleRoutingNetwork | StarNetwork,
+    sender: int,
+    destination: int,
+    winding: int,
+    path: int,
+    oam: int,
+    modulus: float,
+    tolerance: float,
+) -> ReportRow:
+    """The row of a photon sent with ``winding`` that arrived on ``path``
+    with winding ``oam`` and amplitude modulus ``modulus``."""
+    amplitude_error = abs(modulus - 1.0)
+    return ReportRow(
+        sender,
+        destination,
+        winding,
+        path,
+        oam,
+        sender_tag(oam, network.dimension) if isinstance(network, StarNetwork) else None,
+        amplitude_error,
+        path == destination and amplitude_error <= tolerance,
+    )
 
 
 def delivery_row(
@@ -409,21 +477,18 @@ def delivery_row(
     The row passes when the photon lands on the requested path with
     amplitude modulus 1 within ``tolerance``; the delivered winding is
     reported, never judged (for the star it identifies the sender modulo
-    the path count).
+    the path count).  The photon crosses the network as a
+    :class:`PhotonState`, so every check of a delivery runs, and the first
+    that fails raises.
     """
-    star = isinstance(network, StarNetwork)
-    winding = destination if star else network.choose_winding(sender, destination)
+    kind, _ = _routing_kind(network)
+    if kind == "star":
+        winding = destination
+    else:
+        winding = network.choose_winding(sender, destination)
     label, modulus = dominant_label(network.deliver(sender, destination))
-    amplitude_error = abs(modulus - 1.0)
-    return ReportRow(
-        sender=sender,
-        destination=destination,
-        winding=winding,
-        delivered_path=label.path,
-        delivered_oam=label.oam,
-        sender_tag=sender_tag(label.oam, network.dimension) if star else None,
-        amplitude_error=amplitude_error,
-        passed=label.path == destination and amplitude_error <= tolerance,
+    return _judged_row(
+        network, sender, destination, winding, label.path, label.oam, modulus, tolerance
     )
 
 
@@ -431,26 +496,81 @@ def routing_report(
     network: SimpleRoutingNetwork | StarNetwork,
     max_dimension: int = REPORT_DIMENSION_MAX,
 ) -> RoutingReport:
-    """One :func:`delivery_row` per (sender, destination) pair, in
-    deterministic order, judged at ``NORM_TOL``."""
+    """The :func:`delivery_row` of every (sender, destination) pair, sender
+    first, judged at ``NORM_TOL``.
+
+    All ``D**2`` photons cross each device together, as label columns
+    (:func:`_gathered_rows`).  Where that cannot give every row as
+    :func:`delivery_row` would, the rows come from :func:`delivery_row`
+    photon by photon, so a report raises the error of the first photon that
+    fails, in pair order.
+    """
+    kind, side = _routing_kind(network)
     dimension = network.dimension
     if dimension > max_dimension:
         raise DomainError(
             f"report capped at dimension {max_dimension}, got {dimension}"
         )
-    if isinstance(network, SimpleRoutingNetwork):
-        kind, side = "simple", network.side.value
-    elif isinstance(network, StarNetwork):
-        kind, side = "star", "star"
-    else:
-        raise DomainError(f"no report for {type(network).__name__}")
+    rows = _gathered_rows(network)
+    if rows is None:
+        rows = [
+            delivery_row(network, sender, destination)
+            for sender in range(dimension)
+            for destination in range(dimension)
+        ]
+    return RoutingReport(dimension, kind, side, tuple(rows))
 
-    rows = tuple(
-        delivery_row(network, sender, destination)
-        for sender in range(dimension)
-        for destination in range(dimension)
-    )
-    return RoutingReport(dimension, kind, side, rows)
+
+def _gathered_rows(
+    network: SimpleRoutingNetwork | StarNetwork,
+) -> list[ReportRow] | None:
+    """The rows of :func:`routing_report` from one pass of every pair's
+    photon through each device, or ``None`` where some photon may fail.
+
+    Photon ``k`` is the pair ``divmod(k, D)``, one H label with amplitude
+    1.  Each device answers with one ``label_images`` gather for all of
+    them, and the amplitudes multiply in split form, summed from ``0.0``:
+    the bits of the dict loop of a photon crossing it alone (see
+    :mod:`oamnet.states`); a device of unit factors changes none.  A
+    photon's modulus is ``np.hypot`` of its parts, which is Python's
+    ``abs`` of the complex amplitude.  The pass gives up when a device
+    cannot answer by gather, when an injected or delivered label leaves
+    the network's space, or when some modulus is not within half the
+    norm tolerance of 1, where alone the photon might fail; the photons
+    then cross one by one.
+    """
+    dimension = network.dimension
+    space = network.space
+    bound = min(space.oam_window, LABEL_BOUND)
+    sender, destination = np.divmod(np.arange(dimension * dimension), dimension)
+    if isinstance(network, StarNetwork):
+        winding, transits = destination, network._transits()
+    else:
+        winding = _simple_winding(sender, destination, dimension, network.side)
+        transits = (network.transit,)
+    sent = winding
+    if int(np.abs(winding).max()) > bound:
+        return None
+    path = sender
+    re, im = np.ones(len(sender)), np.zeros(len(sender))
+    modulus = re
+    for device in transits:
+        found = device.label_images(path, winding)
+        if found is None:
+            return None
+        path, winding, fr, fi = found
+        if int(path.max()) >= dimension or int(np.abs(winding).max()) > bound:
+            return None
+        if fr is not None:
+            re, im = 0.0 + (re * fr - im * fi), 0.0 + (re * fi + im * fr)
+            modulus = np.hypot(re, im)
+            if not (np.abs(modulus * modulus - 1.0) <= NORM_TOL / 2).all():
+                return None
+    columns = (sender, destination, sent, path, winding, modulus)
+    return [
+        _judged_row(network, *row, NORM_TOL)
+        for row in zip(*(column.tolist() for column in columns))
+    ]
 
 
 def mux_transmit(qubits: Sequence[QubitSpec]) -> EnsembleState:

@@ -63,9 +63,13 @@ and down to the signs of zeros.  Products are formed in split form,
 order, because that is exactly what Python's complex multiply does, while
 numpy's complex multiply may round the last bit differently.  Sums of
 amplitudes start from ``0.0`` and add in row order, as sums from ``0j`` do.
-One fan-out (:func:`_fan_out`, a row into its label's images) and one row
-merge (:func:`_sum_equal_rows`) serve both ensemble evolution and the
-netlist certification of :mod:`oamnet.netlist`.
+Moduli come from ``np.hypot(re, im)``, which is Python's ``abs`` of a
+complex value (and numpy's scalar ``abs``), never from ``np.abs`` of a
+complex array: numpy's vectorized complex ``abs`` may differ from it in the
+last bit, as it did on a quarter to a third of random values on AVX-512
+hosts.  One fan-out (:func:`_fan_out`, a row into its label's images) and
+one row merge (:func:`_sum_equal_rows`) serve both ensemble evolution and
+the netlist certification of :mod:`oamnet.netlist`.
 
 An amplitude block carries K ensembles over the same slots in one set of
 label columns and one code matrix, with ``re`` and ``im`` of shape ``(rows,

@@ -370,3 +370,105 @@ def reference_dumps_canonical(value):
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(reference_dumps_canonical(item) for item in value) + "]"
     raise DomainError(f"cannot serialize {type(value).__name__}")
+
+
+def seed_device_matrix(device):
+    """``device_matrix`` by the original label loop: every basis label's
+    ``mode_images`` added into a zero matrix, one entry at a time; the
+    reference for the gathered matrix."""
+    from oamnet import DomainError
+    from oamnet.multiport import default_oam_values, device_basis
+
+    dimension = device.dimension
+    size = dimension * len(default_oam_values(dimension))
+    basis = device_basis(dimension)
+    index = {label: i for i, label in enumerate(basis)}
+    matrix = np.zeros((size, size), dtype=complex)
+    for j, label in enumerate(basis):
+        for image, amplitude in device.mode_images(label):
+            i = index.get(image)
+            if i is None:
+                raise DomainError(f"basis not closed: {label} maps onto {image}")
+            matrix[i, j] += amplitude
+    return matrix
+
+
+def seed_closed_form_error(matrix, dimension, direction):
+    """``cli._closed_form_error`` by the original walk: one basis input at a
+    time through ``closed_form_error``, with a label dict lookup and
+    ``np.abs`` of the input's column; the reference for the one-pass
+    check."""
+    from oamnet.multiport import closed_form_error, device_basis
+
+    index = {label: i for i, label in enumerate(device_basis(dimension))}
+
+    def deviation(label, expected):
+        column = matrix[:, index[label]]
+        i = index[expected]
+        off = np.abs(column)
+        off[i] = 0.0
+        return column[i], float(off.max(initial=0.0))
+
+    return closed_form_error(dimension, direction, deviation)
+
+
+def seed_netlist_path_matrix(netlist):
+    """``netlist_path_matrix`` by the original product: a fresh identity and
+    a fresh ``beamsplitter_block`` per element, multiplied from the left;
+    the reference for the one-buffer replay."""
+    from oamnet import BeamSplitter, DomainError, PhaseShifter
+    from oamnet.elements import beamsplitter_block
+
+    dimension = netlist.dimension
+    matrix = np.eye(dimension, dtype=complex)
+    for element in netlist.elements:
+        if isinstance(element, BeamSplitter):
+            embedded = np.eye(dimension, dtype=complex)
+            block = beamsplitter_block(element.theta, element.phi)
+            a, b = element.port_a, element.port_b
+            embedded[a, a] = block[0][0]
+            embedded[a, b] = block[0][1]
+            embedded[b, a] = block[1][0]
+            embedded[b, b] = block[1][1]
+        elif isinstance(element, PhaseShifter):
+            embedded = np.eye(dimension, dtype=complex)
+            embedded[element.port, element.port] = np.exp(1j * element.phi)
+        else:
+            raise DomainError(f"{type(element).__name__} has no path-only matrix")
+        matrix = embedded @ matrix
+    return matrix
+
+
+def one_by_one_report_rows(network):
+    """``routing_report``'s rows by the original walk: every (sender,
+    destination) photon delivered alone through ``network.deliver`` and
+    judged at ``NORM_TOL``, sender first; the reference for the gathered
+    report, errors included."""
+    from oamnet import ReportRow, StarNetwork
+    from oamnet.networks import dominant_label, sender_tag
+    from oamnet.states import NORM_TOL
+
+    star = isinstance(network, StarNetwork)
+    dimension = network.dimension
+    rows = []
+    for sender in range(dimension):
+        for destination in range(dimension):
+            if star:
+                winding = destination
+            else:
+                winding = network.choose_winding(sender, destination)
+            label, modulus = dominant_label(network.deliver(sender, destination))
+            error = abs(modulus - 1.0)
+            rows.append(
+                ReportRow(
+                    sender=sender,
+                    destination=destination,
+                    winding=winding,
+                    delivered_path=label.path,
+                    delivered_oam=label.oam,
+                    sender_tag=sender_tag(label.oam, dimension) if star else None,
+                    amplitude_error=error,
+                    passed=label.path == destination and error <= NORM_TOL,
+                )
+            )
+    return rows
