@@ -23,8 +23,7 @@ from .errors import DomainError, OamNetError
 from .multiport import (
     SymmetricMultiport,
     UNITARITY_TOL,
-    closed_form_error,
-    device_basis,
+    _closed_form_walk,
     device_matrix,
     global_phase_error,
     is_generalized_permutation,
@@ -54,7 +53,6 @@ from .networks import (
 from . import states
 from .serialize import dumps_canonical, netlist_dumps
 from .states import (
-    ModeLabel,
     _fidelities,
     fidelity,
     path_probabilities,
@@ -168,39 +166,19 @@ def _write_output(text: str, config: RunConfig) -> int:
     return 0
 
 
-@functools.cache
-def _closed_form_entries(
-    dimension: int, direction: Direction
-) -> tuple[np.ndarray, np.ndarray]:
-    """The device matrix entries that :func:`closed_form_error` walks, in
-    its order: each basis input's closed-form image row and input column,
-    in :func:`device_basis` order."""
-    index = {label: i for i, label in enumerate(device_basis(dimension))}
-    entries: list[tuple[int, int]] = []
-
-    def record(label: ModeLabel, expected: ModeLabel) -> tuple[complex, float]:
-        entries.append((index[expected], index[label]))
-        return 1.0, 0.0
-
-    closed_form_error(dimension, direction, record)
-    rows, columns = np.array(entries, dtype=np.intp).T
-    rows.setflags(write=False)
-    columns.setflags(write=False)
-    return rows, columns
-
-
 def _closed_form_error(matrix, dimension: int, direction: Direction) -> float:
     """Worst deviation of the device matrix for ``direction`` from the
     closed-form routing map over all basis inputs, sharing one global phase;
     the residual is the largest entry off the expected row.
 
-    :func:`closed_form_error`'s walk in one pass over the entries it reads:
-    the phase is the first amplitude's numpy quotient, deviations are
-    ``np.hypot`` of their parts (numpy's scalar ``abs``), the residuals
-    ``np.abs`` of the whole columns, and the largest value is taken in walk
-    order.
+    Reads the entries of ``multiport``'s closed-form walk, the one the
+    netlist certification also reads, in one pass: the phase is the first
+    amplitude's numpy quotient (the certification keeps Python's, which
+    differs in the last bit), deviations are ``np.hypot`` of their parts
+    (numpy's scalar ``abs``), the residuals ``np.abs`` of the whole columns,
+    and the largest value is taken in walk order.
     """
-    rows, columns = _closed_form_entries(dimension, direction)
+    columns, rows = _closed_form_walk(dimension, direction)
     amplitudes = matrix[rows, columns]
     first = amplitudes[0]
     if first == 0:

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -384,34 +383,6 @@ def oambs_closed_form(
     return -oam, (oam - path) % dimension
 
 
-def closed_form_error(
-    dimension: int,
-    direction: Direction | str,
-    deviation: Callable[[ModeLabel, ModeLabel], tuple[complex, float]],
-) -> float:
-    """Worst deviation of a device from the closed-form routing map.
-
-    Walks ``|l>_n`` for ``0 <= n, l < D``, path first; ``deviation(label,
-    expected)`` gives the amplitude on the closed-form image ``expected``
-    and the caller's residual for the rest.  One global phase, fixed by the
-    first amplitude, is shared by all inputs; a zero first amplitude gives 1.0.
-    """
-    gamma: complex | None = None
-    worst = 0.0
-    for path in range(dimension):
-        for oam in range(dimension):
-            out_oam, out_path = oambs_closed_form(oam, path, dimension, direction)
-            amp, residual = deviation(
-                ModeLabel(path, oam), ModeLabel(out_path, out_oam)
-            )
-            if gamma is None:
-                if amp == 0:
-                    return 1.0
-                gamma = amp / abs(amp)
-            worst = max(worst, abs(amp - gamma), residual)
-    return worst
-
-
 def default_oam_values(dimension: int) -> tuple[int, ...]:
     """Window closed under one sign flip for basis windings ``0..D-1``."""
     return tuple(range(-(dimension - 1), dimension))
@@ -441,6 +412,31 @@ def _basis_columns(dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for column in (path, winding, position):
         column.setflags(write=False)
     return path, winding, position
+
+
+@lru_cache(maxsize=None)
+def _closed_form_walk(dimension: int, direction: Direction) -> np.ndarray:
+    """Each basis photon ``|l>_n`` (``0 <= n, l < D``, path first) and its
+    :func:`oambs_closed_form` image, as the two rows of a read-only array of
+    positions in :func:`device_basis`: the one walk of both closed-form
+    checks, read as data by verify's matrix checks (``cli._closed_form_error``)
+    and by the netlist certification.  They keep numpy's and Python's phase
+    quotients, which differ in the last bit, so printed errors keep their
+    bits.  Only a :class:`Direction` reaches the cache; anything else raises.
+    """
+    if not isinstance(direction, Direction):
+        raise DomainError(f"not a direction: {direction!r}")
+    position = _basis_columns(dimension)[2]
+    lowest = default_oam_values(dimension)[0]
+    photons, images = [], []
+    for path in range(dimension):
+        for oam in range(dimension):
+            out_oam, out_path = oambs_closed_form(oam, path, dimension, direction)
+            photons.append(position[path, oam - lowest])
+            images.append(position[out_path, out_oam - lowest])
+    walk = np.array([photons, images], dtype=np.intp)
+    walk.setflags(write=False)
+    return walk
 
 
 def device_matrix(

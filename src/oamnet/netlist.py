@@ -60,7 +60,12 @@ from .elements import (
     beamsplitter_block,
 )
 from .errors import DecompositionError, DomainError
-from .multiport import closed_form_error, global_phase_error, symmetric_matrix
+from .multiport import (
+    _closed_form_walk,
+    device_basis,
+    global_phase_error,
+    symmetric_matrix,
+)
 from .states import (
     LABEL_BOUND,
     PRUNE_TOL,
@@ -113,7 +118,12 @@ class Netlist:
 def netlist_apply(
     netlist: Netlist, state: PhotonState | EnsembleState
 ) -> PhotonState | EnsembleState:
-    """Run a state through the netlist."""
+    """Run a state through the netlist; :class:`DomainError` for an
+    argument that is not a netlist or a state."""
+    if not isinstance(netlist, Netlist):
+        raise DomainError(f"not a netlist: {type(netlist).__name__}")
+    if not isinstance(state, (PhotonState, EnsembleState)):
+        raise DomainError(f"not a state: {type(state).__name__}")
     if state.space.dimension != netlist.dimension:
         raise DomainError(
             f"state spans {state.space.dimension} paths, netlist "
@@ -509,30 +519,32 @@ def oambs_netlist_error(netlist: Netlist) -> float:
     over all basis inputs, after removing one shared global phase; the
     residual is the root of the norm left off the expected label.
 
-    All ``D**2`` basis photons cross the netlist together as one row list
-    in :func:`_replay_columns`, whose images equal ``netlist.mode_images``
-    bit for bit and in key order, whatever the number of terms summed into
-    an image.  Each input's :class:`PhotonState` is then
-    built in walk order, so pruning, the window and norm checks, the sums
-    of squares and the first error raised are those of replaying one photon
-    at a time with :func:`netlist_apply`.
+    Inputs and images come from ``multiport``'s closed-form walk, which
+    verify's matrix checks also read; the phase here is Python's complex
+    quotient, theirs numpy's.  All ``D**2`` basis photons cross the netlist
+    together as one row list in :func:`_replay_columns`, whose images equal
+    ``netlist.mode_images`` bit for bit and in key order.  Each input's
+    :class:`PhotonState` is then built in walk order, so pruning, the window
+    and norm checks, the sums of squares and the first error raised are
+    those of replaying one photon at a time with :func:`netlist_apply`.
     """
     dimension = netlist.dimension
     space = ModeSpace(dimension)
-    basis = [
-        ModeLabel(path, oam) for path in range(dimension) for oam in range(dimension)
-    ]
-    replayed = dict(zip(basis, _replay_columns(netlist, basis)))
-
-    def deviation(label: ModeLabel, expected: ModeLabel) -> tuple[complex, float]:
-        routed = PhotonState(space, dict(replayed[label]))
-        amp = routed.amplitude(expected)
-        leftover = (
-            sum(abs(a) ** 2 for a in routed.amplitudes.values()) - abs(amp) ** 2
-        )
-        return amp, math.sqrt(max(0.0, leftover))
-
-    return closed_form_error(netlist.dimension, Direction.FORWARD, deviation)
+    basis = device_basis(dimension)
+    photons, images = _closed_form_walk(dimension, Direction.FORWARD)
+    replayed = _replay_columns(netlist, [basis[i] for i in photons.tolist()])
+    gamma: complex | None = None
+    worst = 0.0
+    for amplitudes, image in zip(replayed, images.tolist()):
+        routed = PhotonState(space, dict(amplitudes))
+        amp = routed.amplitude(basis[image])
+        leftover = sum(abs(a) ** 2 for a in routed.amplitudes.values()) - abs(amp) ** 2
+        if gamma is None:
+            if amp == 0:
+                return 1.0
+            gamma = amp / abs(amp)
+        worst = max(worst, abs(amp - gamma), math.sqrt(max(0.0, leftover)))
+    return worst
 
 
 def random_unitary(dimension: int, rng: np.random.Generator) -> np.ndarray:

@@ -137,6 +137,11 @@ def _device_apply(
     )
 
 
+def _require_ensemble(state: EnsembleState) -> None:
+    if not isinstance(state, EnsembleState):
+        raise DomainError(f"not an ensemble: {type(state).__name__}")
+
+
 def _check_index(value: int, dimension: int, name: str) -> None:
     if not 0 <= value < dimension:
         raise DomainError(f"{name} {value} outside [0, {dimension - 1}]")
@@ -185,6 +190,9 @@ class MuxNetwork:
             raise DomainError(
                 f"expected {self.dimension} qubits, got {len(qubits)}"
             )
+        for spec in qubits:
+            if not isinstance(spec, QubitSpec):
+                raise DomainError(f"not a QubitSpec: {type(spec).__name__}")
         space = self.space
         photons = [
             make_qubit_photon(spec, path, 0, space)
@@ -213,6 +221,7 @@ class MuxNetwork:
         Photons must arrive on path 0 with windings in ``0..dimension-1``;
         anything else is not a merge product and is rejected.
         """
+        _require_ensemble(multiplexed)
         if multiplexed.space.dimension != self.dimension:
             raise DomainError(
                 f"state spans {multiplexed.space.dimension} paths, "
@@ -582,6 +591,7 @@ def demux_receive(
     multiplexed: EnsembleState, restore_oam: bool = False
 ) -> EnsembleState:
     """Split a merged ensemble back onto per-user paths."""
+    _require_ensemble(multiplexed)
     network = MuxNetwork(
         multiplexed.space.dimension, multiplexed.space.oam_window
     )

@@ -87,28 +87,27 @@ def _dumps_items(value: Mapping) -> str:
     return "{" + items + "}"
 
 
+# element class -> record type and its fields in record order, each with the
+# type it is written through and read as; a port (None) is written as given
+# and read as an integer, and a beamsplitter's two as one "ports" list
+_RECORDS: dict[type, tuple[str, tuple[tuple[str, type | None], ...]]] = {
+    BeamSplitter: ("beamsplitter", (("ports", list), ("theta", float), ("phi", float))),
+    PhaseShifter: ("phase", (("port", None), ("phi", float))),
+    DovePrism: ("dove", (("port", None), ("alpha", float))),
+    Hologram: ("hologram", (("port", None), ("k", int))),
+    ReflectiveHologram: ("reflective_hologram", (("port", None), ("k", int))),
+    Mirror: ("mirror", (("port", None),)),
+}
+
+
 def element_to_dict(element: Element) -> dict[str, Any]:
-    if isinstance(element, BeamSplitter):
-        return {
-            "type": "beamsplitter",
-            "ports": [element.port_a, element.port_b],
-            "theta": float(element.theta),
-            "phi": float(element.phi),
-        }
-    if isinstance(element, PhaseShifter):
-        return {"type": "phase", "port": element.port, "phi": float(element.phi)}
-    if isinstance(element, DovePrism):
-        return {"type": "dove", "port": element.port, "alpha": float(element.alpha)}
-    if isinstance(element, Hologram):
-        return {"type": "hologram", "port": element.port, "k": int(element.k)}
-    if isinstance(element, ReflectiveHologram):
-        return {
-            "type": "reflective_hologram",
-            "port": element.port,
-            "k": int(element.k),
-        }
-    if isinstance(element, Mirror):
-        return {"type": "mirror", "port": element.port}
+    for cls, (name, fields) in _RECORDS.items():
+        if isinstance(element, cls):
+            record: dict[str, Any] = {"type": name}
+            for key, kind in fields:
+                value = getattr(element, key)
+                record[key] = value if kind is None else kind(value)
+            return record
     raise DomainError(f"unknown element {type(element).__name__}")
 
 
@@ -154,24 +153,21 @@ def element_from_dict(data: Mapping[str, Any]) -> Element:
     if not isinstance(data, Mapping):
         raise DomainError(f"element record must be a JSON object, got {data!r}")
     kind = data.get("type")
-    if kind == "beamsplitter":
-        ports = _field(data, "ports")
-        if not isinstance(ports, list) or len(ports) != 2:
-            raise DomainError(f"field 'ports' must list two ports, got {ports!r}")
-        port_a, port_b = (_integer(port, "ports") for port in ports)
-        return BeamSplitter(
-            port_a, port_b, _float_field(data, "theta"), _float_field(data, "phi")
-        )
-    if kind == "phase":
-        return PhaseShifter(_int_field(data, "port"), _float_field(data, "phi"))
-    if kind == "dove":
-        return DovePrism(_int_field(data, "port"), _float_field(data, "alpha"))
-    if kind == "hologram":
-        return Hologram(_int_field(data, "port"), _int_field(data, "k"))
-    if kind == "reflective_hologram":
-        return ReflectiveHologram(_int_field(data, "port"), _int_field(data, "k"))
-    if kind == "mirror":
-        return Mirror(_int_field(data, "port"))
+    for cls, (name, fields) in _RECORDS.items():
+        if kind != name:
+            continue
+        args: list[Any] = []
+        for key, field_kind in fields:
+            if field_kind is list:
+                pair = _field(data, key)
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise DomainError(f"field 'ports' must list two ports, got {pair!r}")
+                args += [_integer(port, key) for port in pair]
+            elif field_kind is float:
+                args.append(_float_field(data, key))
+            else:
+                args.append(_int_field(data, key))
+        return cls(*args)
     raise DomainError(f"unknown element type {kind!r}")
 
 

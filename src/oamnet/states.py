@@ -1230,6 +1230,8 @@ def _require_unit_moduli(moduli: np.ndarray) -> None:
 
 def path_probabilities(state: PhotonState) -> dict[int, float]:
     """Probability of finding the photon on each path (Born rule)."""
+    if not isinstance(state, PhotonState):
+        raise DomainError(f"not a photon state: {type(state).__name__}")
     probs: dict[int, float] = {}
     for label, amp in state.amplitudes.items():
         probs[label.path] = probs.get(label.path, 0.0) + abs(amp) ** 2

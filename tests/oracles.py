@@ -248,6 +248,33 @@ def label_wise_transit(operators, amplitudes):
     return current
 
 
+def seed_closed_form_walk(dimension, direction, deviation):
+    """The seed's closed-form walker, kept as reference code: worst
+    deviation of a device from the closed-form routing map.
+
+    Walks ``|l>_n`` for ``0 <= n, l < D``, path first; ``deviation(label,
+    expected)`` gives the amplitude on the closed-form image ``expected``
+    and the caller's residual for the rest.  One global phase, fixed by the
+    first amplitude, is shared by all inputs; a zero first amplitude gives 1.0.
+    """
+    from oamnet.multiport import oambs_closed_form
+
+    gamma = None
+    worst = 0.0
+    for path in range(dimension):
+        for oam in range(dimension):
+            out_oam, out_path = oambs_closed_form(oam, path, dimension, direction)
+            amp, residual = deviation(
+                ModeLabel(path, oam), ModeLabel(out_path, out_oam)
+            )
+            if gamma is None:
+                if amp == 0:
+                    return 1.0
+                gamma = amp / abs(amp)
+            worst = max(worst, abs(amp - gamma), residual)
+    return worst
+
+
 def label_wise_netlist_error(netlist):
     """``oambs_netlist_error`` replaying one basis photon at a time through
     ``netlist_apply``: the reference for the batched replay, errors
@@ -255,7 +282,6 @@ def label_wise_netlist_error(netlist):
     import math
 
     from oamnet import Direction, ModeSpace, PhotonState, netlist_apply
-    from oamnet.multiport import closed_form_error
 
     space = ModeSpace(netlist.dimension)
 
@@ -267,7 +293,7 @@ def label_wise_netlist_error(netlist):
         )
         return amp, math.sqrt(max(0.0, leftover))
 
-    return closed_form_error(netlist.dimension, Direction.FORWARD, deviation)
+    return seed_closed_form_walk(netlist.dimension, Direction.FORWARD, deviation)
 
 
 def seed_element_images(element, label):
@@ -395,10 +421,10 @@ def seed_device_matrix(device):
 
 def seed_closed_form_error(matrix, dimension, direction):
     """``cli._closed_form_error`` by the original walk: one basis input at a
-    time through ``closed_form_error``, with a label dict lookup and
+    time through ``seed_closed_form_walk``, with a label dict lookup and
     ``np.abs`` of the input's column; the reference for the one-pass
     check."""
-    from oamnet.multiport import closed_form_error, device_basis
+    from oamnet.multiport import device_basis
 
     index = {label: i for i, label in enumerate(device_basis(dimension))}
 
@@ -409,7 +435,7 @@ def seed_closed_form_error(matrix, dimension, direction):
         off[i] = 0.0
         return column[i], float(off.max(initial=0.0))
 
-    return closed_form_error(dimension, direction, deviation)
+    return seed_closed_form_walk(dimension, direction, deviation)
 
 
 def seed_netlist_path_matrix(netlist):

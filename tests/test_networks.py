@@ -37,7 +37,9 @@ from oamnet import (
     fidelity,
     make_qubit_photon,
     mux_transmit,
+    netlist_apply,
     oambs,
+    oambs_netlist,
     path_probabilities,
     routing_report,
     sbmao,
@@ -605,3 +607,38 @@ def test_demux_refuses_a_state_of_another_dimension():
 def test_no_report_for_a_network_that_does_not_route():
     with pytest.raises(DomainError, match="^no report for MuxNetwork$"):
         routing_report(MuxNetwork(3))
+
+
+def _photon():
+    return make_qubit_photon(QubitSpec(1, 0), 0, 0, ModeSpace(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mux_transmit([1]), "not a QubitSpec: int"),
+        (
+            lambda: MuxNetwork(2).transmit([QubitSpec(1, 0), None]),
+            "not a QubitSpec: NoneType",
+        ),
+        (lambda: demux_receive(None), "not an ensemble: NoneType"),
+        (lambda: MuxNetwork(2).receive(None), "not an ensemble: NoneType"),
+        (lambda: MuxNetwork(2).receive(_photon()), "not an ensemble: PhotonState"),
+        (lambda: path_probabilities(None), "not a photon state: NoneType"),
+        (lambda: netlist_apply(None, _photon()), "not a netlist: NoneType"),
+        (lambda: netlist_apply(oambs_netlist(2), None), "not a state: NoneType"),
+    ],
+    ids=[
+        "mux_transmit",
+        "MuxNetwork.transmit",
+        "demux_receive",
+        "MuxNetwork.receive",
+        "MuxNetwork.receive-photon",
+        "path_probabilities",
+        "netlist_apply-netlist",
+        "netlist_apply-state",
+    ],
+)
+def test_typed_refusals_of_mux_states_and_netlists(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()

@@ -10,11 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamnet import (
+    BeamSplitter,
     DomainError,
+    DovePrism,
     H,
+    Hologram,
+    Mirror,
     ModeLabel,
     Netlist,
     OamNetError,
+    PhaseShifter,
+    ReflectiveHologram,
     V,
     dove_stage_elements,
     oambs_netlist,
@@ -360,3 +366,31 @@ def test_netlist_record_must_be_an_object(data):
         DomainError, match="^netlist record must be a JSON object, got "
     ):
         netlist_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "element, record",
+    [
+        (
+            BeamSplitter(2, 0, 1, -0.25),
+            {"type": "beamsplitter", "ports": [2, 0], "theta": 1.0, "phi": -0.25},
+        ),
+        (PhaseShifter(1, 3), {"type": "phase", "port": 1, "phi": 3.0}),
+        (DovePrism(0, -0.0), {"type": "dove", "port": 0, "alpha": -0.0}),
+        (Hologram(3, -4), {"type": "hologram", "port": 3, "k": -4}),
+        (ReflectiveHologram(1, 7), {"type": "reflective_hologram", "port": 1, "k": 7}),
+        (Mirror(2), {"type": "mirror", "port": 2}),
+    ],
+)
+def test_each_element_type_writes_its_record(element, record):
+    # the records written by one if-branch per element type, key order and
+    # value types included (integer angles are written as floats)
+    written = element_to_dict(element)
+    assert list(written.items()) == list(record.items())
+    assert [type(value) for value in written.values()] == [
+        type(value) for value in record.values()
+    ]
+    assert math.copysign(1.0, written.get("alpha", 1.0)) == math.copysign(
+        1.0, record.get("alpha", 1.0)
+    )
+    assert element_from_dict(written) == element
