@@ -32,10 +32,10 @@ from .multiport import (
     symmetric_matrix,
 )
 from .netlist import (
+    _random_unitaries,
     oambs_netlist,
     oambs_netlist_error,
     path_replay_error,
-    random_unitary,
     reck_decompose,
     symmetric_netlist,
 )
@@ -242,14 +242,21 @@ def _mux_block(
     holds round ``k``'s (alpha, beta) for user ``n``, as from
     :func:`_draw_qubits`.
 
-    Its steps come in the order of a round run alone: originals (built
-    from the array by ``states._qubit_block``), ``merge``, tagged product,
-    transmit fidelities, ``receive``, round-trip fidelities.  Every error
-    it can raise is shared by all rounds, so it is the first round's: the
-    window, path and device checks see the same (path, winding) in every
-    row of a slot, so ``merge`` refuses a window below ``D - 1`` before the
-    tags are checked; the row bound counts ``2**D`` rows per round; and
-    unit-norm qubits pass the norm checks.
+    Its steps come in the order of a round run alone:
+    1. originals, slot ``n`` on ``(n, 0)``, built from the array by
+       ``states._qubit_block``;
+    2. ``merge``;
+    3. the tagged product, slot ``n`` on ``(0, n)``, checked against the
+       space and then built by :func:`_tagged_block` from the originals;
+    4. transmit fidelities;
+    5. ``receive``;
+    6. round-trip fidelities.
+
+    Every error it can raise is shared by all rounds, so it is the first
+    round's: the window, path and device checks see the same (path,
+    winding) in every row of a slot, so ``merge`` refuses a window below
+    ``D - 1`` before the tags are checked; the row bound counts ``2**D``
+    rows per round; and unit-norm qubits pass the norm checks.
     """
     space = network.space
     users = range(network.dimension)
@@ -257,12 +264,37 @@ def _mux_block(
     originals = states._qubit_block(space, qubits, [(path, 0) for path in users])
     sent = network.merge(originals)
     # each block is freed once it is compared or crossed
-    transmit = _fidelities(
-        sent, states._qubit_block(space, qubits, [(0, tag) for tag in users])
-    )
+    transmit = _fidelities(sent, _tagged_block(originals))
     received = network.receive(sent, restore_oam=True)
     del sent
     return list(zip(transmit, _fidelities(received, originals)))
+
+
+def _tagged_block(originals: states.EnsembleState) -> states.EnsembleState:
+    """``states._qubit_block`` of the originals' qubits with slot ``n`` on
+    ``(0, n)`` instead of ``(n, 0)``, from the originals' own columns.
+
+    The product does not depend on the labels: the two blocks have the
+    same codes, amplitudes and smallest modulus, and their label columns
+    differ only in that each label ``(n, 0)`` becomes ``(0, n)``, that is
+    with the path and winding columns swapped.  So the tagged block shares
+    the originals' read-only codes and ``re``/``im`` under swapped label
+    columns.  Its labels are checked against the space first, in slot
+    order, so a refused tag raises as the tagged qubit photons would.
+    """
+    space = originals.space
+    for tag in range(originals.slot_count):
+        space.check_label(states.ModeLabel(0, tag))
+    columns = originals.amplitudes
+    return states.EnsembleState._from_columns(
+        space,
+        originals.slot_count,
+        states._LabelColumns(columns.winding, columns.path, columns.vpol),
+        columns.codes,
+        columns.re,
+        columns.im,
+        columns._smallest_modulus(),
+    )
 
 
 def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
@@ -298,8 +330,7 @@ def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
     add("synthesis_symmetric", err < tol, err)
 
     err = 0.0
-    for _ in range(_VERIFY_RANDOM_UNITARIES):
-        target = random_unitary(dimension, rng)
+    for target in _random_unitaries(dimension, rng, _VERIFY_RANDOM_UNITARIES):
         err = max(err, path_replay_error(reck_decompose(target), target))
     add("synthesis_random", err < tol, err)
 

@@ -446,9 +446,14 @@ def device_matrix(
 
     A device with ``label_images`` (a tabled :class:`CompositeDevice`, a
     bank) gives the images of the whole basis in one gather, and each
-    column receives its one entry as the label loop would add it to zero;
-    any other device, and a gather whose images leave the basis, goes label
-    by label through ``mode_images``.  Images falling outside the basis
+    column receives its one entry as the label loop would add it to zero.
+    A bare :class:`SymmetricMultiport` places every label's ``D`` images
+    straight from the cached Fourier matrix in one scatter: the factors
+    ``transit`` would multiply by ``1+0j``, which changes no bit but the
+    sign of a zero part, each added to zero (which makes every zero part
+    ``+0.0``) and pruned at ``PRUNE_TOL``, as the label loop does.  Any
+    other device, and a gather whose images leave the basis, goes label by
+    label through ``mode_images``.  Images falling outside the basis
     raise :class:`DomainError`, naming the first basis label that has one,
     and so does a matrix of more than ``MAX_MATRIX_ENTRIES`` entries,
     before it is built, and an argument that is not a mode operator with a
@@ -465,6 +470,17 @@ def device_matrix(
             f"{MAX_MATRIX_ENTRIES} entries"
         )
     matrix = np.zeros((size, size), dtype=complex)
+    if type(device) is SymmetricMultiport and size:
+        # label |l>_p has image |+-l>_n with factor S[n, p] for every n;
+        # the windings +-l stay in the basis, whose window is symmetric
+        path, winding, position = _basis_columns(dimension)
+        image_winding = -winding if device.parity_flip else winding
+        factors = _symmetric_matrix_cached(dimension)[:, path]
+        kept = np.hypot(factors.real, factors.imag) > PRUNE_TOL
+        rows = position[:, image_winding - values[0]]
+        columns = np.broadcast_to(np.arange(size), rows.shape)
+        matrix[rows[kept], columns[kept]] += factors[kept]
+        return matrix
     gather = getattr(device, "label_images", None)
     if gather is not None and size:
         path, winding, position = _basis_columns(dimension)

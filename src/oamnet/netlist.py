@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, get_args
 
 import numpy as np
@@ -105,6 +105,18 @@ class Netlist:
                     f"{type(element).__name__}"
                 )
             element.check_ports(self.dimension)
+
+    @classmethod
+    def _from_checked(
+        cls, dimension: int, elements: tuple[Element, ...], parity_flip: bool
+    ) -> "Netlist":
+        """Wrap a tuple of elementary elements whose ports already passed
+        ``check_ports(dimension)``, without checking them again."""
+        netlist = object.__new__(cls)
+        object.__setattr__(netlist, "dimension", dimension)
+        object.__setattr__(netlist, "elements", elements)
+        object.__setattr__(netlist, "parity_flip", parity_flip)
+        return netlist
 
     def mode_images(self, label: ModeLabel):
         images = compose_images(self.elements, label)
@@ -227,7 +239,7 @@ def path_replay_error(netlist: Netlist, target: np.ndarray) -> float:
 def symmetric_netlist(dimension: int) -> Netlist:
     """Triangular netlist of the symmetric multiport, with its transit flip."""
     decomposed = reck_decompose(symmetric_matrix(dimension))
-    return replace(decomposed, parity_flip=True)
+    return Netlist._from_checked(dimension, decomposed.elements, True)
 
 
 def dove_stage_elements(
@@ -253,12 +265,14 @@ def oambs_netlist(dimension: int) -> Netlist:
     that transit's aggregate winding flip (it must land before the prisms,
     which read the flipped winding), the Dove prism stage, the second
     triangle; the second transit's flip is the netlist-level parity flag.
+    Only ``reck_decompose`` checks ports: the triangle's elements passed
+    its check, and the mirrors and prisms sit on ports ``0..D-1``.
     """
     triangle = reck_decompose(symmetric_matrix(dimension))
     mirrors = tuple(Mirror(port) for port in range(dimension))
     prisms = dove_stage_elements(dimension, Direction.FORWARD)
     elements = triangle.elements + mirrors + prisms + triangle.elements
-    return Netlist(dimension, elements, parity_flip=True)
+    return Netlist._from_checked(dimension, elements, True)
 
 
 def _rounds(elements: Sequence[PortElement]) -> list[list[PortElement]]:
@@ -527,7 +541,10 @@ def oambs_netlist_error(netlist: Netlist) -> float:
     :class:`PhotonState` is then built in walk order, so pruning, the window
     and norm checks, the sums of squares and the first error raised are
     those of replaying one photon at a time with :func:`netlist_apply`.
+    An argument that is not a :class:`Netlist` raises :class:`DomainError`.
     """
+    if not isinstance(netlist, Netlist):
+        raise DomainError(f"not a netlist: {type(netlist).__name__}")
     dimension = netlist.dimension
     space = ModeSpace(dimension)
     basis = device_basis(dimension)
@@ -549,15 +566,33 @@ def oambs_netlist_error(netlist: Netlist) -> float:
 
 def random_unitary(dimension: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary from the QR factorization of a complex
-    Gaussian matrix, with the phase ambiguity of R's diagonal removed.
-    A dimension below 1 raises :class:`DomainError` before ``rng`` draws."""
+    Gaussian matrix, with the phase ambiguity of R's diagonal removed: the
+    one-matrix case of :func:`_random_unitaries`.  A dimension below 1,
+    and then an ``rng`` that is not a :class:`numpy.random.Generator`,
+    raise :class:`DomainError` before ``rng`` draws."""
     if dimension < 1:
         raise DomainError(f"dimension must be >= 1, got {dimension}")
-    gaussian = rng.standard_normal((dimension, dimension))
-    gaussian = gaussian + 1j * rng.standard_normal((dimension, dimension))
-    q, r = np.linalg.qr(gaussian)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"not a random generator: {type(rng).__name__}")
+    return _random_unitaries(dimension, rng, 1)[0]
+
+
+def _random_unitaries(
+    dimension: int, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` random unitaries as one (count, D, D) stack, from one draw
+    and one stacked QR factorization.
+
+    Matrix ``k`` takes the real parts of its Gaussian, then the imaginary
+    parts, so the stack holds the bits, and leaves ``rng`` in the state, of
+    ``count`` calls of :func:`random_unitary` in a row: the stacked QR runs
+    the same LAPACK calls on each matrix, and every later step is
+    elementwise, with inner loops over rows of ``D`` entries as for one
+    matrix."""
+    raw = rng.standard_normal((count, 2, dimension, dimension))
+    q, r = np.linalg.qr(raw[:, 0] + 1j * raw[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 __all__ = [

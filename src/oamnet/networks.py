@@ -24,9 +24,9 @@ delivered winding and its tag.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -142,6 +142,11 @@ def _require_ensemble(state: EnsembleState) -> None:
         raise DomainError(f"not an ensemble: {type(state).__name__}")
 
 
+def _require_qubits(qubits: Sequence[QubitSpec]) -> None:
+    if not isinstance(qubits, Sequence):
+        raise DomainError(f"not a sequence of QubitSpecs: {type(qubits).__name__}")
+
+
 def _check_index(value: int, dimension: int, name: str) -> None:
     if not 0 <= value < dimension:
         raise DomainError(f"{name} {value} outside [0, {dimension - 1}]")
@@ -183,16 +188,16 @@ class MuxNetwork:
     def transmit(self, qubits: Sequence[QubitSpec]) -> EnsembleState:
         """Merge one photon per user onto path 0.
 
-        Expects exactly ``dimension`` qubit specs; user ``n`` injects on
-        path ``n`` with winding 0.
+        Expects a sequence of exactly ``dimension`` qubit specs; user ``n``
+        injects on path ``n`` with winding 0.  The first entry that is not
+        a :class:`QubitSpec` raises :class:`DomainError` from
+        ``make_qubit_photon``, since the photons before it cannot fail.
         """
+        _require_qubits(qubits)
         if len(qubits) != self.dimension:
             raise DomainError(
                 f"expected {self.dimension} qubits, got {len(qubits)}"
             )
-        for spec in qubits:
-            if not isinstance(spec, QubitSpec):
-                raise DomainError(f"not a QubitSpec: {type(spec).__name__}")
         space = self.space
         photons = [
             make_qubit_photon(spec, path, 0, space)
@@ -203,6 +208,7 @@ class MuxNetwork:
     def merge(self, product: EnsembleState) -> EnsembleState:
         """The optics of :meth:`transmit` acting on a product state already
         built, slot ``n`` holding user ``n``'s photon on path ``n``."""
+        _require_ensemble(product)
         if product.space.dimension != self.dimension:
             raise DomainError(
                 f"state spans {product.space.dimension} paths, "
@@ -584,6 +590,7 @@ def _gathered_rows(
 
 def mux_transmit(qubits: Sequence[QubitSpec]) -> EnsembleState:
     """Merge ``len(qubits)`` users' photons onto path 0 (one per port)."""
+    _require_qubits(qubits)
     return MuxNetwork(len(qubits)).transmit(qubits)
 
 
@@ -621,6 +628,10 @@ def superposed_destination(
     """
     star = StarNetwork(dimension)
     _check_index(sender, dimension, "sender")
+    if not isinstance(destinations, Sequence):
+        raise DomainError(
+            f"not a sequence of destinations: {type(destinations).__name__}"
+        )
     paths = [path for path, _ in destinations]
     if len(set(paths)) != len(paths):
         raise DomainError("destination paths must be distinct")

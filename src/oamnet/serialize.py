@@ -174,6 +174,8 @@ def element_from_dict(data: Mapping[str, Any]) -> Element:
 def netlist_to_dict(
     netlist: Netlist, replay_error: float | None = None
 ) -> dict[str, Any]:
+    if not isinstance(netlist, Netlist):
+        raise DomainError(f"not a netlist: {type(netlist).__name__}")
     data: dict[str, Any] = {
         "dimension": netlist.dimension,
         "parity_flip": netlist.parity_flip,

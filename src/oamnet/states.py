@@ -572,7 +572,10 @@ def _first_duplicate(labels: Sequence[ModeLabel]) -> ModeLabel:
 def make_qubit_photon(
     spec: QubitSpec, path: int, oam: int, space: ModeSpace
 ) -> PhotonState:
-    """Photon on one (path, winding) carrying ``spec`` in its polarization."""
+    """Photon on one (path, winding) carrying ``spec`` in its polarization;
+    :class:`DomainError` when ``spec`` is not a :class:`QubitSpec`."""
+    if not isinstance(spec, QubitSpec):
+        raise DomainError(f"not a QubitSpec: {type(spec).__name__}")
     return PhotonState(
         space,
         {

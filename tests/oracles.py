@@ -498,3 +498,15 @@ def one_by_one_report_rows(network):
                 )
             )
     return rows
+
+
+def seed_random_unitary(dimension, rng):
+    """``random_unitary`` by the original draw: a real and then an
+    imaginary Gaussian matrix from ``rng``, one QR factorization, and the
+    phases of R's diagonal divided out; the reference for the stacked
+    draw."""
+    gaussian = rng.standard_normal((dimension, dimension))
+    gaussian = gaussian + 1j * rng.standard_normal((dimension, dimension))
+    q, r = np.linalg.qr(gaussian)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))

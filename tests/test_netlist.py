@@ -250,3 +250,31 @@ def test_reck_refuses_an_empty_target():
         match=r"^target must be a non-empty square matrix, got \(0, 0\)$",
     ):
         reck_decompose(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 5, 8])
+def test_device_netlists_check_ports_once(dimension, monkeypatch):
+    from oamnet.elements import PortElement
+    from oamnet.serialize import netlist_dumps, netlist_loads
+
+    checked = []
+    check = PortElement.check_ports
+
+    def spy(self, size):
+        checked.append(self)
+        return check(self, size)
+
+    monkeypatch.setattr(PortElement, "check_ports", spy)
+    triangle = reck_decompose(symmetric_matrix(dimension))
+    assert checked == list(triangle.elements)
+    for build in (oambs_netlist, symmetric_netlist):
+        checked.clear()
+        built = build(dimension)
+        # only the triangle that reck_decompose returns is checked
+        assert checked == list(triangle.elements)
+        assert built == Netlist(dimension, built.elements, True)
+        # a loaded netlist is checked again, element by element
+        checked.clear()
+        assert netlist_loads(netlist_dumps(built)) == built
+        assert checked == list(built.elements)
+    assert symmetric_netlist(dimension) == replace(triangle, parity_flip=True)

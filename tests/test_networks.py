@@ -40,7 +40,9 @@ from oamnet import (
     netlist_apply,
     oambs,
     oambs_netlist,
+    oambs_netlist_error,
     path_probabilities,
+    random_unitary,
     routing_report,
     sbmao,
     sender_tag,
@@ -50,6 +52,7 @@ from oamnet import (
 )
 from oamnet import cli, multiport, networks
 from oamnet.networks import _device_apply
+from oamnet.serialize import netlist_dumps, netlist_to_dict
 from oracles import random_qubit
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -642,3 +645,51 @@ def _photon():
 def test_typed_refusals_of_mux_states_and_netlists(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mux_transmit(None), "not a sequence of QubitSpecs: NoneType"),
+        (lambda: MuxNetwork(2).transmit(5), "not a sequence of QubitSpecs: int"),
+        (lambda: star_deliver(0, 1, 3, None), "not a QubitSpec: NoneType"),
+        (
+            lambda: make_qubit_photon(None, 0, 0, ModeSpace(2)),
+            "not a QubitSpec: NoneType",
+        ),
+        (lambda: MuxNetwork(2).merge(None), "not an ensemble: NoneType"),
+        (lambda: MuxNetwork(2).merge(_photon()), "not an ensemble: PhotonState"),
+        (lambda: netlist_dumps(None), "not a netlist: NoneType"),
+        (lambda: netlist_to_dict(None), "not a netlist: NoneType"),
+        (lambda: oambs_netlist_error(None), "not a netlist: NoneType"),
+        (lambda: random_unitary(3, None), "not a random generator: NoneType"),
+        (
+            lambda: superposed_destination(0, 3, None),
+            "not a sequence of destinations: NoneType",
+        ),
+    ],
+    ids=[
+        "mux_transmit",
+        "MuxNetwork.transmit",
+        "star_deliver",
+        "make_qubit_photon",
+        "MuxNetwork.merge",
+        "MuxNetwork.merge-photon",
+        "netlist_dumps",
+        "netlist_to_dict",
+        "oambs_netlist_error",
+        "random_unitary",
+        "superposed_destination",
+    ],
+)
+def test_typed_refusals_at_entry_points(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+def test_transmit_refuses_the_first_entry_that_is_not_a_qubit():
+    # the photons before it are built first, and none of them can fail
+    with pytest.raises(DomainError, match="^not a QubitSpec: str$"):
+        MuxNetwork(3).transmit([QubitSpec(0, 1), "x", None])
+    with pytest.raises(DomainError, match="^expected 2 qubits, got 1$"):
+        MuxNetwork(2).transmit([None])
