@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -43,6 +44,7 @@ from .networks import (
     MuxNetwork,
     SimpleRoutingNetwork,
     StarNetwork,
+    _crossing_images,
     delivery_row,
     routing_report,
     sender_tag,
@@ -53,7 +55,7 @@ from .networks import (
 from . import states
 from .serialize import dumps_canonical, netlist_dumps
 from .states import (
-    _fidelities,
+    _overlap_fidelities,
     fidelity,
     path_probabilities,
     tensor,  # unused here; bench/tracing.py wraps this binding
@@ -199,19 +201,19 @@ def _draw_qubits(
     array of shape (count, dimension, 2) holding each (alpha, beta).
 
     Each qubit takes the real parts of alpha and beta, then their imaginary
-    parts, from ``rng`` and is divided by its norm, so the array holds the
-    bits, and leaves ``rng`` in the state, of drawing the qubits one by one
-    as ``n = standard_normal(2) + 1j * standard_normal(2)`` divided by
-    ``np.linalg.norm(n)``.  That norm is the square root of two dot products,
-    and a matmul of a row by a column makes the same ``dot`` call.
+    parts, from ``rng``, and is divided by its norm ``sqrt((re0*re0 +
+    re1*re1) + (im0*im0 + im1*im1))``, summed elementwise in that order, so
+    the array holds the bits of drawing the qubits one by one and leaves
+    ``rng`` in the same state, whichever BLAS kernel runs.
     """
     raw = rng.standard_normal((count, dimension, 2, 2))
     re, im = raw[..., 0, :], raw[..., 1, :]
-    norm_sq = (
-        re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    squares = raw * raw
+    norm_sq = (squares[..., 0, 0] + squares[..., 0, 1]) + (
+        squares[..., 1, 0] + squares[..., 1, 1]
     )
     qubits = re + 1j * im
-    qubits /= np.sqrt(norm_sq[..., 0])
+    qubits /= np.sqrt(norm_sq)[..., None]
     return qubits
 
 
@@ -219,82 +221,117 @@ def _mux_roundtrip(
     network: MuxNetwork, rng: np.random.Generator, count: int = 1
 ) -> list[tuple[float, float]]:
     """Transmit and round-trip fidelities of ``count`` rounds, each of one
-    qubit per user from ``rng``.
-
-    The rounds cross the network together, as the amplitude columns of
-    blocks (see :mod:`oamnet.states`) of at most ``MAX_ENSEMBLE_ROWS``
-    amplitudes; each user's qubit doubles a block's ``2**D`` rows.  They
-    give the bits, and raise the error, of rounds run one by one.
-    """
-    dimension = network.dimension
-    width = max(1, states.MAX_ENSEMBLE_ROWS >> dimension)
-    results: list[tuple[float, float]] = []
-    while len(results) < count:
-        qubits = _draw_qubits(rng, min(width, count - len(results)), dimension)
-        results += _mux_block(network, qubits)
-    return results
+    qubit per user from ``rng`` (:func:`_mux_fidelities`).  A round's
+    product state holds ``2**D`` rows, so past ``MAX_ENSEMBLE_ROWS`` of
+    them the check raises the ensemble's row bound before it draws."""
+    states._require_row_bound(2**network.dimension)
+    return _mux_fidelities(
+        network, _draw_qubits(rng, count, network.dimension)
+    )
 
 
-def _mux_block(
+def _mux_fidelities(
     network: MuxNetwork, qubits: np.ndarray
 ) -> list[tuple[float, float]]:
-    """:func:`_mux_roundtrip` of one block of drawn rounds: ``qubits[k, n]``
-    holds round ``k``'s (alpha, beta) for user ``n``, as from
-    :func:`_draw_qubits`.
+    """The transmit and round-trip fidelities of the rounds of ``qubits``
+    (round ``k``'s (alpha, beta) for user ``n`` at ``qubits[k, n]``, as from
+    :func:`_draw_qubits`), computed slot by slot.
 
-    Its steps come in the order of a round run alone:
-    1. originals, slot ``n`` on ``(n, 0)``, built from the array by
-       ``states._qubit_block``;
-    2. ``merge``;
-    3. the tagged product, slot ``n`` on ``(0, n)``, checked against the
-       space and then built by :func:`_tagged_block` from the originals;
-    4. transmit fidelities;
-    5. ``receive``;
-    6. round-trip fidelities.
+    The slot model keeps a product state a product while every crossing
+    maps its labels one to one (see :mod:`oamnet.states`), so each overlap
+    is a product of one overlap per slot.  User ``n``'s qubit sits on ``(n,
+    0, H)`` and ``(n, 0, V)``, which share every image and factor, so the
+    slots cross each device as the one row of an ensemble
+    (:func:`_cross_slots`), and each qubit's parts take their slot's
+    factors in split form.  A slot overlap is ``conj(a) * b`` summed over H
+    then V, and a round's overlap is the product of its slot overlaps from
+    left to right in Python complex arithmetic, which is split form too, so
+    no value depends on the BLAS kernel.
 
-    Every error it can raise is shared by all rounds, so it is the first
-    round's: the window, path and device checks see the same (path,
-    winding) in every row of a slot, so ``merge`` refuses a window below
-    ``D - 1`` before the tags are checked; the row bound counts ``2**D``
-    rows per round; and unit-norm qubits pass the norm checks.
+    The row is row 0 of the rounds' product states: each slot's H label, or
+    its V label where every round prunes alpha.  Each qubit first takes the
+    ensemble norm check (``states._require_unit_moduli``), as those product
+    states do; past it, errors depend only on the labels, so they come as
+    the round trip of those states raises them:
+    1. ``merge``'s window refusal, at the input holograms or the core;
+    2. the check of the tags ``(0, n)`` against the space;
+    3. the demux path and winding check;
+    4. a :class:`BunchingError` for a crossing that is not one to one.
     """
+    dimension = network.dimension
     space = network.space
-    users = range(network.dimension)
-    # the product sent is also the state the round trip must restore
-    originals = states._qubit_block(space, qubits, [(path, 0) for path in users])
-    sent = network.merge(originals)
-    # each block is freed once it is compared or crossed
-    transmit = _fidelities(sent, _tagged_block(originals))
-    received = network.receive(sent, restore_oam=True)
-    del sent
-    return list(zip(transmit, _fidelities(received, originals)))
-
-
-def _tagged_block(originals: states.EnsembleState) -> states.EnsembleState:
-    """``states._qubit_block`` of the originals' qubits with slot ``n`` on
-    ``(0, n)`` instead of ``(n, 0)``, from the originals' own columns.
-
-    The product does not depend on the labels: the two blocks have the
-    same codes, amplitudes and smallest modulus, and their label columns
-    differ only in that each label ``(n, 0)`` becomes ``(0, n)``, that is
-    with the path and winding columns swapped.  So the tagged block shares
-    the originals' read-only codes and ``re``/``im`` under swapped label
-    columns.  Its labels are checked against the space first, in slot
-    order, so a refused tag raises as the tagged qubit photons would.
-    """
-    space = originals.space
-    for tag in range(originals.slot_count):
-        space.check_label(states.ModeLabel(0, tag))
-    columns = originals.amplitudes
-    return states.EnsembleState._from_columns(
-        space,
-        originals.slot_count,
-        states._LabelColumns(columns.winding, columns.path, columns.vpol),
-        columns.codes,
-        columns.re,
-        columns.im,
-        columns._smallest_modulus(),
+    users = np.arange(dimension)
+    # one norm column per qubit: a product of unit qubits has unit norm
+    states._require_unit_moduli(np.hypot(qubits.real, qubits.imag).transpose(2, 0, 1))
+    alpha = qubits[..., 0]
+    vpol = ~(np.hypot(alpha.real, alpha.imag) > states.PRUNE_TOL).any(axis=0)
+    origin = states._LabelColumns(users, np.zeros(dimension, dtype=np.int64), vpol)
+    sent, re, im = _cross_slots(
+        _slot_row(space, origin),
+        (network.input_holograms, network.core),
+        qubits.real,
+        qubits.imag,
     )
+    for tag in users.tolist():
+        space.check_label(states.ModeLabel(0, tag))
+    columns = sent.amplitudes
+    tagged = not columns.path.any() and (columns.winding == users).all()
+    transmit = _overlap_fidelities(_slot_overlaps(re, im, qubits, tagged))
+    network._require_tagged(sent)
+    received, re, im = _cross_slots(
+        sent, (network.demux_core, network.output_holograms), re, im
+    )
+    columns = received.amplitudes
+    restored = (columns.path == users).all() and not columns.winding.any()
+    roundtrip = _overlap_fidelities(_slot_overlaps(re, im, qubits, restored))
+    return list(zip(transmit, roundtrip))
+
+
+def _slot_row(
+    space: states.ModeSpace, labels: states._LabelColumns
+) -> states.EnsembleState:
+    """The ensemble of one row holding label ``n`` in slot ``n``."""
+    slots = len(labels.path)
+    return states.EnsembleState._from_columns(
+        space, slots, labels, np.arange(slots)[None], np.ones(1), np.zeros(1), 1.0
+    )
+
+
+def _cross_slots(
+    row: states.EnsembleState,
+    devices: Sequence[Any],
+    re: np.ndarray,
+    im: np.ndarray,
+) -> tuple[states.EnsembleState, np.ndarray, np.ndarray]:
+    """``row`` (see :func:`_slot_row`) across ``devices`` slot-wise, as an
+    ensemble crosses them, with the qubit parts ``re`` and ``im`` (rounds,
+    slots, H and V) times each slot's factors in split form."""
+    for device in devices:
+        images = _crossing_images(row, device)
+        labels = images.labels
+        if images.target is not None:
+            labels = states._LabelColumns(*(part[images.target] for part in labels))
+        if images.re is not None:
+            fr, fi = images.re[:, None], images.im[:, None]
+            re, im = re * fr - im * fi, re * fi + im * fr
+        row = _slot_row(row.space, labels)
+    return row, re, im
+
+
+def _slot_overlaps(
+    re: np.ndarray, im: np.ndarray, qubits: np.ndarray, matched: bool
+) -> list[complex]:
+    """Each round's ``<a|b>`` of the product with parts ``re`` and ``im``
+    and the product of ``qubits``, or 0 unless their labels ``matched``."""
+    if not matched:
+        return [0j] * len(qubits)
+    br, bi = qubits.real, qubits.imag
+    # conj(a) * b in split form, as states' overlap forms it
+    parts_re, parts_im = re * br + im * bi, re * bi - im * br
+    slots = np.empty(qubits.shape[:-1], dtype=complex)
+    slots.real = parts_re[..., 0] + parts_re[..., 1]
+    slots.imag = parts_im[..., 0] + parts_im[..., 1]
+    return list(map(math.prod, slots.tolist()))
 
 
 def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:

@@ -45,6 +45,7 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, get_args
 
 import numpy as np
@@ -150,6 +151,15 @@ def reck_decompose(target: np.ndarray) -> Netlist:
     Returns at most ``D*(D-1)/2`` beamsplitters on adjacent port pairs plus
     trailing phase shifters whose replayed product reproduces ``target``
     exactly (up to accumulated round-off, well under 1e-9).
+
+    The elimination runs on the target's columns held as lists of Python
+    ``complex`` values.  Each pivot takes its angles from ``math.atan2``,
+    its beamsplitter updates the column pair entry by entry as ``p * b00 +
+    q * b10`` and ``p * b01 + q * b11``, and the trailing phases are
+    ``cmath.phase`` of the diagonal.  Every step is scalar arithmetic in a
+    fixed order, so the netlist does not depend on the BLAS kernel; only
+    the unitarity gate, which decides whether to raise, runs a matrix
+    product.
     """
     work = np.array(target, dtype=complex)
     if work.ndim != 2 or work.shape[0] != work.shape[1] or not work.size:
@@ -169,26 +179,26 @@ def reck_decompose(target: np.ndarray) -> Netlist:
             f"target is not unitary: max |U^H U - I| = {defect:.3e}"
         )
 
+    columns = work.T.tolist()
     splitters: list[BeamSplitter] = []
     for row in range(dimension - 1):
         for col in range(dimension - 1, row, -1):
             a, b = col - 1, col
-            u, v = work[row, a], work[row, b]
+            u, v = columns[a][row], columns[b][row]
             if abs(v) <= _NULL_TOL:
                 continue
             theta = math.atan2(abs(v), abs(u))
-            # the arctan2 that np.angle calls, without its wrapper
-            w = -v * np.conj(u)
-            phi = float(np.arctan2(w.imag, w.real)) - math.pi / 2.0
-            block = np.array(beamsplitter_block(theta, phi))
-            # columns a and b = a + 1 as a view, rewritten in place
-            pair = work[:, a : b + 1]
-            pair[...] = pair @ block
+            w = -v * u.conjugate()
+            phi = math.atan2(w.imag, w.real) - math.pi / 2.0
+            (b00, b01), (b10, b11) = beamsplitter_block(theta, phi)
+            pair = tuple(zip(columns[a], columns[b]))
+            columns[a] = [p * b00 + q * b10 for p, q in pair]
+            columns[b] = [p * b01 + q * b11 for p, q in pair]
             # The netlist needs the inverse of the nulling block, which is
             # the same convention with the mixing angle negated.
             splitters.append(BeamSplitter(a, b, -theta, phi))
 
-    angles = [float(np.angle(work[port, port])) for port in range(dimension)]
+    angles = [cmath.phase(columns[port][port]) for port in range(dimension)]
     shifters = [
         PhaseShifter(port, angle) for port, angle in enumerate(angles) if angle != 0.0
     ]
@@ -198,36 +208,34 @@ def reck_decompose(target: np.ndarray) -> Netlist:
 def netlist_path_matrix(netlist: Netlist) -> np.ndarray:
     """Path-space matrix replayed from beamsplitters and phase shifters.
 
-    Each element is embedded in one identity buffer, which multiplies the
-    product from the left and is then restored.  Only path-acting elements
-    are admissible here; OAM-acting elements have no path-matrix meaning
-    and raise :class:`DomainError`, and so does an argument that is not a
+    The product is held as rows of Python ``complex`` values, starting from
+    the identity.  A beamsplitter on ports ``a`` and ``b`` with block
+    ``((m00, m01), (m10, m11))`` replaces rows ``a`` and ``b`` entry by
+    entry with ``m00 * x + m01 * y`` and ``m10 * x + m11 * y``, and a phase
+    shifter scales its row by ``cmath.exp(1j * phi)``, so the result does
+    not depend on the BLAS kernel.  Only path-acting elements are
+    admissible here; OAM-acting elements have no path-matrix meaning and
+    raise :class:`DomainError`, and so does an argument that is not a
     :class:`Netlist`.
     """
     if not isinstance(netlist, Netlist):
         raise DomainError(f"not a netlist: {type(netlist).__name__}")
-    dimension = netlist.dimension
-    matrix = np.eye(dimension, dtype=complex)
-    embedded = np.eye(dimension, dtype=complex)
+    rows = np.eye(netlist.dimension, dtype=complex).tolist()
     for element in netlist.elements:
         if isinstance(element, BeamSplitter):
             a, b = element.port_a, element.port_b
-            (embedded[a, a], embedded[a, b]), (embedded[b, a], embedded[b, b]) = (
-                element._block
-            )
-            matrix = embedded @ matrix
-            embedded[a, a] = embedded[b, b] = 1.0
-            embedded[a, b] = embedded[b, a] = 0.0
+            (m00, m01), (m10, m11) = element._block
+            pair = tuple(zip(rows[a], rows[b]))
+            rows[a] = [m00 * x + m01 * y for x, y in pair]
+            rows[b] = [m10 * x + m11 * y for x, y in pair]
         elif isinstance(element, PhaseShifter):
-            port = element.port
-            embedded[port, port] = np.exp(1j * element.phi)
-            matrix = embedded @ matrix
-            embedded[port, port] = 1.0
+            phase = cmath.exp(1j * element.phi)
+            rows[element.port] = [phase * x for x in rows[element.port]]
         else:
             raise DomainError(
                 f"{type(element).__name__} has no path-only matrix"
             )
-    return matrix
+    return np.array(rows, dtype=complex)
 
 
 def path_replay_error(netlist: Netlist, target: np.ndarray) -> float:
@@ -567,9 +575,12 @@ def oambs_netlist_error(netlist: Netlist) -> float:
 def random_unitary(dimension: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary from the QR factorization of a complex
     Gaussian matrix, with the phase ambiguity of R's diagonal removed: the
-    one-matrix case of :func:`_random_unitaries`.  A dimension below 1,
-    and then an ``rng`` that is not a :class:`numpy.random.Generator`,
-    raise :class:`DomainError` before ``rng`` draws."""
+    one-matrix case of :func:`_random_unitaries`.  A dimension that is
+    not an integer or is below 1, and then an ``rng`` that is not a
+    :class:`numpy.random.Generator`, raise :class:`DomainError` before
+    ``rng`` draws."""
+    if not isinstance(dimension, Integral):
+        raise DomainError(f"not an integer dimension: {type(dimension).__name__}")
     if dimension < 1:
         raise DomainError(f"dimension must be >= 1, got {dimension}")
     if not isinstance(rng, np.random.Generator):

@@ -27,6 +27,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Number
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .states import (
     PhotonState,
     QubitSpec,
     V,
+    _Images,
     _apply_ensemble,
     _label_images,
     _require_unit_norm,
@@ -120,15 +122,22 @@ class ReflectorBank(HologramBank):
 def _device_apply(
     state: PhotonState | EnsembleState, device: CompositeDevice
 ) -> PhotonState | EnsembleState:
-    """``device`` applied to ``state``.  An ensemble crosses slot-wise, which
-    is exact only while each occupied label has one image and distinct
-    labels have distinct images: after any error its images record, a
-    crossing that is not one to one raises :class:`BunchingError`."""
+    """``device`` applied to ``state``; an ensemble crosses slot-wise (see
+    :func:`_crossing_images`)."""
     if not isinstance(state, EnsembleState):
         return apply_mode_map(state, device)
+    return _apply_ensemble(state, _crossing_images(state, device))
+
+
+def _crossing_images(state: EnsembleState, device) -> _Images:
+    """The images of ``state``'s labels under ``device`` for a slot-wise
+    crossing, which is exact only while each occupied label has one image
+    and distinct labels have distinct images: after any error its images
+    record, a crossing that is not one to one raises
+    :class:`BunchingError`."""
     images = _label_images(device, state.amplitudes, state.space)
     if images.count is None and images.distinct:
-        return _apply_ensemble(state, images)
+        return images
     if images.failures:
         _apply_ensemble(state, images)  # raises the error the expansion meets
     raise BunchingError(
@@ -233,6 +242,15 @@ class MuxNetwork:
                 f"state spans {multiplexed.space.dimension} paths, "
                 f"demux has {self.dimension}"
             )
+        self._require_tagged(multiplexed)
+        separated = _device_apply(multiplexed, self.demux_core)
+        if restore_oam:
+            separated = apply_mode_map(separated, self.output_holograms)
+        return separated
+
+    def _require_tagged(self, multiplexed: EnsembleState) -> None:
+        """Raise :class:`RoutingDomainError` for the first label, in tuple
+        order, that is off path 0 or has a winding outside ``[0, D)``."""
         # the label columns hold exactly the occupied labels; only a failing
         # check walks them in tuple order to name the first offender
         columns = multiplexed.amplitudes
@@ -247,10 +265,6 @@ class MuxNetwork:
                         f"demux input must sit on path 0 with winding in "
                         f"[0, {self.dimension - 1}]; got {label}"
                     )
-        separated = _device_apply(multiplexed, self.demux_core)
-        if restore_oam:
-            separated = apply_mode_map(separated, self.output_holograms)
-        return separated
 
 
 @dataclass(frozen=True)
@@ -632,6 +646,14 @@ def superposed_destination(
         raise DomainError(
             f"not a sequence of destinations: {type(destinations).__name__}"
         )
+    for entry in destinations:
+        if not (
+            isinstance(entry, Sequence)
+            and len(entry) == 2
+            and isinstance(entry[0], Integral)
+            and isinstance(entry[1], Number)
+        ):
+            raise DomainError(f"not a (path, amplitude) pair: {entry!r}")
     paths = [path for path, _ in destinations]
     if len(set(paths)) != len(paths):
         raise DomainError("destination paths must be distinct")

@@ -20,6 +20,7 @@ import json
 import math
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _quote
+from numbers import Real
 from typing import Any
 
 import numpy as np
@@ -183,6 +184,8 @@ def netlist_to_dict(
         "metadata": {},
     }
     if replay_error is not None:
+        if not isinstance(replay_error, Real):
+            raise DomainError(f"not a replay error: {type(replay_error).__name__}")
         data["metadata"]["replay_error"] = float(replay_error)
     return data
 

@@ -71,46 +71,13 @@ hosts.  One fan-out (:func:`_fan_out`, a row into its label's images) and
 one row merge (:func:`_sum_equal_rows`) serve both ensemble evolution and
 the netlist certification of :mod:`oamnet.netlist`.
 
-An amplitude block carries K ensembles over the same slots in one set of
-label columns and one code matrix, with ``re`` and ``im`` of shape ``(rows,
-K)``: amplitude column ``k`` is ensemble ``k``.  Blocks are private, and
-their tuple-keyed mapping is never read: :func:`_qubit_block` builds one
-straight from a (K, D, 2) array of K rounds of polarization qubits, with
-no photon per qubit, ``apply_mode_map`` evolves it and :func:`_fidelities`
-compares two, through the same code as one ensemble, whose parts are the
-one-dimensional case.  ``oamnet verify`` sends its MUX product states
-through the network as one block.  Each column gives the bits that its
-ensemble gives alone:
-
-* A row holds a tuple that some column holds.  An entry that its own
-  column drops at ``PRUNE_TOL`` becomes exactly ``+0.0``, as does a qubit
-  part that its own photon would prune, and the row leaves only when every
-  column has dropped it.  Split-form products with finite
-  factors keep a zero entry a zero, so pruning drops it again.  A sum from
-  ``0.0`` adds such an entry without changing a bit, since a nonzero ``x``
-  plus a zero is ``x`` and ``0.0 + -0.0 == 0.0``; the overlap's running
-  sum may differ only in the sign of a zero sum, which ``abs`` drops; and
-  the exact norm sum adds ``0.0 ** 2``, which is ``+0.0``.  The dot
-  products that gate the exact norm sum may round differently with the
-  zeros in place, but the gate decides only whether the exact sum is
-  taken.  Zero entries make the pruning gates let pruning run more often,
-  which drops nothing that a column's own run would keep, by the same
-  margin that lets it skip.
-* Rows keep each column's own order: :func:`_qubit_block` lists each
-  slot's labels H before V, as a qubit photon does, and leaves one out
-  only when every column prunes it, so each round's rows come in its own
-  product's order; and a single-image map (the MUX banks and tabled
-  devices) moves rows without reordering them.  A merge of equal rows
-  orders its sums by their first row over all columns, which can differ
-  from one column's order when the columns' supports differ; the MUX
-  check never merges.
-* The norm, bunching and fidelity checks run per column, and a block
-  raises where some column would.  Where errors depend on a column's
-  support, the first one may differ from that column's own; the MUX
-  check's errors do not (see ``cli._mux_block``).
-
-``MAX_ENSEMBLE_ROWS`` bounds rows × K, so a block of K states may hold at
-most ``MAX_ENSEMBLE_ROWS // K`` rows.
+The float64 arrays may also carry a second axis of K amplitude columns,
+K ensembles over the same label columns and code matrix (a block).  Each
+step then runs per column: an entry that its own column drops at
+``PRUNE_TOL`` becomes ``+0.0``, a row leaves only when every column drops
+it, ``MAX_ENSEMBLE_ROWS`` bounds rows × K, and the norm, bunching and
+fidelity checks run per column.  No command builds a block; the MUX check
+that did is kept as a test reference.
 """
 
 from __future__ import annotations
@@ -624,6 +591,12 @@ def _fidelities(
             if other is not None:
                 overlap += amp.conjugate() * other
         overlaps = [overlap]
+    return _overlap_fidelities(overlaps)
+
+
+def _overlap_fidelities(overlaps: Iterable[complex]) -> list[float]:
+    """``|<a|b>|^2`` of each overlap ``<a|b>``, clamped to 1 as in
+    :func:`fidelity`, which also says when it raises."""
     values = []
     for overlap in overlaps:
         modulus = abs(overlap)
@@ -689,57 +662,6 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
             for photon in photons
         ],
     )
-
-
-def _qubit_block(
-    space: ModeSpace, qubits: np.ndarray, slots: Sequence[tuple[int, int]]
-) -> EnsembleState:
-    """K rounds of polarization-qubit product states as one amplitude block
-    (see the module docstring).
-
-    ``qubits`` is a complex array of shape (K, D, 2) holding each round's
-    (alpha, beta) per slot, and ``slots`` gives slot ``n``'s (path,
-    winding).  Column ``k`` holds ``tensor`` of round ``k``'s
-    ``make_qubit_photon`` photons, and the first error is theirs: every
-    qubit's ``QubitSpec`` norm test, then each photon's label and norm
-    tests, round by round and slot by slot.  Both norms are gated on the
-    whole array; only a qubit that the gate cannot pass is built, which
-    raises exactly as it would alone.
-    """
-    parts = np.hypot(qubits.real, qubits.imag)
-    kept = parts > PRUNE_TOL
-    with np.errstate(over="ignore"):
-        squares = parts * parts
-    refused = np.zeros(len(slots), dtype=bool)
-    for n, (path, winding) in enumerate(slots):
-        try:
-            space.check_label(ModeLabel(path, winding))
-        except OamNetError:
-            refused[n] = True
-    # the gates sum with numpy's x * x, which may differ from the photon's
-    # Python x ** 2 in the last bit: far inside NORM_TOL that cannot matter
-    specs = ~(np.abs(squares.sum(axis=-1) - 1.0) <= NORM_TOL / 2)
-    photons = (kept.any(axis=-1) & refused) | ~(
-        np.abs(np.where(kept, squares, 0.0).sum(axis=-1) - 1.0) <= NORM_TOL / 2
-    )
-    for k, n in np.argwhere(specs).tolist():
-        QubitSpec(*qubits[k, n].tolist())
-    for k, n in np.argwhere(photons).tolist():
-        make_qubit_photon(QubitSpec(*qubits[k, n].tolist()), *slots[n], space)
-    # a part the photon prunes is a factor of 0 in its own column; a label
-    # leaves the slot only when every column prunes it
-    factors = np.where(kept, qubits, 0.0)
-    moduli = np.where(kept, parts, 0.0)
-    offered = kept.any(axis=0)
-    product = []
-    for n, (path, winding) in enumerate(slots):
-        used = offered[n]
-        pair = (ModeLabel(path, winding, H), ModeLabel(path, winding, V))
-        labels = [label for label, offer in zip(pair, used.tolist()) if offer]
-        product.append(
-            (labels, list(factors[:, n, used].T), float(moduli[:, n, used].min()))
-        )
-    return _product(space, product)
 
 
 def _product(

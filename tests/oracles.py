@@ -89,8 +89,11 @@ def h_photon(space, path: int, oam: int):
 def random_qubit(rng: np.random.Generator):
     from oamnet import QubitSpec
 
-    raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    raw /= np.linalg.norm(raw)
+    re, im = rng.standard_normal(2), rng.standard_normal(2)
+    # the norm summed elementwise in a fixed order, as cli._draw_qubits does
+    norm = np.sqrt((re[0] * re[0] + re[1] * re[1]) + (im[0] * im[0] + im[1] * im[1]))
+    raw = re + 1j * im
+    raw /= norm
     return QubitSpec(complex(raw[0]), complex(raw[1]))
 
 
@@ -510,3 +513,192 @@ def seed_random_unitary(dimension, rng):
     q, r = np.linalg.qr(gaussian)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
+
+
+def numpy_reck_decompose(target):
+    """``reck_decompose`` as numpy pair updates: the pivot angles from
+    ``np.arctan2``, each beamsplitter applied as a matmul of the column
+    pair by its block, the trailing phases from ``np.angle``; the reference
+    for the scalar loop (whose last bits may differ from it)."""
+    import math
+
+    from oamnet import BeamSplitter, Netlist, PhaseShifter
+    from oamnet.elements import beamsplitter_block
+    from oamnet.netlist import _NULL_TOL
+
+    work = np.array(target, dtype=complex)
+    dimension = work.shape[0]
+    splitters = []
+    for row in range(dimension - 1):
+        for col in range(dimension - 1, row, -1):
+            a, b = col - 1, col
+            u, v = work[row, a], work[row, b]
+            if abs(v) <= _NULL_TOL:
+                continue
+            theta = math.atan2(abs(v), abs(u))
+            w = -v * np.conj(u)
+            phi = float(np.arctan2(w.imag, w.real)) - math.pi / 2.0
+            pair = work[:, a : b + 1]
+            pair[...] = pair @ np.array(beamsplitter_block(theta, phi))
+            splitters.append(BeamSplitter(a, b, -theta, phi))
+    angles = [float(np.angle(work[port, port])) for port in range(dimension)]
+    shifters = [
+        PhaseShifter(port, angle) for port, angle in enumerate(angles) if angle != 0.0
+    ]
+    return Netlist(dimension, tuple(splitters) + tuple(shifters))
+
+
+def buffer_netlist_path_matrix(netlist):
+    """``netlist_path_matrix`` as matrix products: each element embedded in
+    one identity buffer that multiplies the product from the left and is
+    then restored; the reference for the row updates."""
+    from oamnet import BeamSplitter, PhaseShifter
+
+    dimension = netlist.dimension
+    matrix = np.eye(dimension, dtype=complex)
+    embedded = np.eye(dimension, dtype=complex)
+    for element in netlist.elements:
+        if isinstance(element, BeamSplitter):
+            a, b = element.port_a, element.port_b
+            (embedded[a, a], embedded[a, b]), (embedded[b, a], embedded[b, b]) = (
+                element._block
+            )
+            matrix = embedded @ matrix
+            embedded[a, a] = embedded[b, b] = 1.0
+            embedded[a, b] = embedded[b, a] = 0.0
+        else:
+            port = element.port
+            embedded[port, port] = np.exp(1j * element.phi)
+            matrix = embedded @ matrix
+            embedded[port, port] = 1.0
+    return matrix
+
+
+# --------------------------------------------------------- MUX check blocks
+#
+# The MUX check as it ran before it went slot by slot: K rounds' product
+# states as the amplitude columns of one ensemble (a block: ``re`` and
+# ``im`` of shape (rows, K)), built straight from the (K, D, 2) qubit array
+# and sent through the network together.  The per-slot check is compared
+# against it.  Each column gives the bits that its round gives alone:
+#
+# * A row holds a tuple that some column holds.  An entry that its own
+#   column drops at PRUNE_TOL becomes exactly +0.0, as does a qubit part
+#   that its own photon would prune, and the row leaves only when every
+#   column has dropped it.  Split-form products with finite factors keep a
+#   zero entry a zero, so pruning drops it again.  A sum from 0.0 adds such
+#   an entry without changing a bit, since a nonzero x plus a zero is x and
+#   0.0 + -0.0 == 0.0; the overlap's running sum may differ only in the
+#   sign of a zero sum, which abs drops; and the exact norm sum adds
+#   0.0 ** 2, which is +0.0.  The dot products that gate the exact norm sum
+#   may round differently with the zeros in place, but the gate decides
+#   only whether the exact sum is taken.
+# * Rows keep each column's own order: qubit_block lists each slot's labels
+#   H before V, as a qubit photon does, and leaves one out only when every
+#   column prunes it; a single-image map (the MUX banks and tabled devices)
+#   moves rows without reordering them, and the MUX check never merges.
+# * The norm, bunching and fidelity checks run per column, and a block
+#   raises where some column would.  The MUX check's errors depend only on
+#   labels, which every column shares, so they are the first round's.
+
+
+def qubit_block(space, qubits, slots):
+    """K rounds of polarization-qubit product states as one amplitude block.
+
+    ``qubits`` is a complex array of shape (K, D, 2) holding each round's
+    (alpha, beta) per slot, and ``slots`` gives slot ``n``'s (path,
+    winding).  Column ``k`` holds ``tensor`` of round ``k``'s
+    ``make_qubit_photon`` photons, and the first error is theirs: every
+    qubit's ``QubitSpec`` norm test, then each photon's label and norm
+    tests, round by round and slot by slot.  A part that its photon prunes
+    is a factor of 0 in its own column, and a label leaves the slot only
+    when every column prunes it.
+    """
+    from oamnet import OamNetError, QubitSpec, make_qubit_photon
+    from oamnet.states import H, NORM_TOL, PRUNE_TOL, V, _product
+
+    parts = np.hypot(qubits.real, qubits.imag)
+    kept = parts > PRUNE_TOL
+    with np.errstate(over="ignore"):
+        squares = parts * parts
+    refused = np.zeros(len(slots), dtype=bool)
+    for n, (path, winding) in enumerate(slots):
+        try:
+            space.check_label(ModeLabel(path, winding))
+        except OamNetError:
+            refused[n] = True
+    # the gates sum with numpy's x * x, which may differ from the photon's
+    # Python x ** 2 in the last bit: far inside NORM_TOL that cannot matter
+    specs = ~(np.abs(squares.sum(axis=-1) - 1.0) <= NORM_TOL / 2)
+    photons = (kept.any(axis=-1) & refused) | ~(
+        np.abs(np.where(kept, squares, 0.0).sum(axis=-1) - 1.0) <= NORM_TOL / 2
+    )
+    for k, n in np.argwhere(specs).tolist():
+        QubitSpec(*qubits[k, n].tolist())
+    for k, n in np.argwhere(photons).tolist():
+        make_qubit_photon(QubitSpec(*qubits[k, n].tolist()), *slots[n], space)
+    factors = np.where(kept, qubits, 0.0)
+    moduli = np.where(kept, parts, 0.0)
+    offered = kept.any(axis=0)
+    product = []
+    for n, (path, winding) in enumerate(slots):
+        used = offered[n]
+        pair = (ModeLabel(path, winding, H), ModeLabel(path, winding, V))
+        labels = [label for label, offer in zip(pair, used.tolist()) if offer]
+        product.append(
+            (labels, list(factors[:, n, used].T), float(moduli[:, n, used].min()))
+        )
+    return _product(space, product)
+
+
+def tagged_block(originals):
+    """``qubit_block`` of the originals' qubits with slot ``n`` on ``(0,
+    n)`` instead of ``(n, 0)``: the originals' read-only codes and
+    ``re``/``im`` under swapped path and winding columns, after the tags
+    are checked against the space in slot order."""
+    from oamnet.states import EnsembleState, _LabelColumns
+
+    space = originals.space
+    for tag in range(originals.slot_count):
+        space.check_label(ModeLabel(0, tag))
+    columns = originals.amplitudes
+    return EnsembleState._from_columns(
+        space,
+        originals.slot_count,
+        _LabelColumns(columns.winding, columns.path, columns.vpol),
+        columns.codes,
+        columns.re,
+        columns.im,
+        columns._smallest_modulus(),
+    )
+
+
+def mux_block(network, qubits):
+    """The transmit and round-trip fidelities of one block of rounds
+    (``qubits`` as from ``cli._draw_qubits``), in the order of a round run
+    alone: originals, ``merge``, the tagged block, transmit fidelities,
+    ``receive``, round-trip fidelities."""
+    from oamnet.states import _fidelities
+
+    originals = qubit_block(
+        network.space, qubits, [(path, 0) for path in range(network.dimension)]
+    )
+    sent = network.merge(originals)
+    transmit = _fidelities(sent, tagged_block(originals))
+    received = network.receive(sent, restore_oam=True)
+    return list(zip(transmit, _fidelities(received, originals)))
+
+
+def block_mux_roundtrip(network, rng, count=1):
+    """``cli._mux_roundtrip`` by blocks: ``count`` rounds drawn and sent as
+    blocks of at most ``MAX_ENSEMBLE_ROWS`` amplitudes, ``2**D`` rows per
+    round."""
+    from oamnet import cli, states
+
+    dimension = network.dimension
+    width = max(1, states.MAX_ENSEMBLE_ROWS >> dimension)
+    results = []
+    while len(results) < count:
+        qubits = cli._draw_qubits(rng, min(width, count - len(results)), dimension)
+        results += mux_block(network, qubits)
+    return results

@@ -1,14 +1,17 @@
-"""Amplitude blocks: K MUX round trips in one pass, against K separate ones.
+"""The MUX check slot by slot, and the block engine it replaced.
 
 ``cli._mux_roundtrip(network, rng, K)`` draws K rounds of qubits as one
-array and sends them through the network as the amplitude columns of
-blocks.  The draw must give the bits of ``oracles.random_qubit`` called
-qubit by qubit.  Every transmit and round-trip fidelity must equal, bit for
-bit, what the public per-state API (``tensor``, ``MuxNetwork.merge`` and
-``receive``, ``fidelity``) gives for each round alone, also when the
-rounds' supports differ (qubits with a zero or near-zero part) and when
-blocks are split by ``MAX_ENSEMBLE_ROWS``; an error must be the one the
-first failing round raises alone.
+array, which must give the bits of ``oracles.random_qubit`` called qubit by
+qubit, and computes each round's transmit and round-trip fidelity from the
+slots' label images (``cli._mux_fidelities``).  The block engine that sent
+the rounds through the network as the amplitude columns of one ensemble is
+kept in ``oracles`` as the reference: every transmit and round-trip
+fidelity of a block must equal, bit for bit, what the public per-state API
+(``tensor``, ``MuxNetwork.merge`` and ``receive``, ``fidelity``) gives for
+each round alone, also when the rounds' supports differ (qubits with a zero
+or near-zero part) and when blocks are split by ``MAX_ENSEMBLE_ROWS``.  The
+per-slot fidelities must lie within 1e-13 of the block's, and both must
+raise the error that the first failing round raises alone.
 """
 
 import math
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from oamnet import (
     DomainError,
     MuxNetwork,
+    NormalizationError,
     OamNetError,
     QubitSpec,
     fidelity,
@@ -28,8 +32,9 @@ from oamnet import (
     tensor,
 )
 from oamnet import cli, states
-from oamnet.states import PRUNE_TOL, _qubit_block
-from oracles import random_qubit
+from oamnet.states import PRUNE_TOL
+import oracles
+from oracles import qubit_block, random_qubit
 
 # qubits whose supports differ from a random qubit's: a part that the photon
 # prunes (zero or not), or one just above PRUNE_TOL whose products prune later
@@ -62,7 +67,7 @@ def qubit_array(rounds):
 
 def originals_block(space, rounds):
     """The block of the rounds' products on paths 0, 1, ... at winding 0."""
-    return _qubit_block(
+    return qubit_block(
         space, qubit_array(rounds), [(path, 0) for path in range(len(rounds[0]))]
     )
 
@@ -90,17 +95,28 @@ def rounds_alone(network, rounds):
     return bits(round_alone(network, qubits) for qubits in rounds)
 
 
-def block_sizes(monkeypatch):
-    """The round count of every block that ``cli`` sends, as it sends them."""
-    sizes = []
-    block = cli._mux_block
+def close(results, expected, tol=1e-13):
+    """Whether two lists of (transmit, round-trip) fidelities agree within
+    ``tol``."""
+    assert len(results) == len(expected)
+    return all(
+        abs(a - b) <= tol
+        for pair, other in zip(results, expected)
+        for a, b in zip(pair, other)
+    )
+
+
+def round_counts(monkeypatch, module, name):
+    """The round count of every qubit array passed to ``module.name``."""
+    counts = []
+    function = getattr(module, name)
 
     def spy(network, qubits):
-        sizes.append(len(qubits))
-        return block(network, qubits)
+        counts.append(len(qubits))
+        return function(network, qubits)
 
-    monkeypatch.setattr(cli, "_mux_block", spy)
-    return sizes
+    monkeypatch.setattr(module, name, spy)
+    return counts
 
 
 @st.composite
@@ -122,9 +138,31 @@ def mixed_rounds(draw, dimension, count):
 def test_a_block_gives_the_bits_of_its_rounds_alone(data, dimension, count):
     network = MuxNetwork(dimension)
     rounds = data.draw(mixed_rounds(dimension, count))
-    assert bits(cli._mux_block(network, qubit_array(rounds))) == rounds_alone(
+    assert bits(oracles.mux_block(network, qubit_array(rounds))) == rounds_alone(
         network, rounds
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    dimension=st.integers(1, 16),
+    count=st.sampled_from((1, 2, 3)),
+    refuse=st.booleans(),
+)
+def test_per_slot_fidelities_match_the_block(data, dimension, count, refuse):
+    # qubits with zero parts among them, and windows below D - 1 that
+    # refuse the holograms' or the tags' windings
+    window = data.draw(st.integers(0, dimension - 2)) if refuse and dimension > 1 else None
+    network = MuxNetwork(dimension, window)
+    qubits = qubit_array(data.draw(mixed_rounds(dimension, count)))
+    expected = outcome(lambda: oracles.mux_block(network, qubits))
+    found = outcome(lambda: cli._mux_fidelities(network, qubits))
+    if window is not None:
+        assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
+        assert found == expected
+    else:
+        assert close(found, expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -136,12 +174,13 @@ def test_a_block_gives_the_bits_of_its_rounds_alone(data, dimension, count):
 def test_mux_roundtrip_draws_and_matches_rounds_alone(dimension, count, seed):
     network = MuxNetwork(dimension)
     rng = np.random.default_rng(seed)
-    batched = bits(cli._mux_roundtrip(network, rng, count))
+    results = cli._mux_roundtrip(network, rng, count)
     oracle_rng = np.random.default_rng(seed)
     rounds = [
         [random_qubit(oracle_rng) for _ in range(dimension)] for _ in range(count)
     ]
-    assert batched == rounds_alone(network, rounds)
+    alone = [round_alone(network, qubits) for qubits in rounds]
+    assert close(results, alone)
     # one draw per qubit, in order, and nothing more
     assert rng.standard_normal() == oracle_rng.standard_normal()
 
@@ -187,7 +226,17 @@ def test_a_failing_block_raises_the_first_rounds_error(data, dimension, count):
     rounds = data.draw(mixed_rounds(dimension, count))
     expected = outcome(lambda: rounds_alone(network, rounds))
     assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
-    assert outcome(lambda: bits(cli._mux_block(network, qubit_array(rounds)))) == expected
+    qubits = qubit_array(rounds)
+    assert outcome(lambda: bits(oracles.mux_block(network, qubits))) == expected
+    assert outcome(lambda: cli._mux_fidelities(network, qubits)) == expected
+
+
+def test_per_slot_fidelities_refuse_a_qubit_of_non_unit_norm():
+    # the norm check of the rounds' product states, before any label check
+    qubits = qubit_array([[QubitSpec(0.6, 0.8), QubitSpec(1, 0)]] * 2)
+    qubits[1, 1, 0] = 1.1
+    with pytest.raises(NormalizationError, match=r"ensemble norm\^2 = 1\.21"):
+        cli._mux_fidelities(MuxNetwork(2, 0), qubits)
 
 
 def test_pruned_entries_are_positive_zeros_in_their_own_column():
@@ -246,9 +295,9 @@ def test_a_slot_lists_h_before_v_when_rounds_prune_different_parts():
     assert [str(label) for label in block.amplitudes.labels] == [
         "|0^H>_0", "|0^V>_0", "|0^H>_1", "|0^V>_1", "|0^H>_2", "|0^V>_2",
     ]
-    assert bits(cli._mux_block(network, qubit_array(rounds))) == rounds_alone(
-        network, rounds
-    )
+    qubits = qubit_array(rounds)
+    assert bits(oracles.mux_block(network, qubits)) == rounds_alone(network, rounds)
+    assert close(cli._mux_fidelities(network, qubits), oracles.mux_block(network, qubits))
 
 
 def photons_alone(space, qubits, slots):
@@ -291,14 +340,14 @@ def test_the_block_raises_the_error_of_its_photons_built_one_by_one(
         qubits[k, n] = parts
     expected = outcome(lambda: photons_alone(space, qubits, slots))
     assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
-    assert outcome(lambda: _qubit_block(space, qubits, slots)) == expected
+    assert outcome(lambda: qubit_block(space, qubits, slots)) == expected
 
 
 def test_blocks_split_under_a_smaller_row_bound(monkeypatch):
     monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 64)
-    sizes = block_sizes(monkeypatch)
+    sizes = round_counts(monkeypatch, oracles, "mux_block")
     network = MuxNetwork(5)
-    batched = bits(cli._mux_roundtrip(network, np.random.default_rng(9), 5))
+    batched = bits(oracles.block_mux_roundtrip(network, np.random.default_rng(9), 5))
     # 64 amplitudes over 2**5 rows: two rounds per block
     assert sizes == [2, 2, 1]
     rng = np.random.default_rng(9)
@@ -318,10 +367,14 @@ def test_a_round_beyond_the_row_bound_fails_as_alone(monkeypatch):
         DomainError, "an ensemble step of 32 rows exceeds the bound of 16 rows"
     )
     assert outcome(lambda: cli._mux_roundtrip(network, np.random.default_rng(4), 3)) == expected
+    assert outcome(
+        lambda: oracles.block_mux_roundtrip(network, np.random.default_rng(4), 3)
+    ) == expected
 
 
 def test_scenario_and_verify_blocks_use_count_one_and_twenty(monkeypatch):
-    sizes = block_sizes(monkeypatch)
+    # one array of rounds each: the scenario's single round, verify's twenty
+    sizes = round_counts(monkeypatch, cli, "_mux_fidelities")
     assert cli.main(["scenario", "mux-roundtrip", "--dimension", "4", "--output", "/dev/null"]) == 0
     assert cli.main(["verify", "--dimension", "4", "--output", "/dev/null"]) == 0
     assert sizes == [1, cli._VERIFY_MUX_VECTORS]

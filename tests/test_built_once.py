@@ -3,12 +3,13 @@
 ``device_matrix`` of a bare symmetric multiport places its entries straight
 from the cached Fourier matrix; the synthesis check draws its random
 unitaries as one stack with one stacked QR factorization; and the MUX
-check's tagged comparison block reuses the originals' codes and amplitudes
-under relabeled label columns.  Each must give the bits of what it
-replaces: the label loop of ``oracles.seed_device_matrix``, unitaries drawn
-one by one (``oracles.seed_random_unitary``, and ``random_unitary``
-itself), and ``states._qubit_block`` on the tagged slots.  The stacked and
-single QR factorizations must agree whichever kernel OpenBLAS picks.
+check's block reference in ``oracles`` builds its tagged comparison block
+from the originals' codes and amplitudes under relabeled label columns.
+Each must give the bits of what it replaces: the label loop of
+``oracles.seed_device_matrix``, unitaries drawn one by one
+(``oracles.seed_random_unitary``, and ``random_unitary`` itself), and
+``oracles.qubit_block`` on the tagged slots.  The stacked and single QR
+factorizations must agree whichever kernel OpenBLAS picks.
 """
 
 import math
@@ -27,8 +28,14 @@ from oamnet import (
 )
 from oamnet import cli
 from oamnet.netlist import _random_unitaries
-from oamnet.states import PRUNE_TOL, _qubit_block
-from oracles import random_qubit, seed_device_matrix, seed_random_unitary
+from oamnet.states import PRUNE_TOL
+from oracles import (
+    qubit_block,
+    random_qubit,
+    seed_device_matrix,
+    seed_random_unitary,
+    tagged_block,
+)
 
 SEEDS = (0, 1, 7, 123, 2**32 - 1)
 
@@ -103,7 +110,7 @@ def test_verify_draws_its_targets_as_one_stack(monkeypatch):
     assert counts == [cli._VERIFY_RANDOM_UNITARIES]
 
 
-# --------------------------------------------------- relabeled MUX block
+# ----------------------------------------- relabeled MUX block reference
 
 # qubits with a zero part, or one that their photon prunes
 PRUNED_QUBITS = (
@@ -156,9 +163,9 @@ def _block_bits(state):
 def test_the_relabeled_block_equals_the_tagged_qubit_block(dimension, count, seed):
     qubits = _qubits(seed, count, dimension)
     space = ModeSpace(dimension)
-    originals = _qubit_block(space, qubits, [(n, 0) for n in range(dimension)])
-    tagged = cli._tagged_block(originals)
-    expected = _qubit_block(space, qubits, [(0, n) for n in range(dimension)])
+    originals = qubit_block(space, qubits, [(n, 0) for n in range(dimension)])
+    tagged = tagged_block(originals)
+    expected = qubit_block(space, qubits, [(0, n) for n in range(dimension)])
     assert _block_bits(tagged) == _block_bits(expected)
     # the codes and amplitudes are the originals' own, read-only
     for name in ("codes", "re", "im"):
@@ -172,7 +179,7 @@ def test_the_relabeled_block_refuses_a_tag_as_the_qubit_block(dimension):
     qubits = _qubits(dimension, 3, dimension)
     for window in range(dimension + 1):
         space = ModeSpace(dimension, window)
-        originals = _qubit_block(space, qubits, [(n, 0) for n in range(dimension)])
+        originals = qubit_block(space, qubits, [(n, 0) for n in range(dimension)])
         tagged_slots = [(0, n) for n in range(dimension)]
-        expected = _outcome(lambda: _block_bits(_qubit_block(space, qubits, tagged_slots)))
-        assert _outcome(lambda: _block_bits(cli._tagged_block(originals))) == expected
+        expected = _outcome(lambda: _block_bits(qubit_block(space, qubits, tagged_slots)))
+        assert _outcome(lambda: _block_bits(tagged_block(originals))) == expected

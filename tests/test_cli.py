@@ -150,6 +150,16 @@ def test_a_mux_round_trip_past_the_row_bound_is_config_error():
     )
 
 
+def test_verify_past_the_row_bound_is_config_error():
+    # the MUX check counts a round's 2**21 product rows before it draws
+    code, out, err = run_cli("verify", "--dimension", "21", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: an ensemble step of 2097152 rows exceeds the bound of "
+        "1048576 rows\n"
+    )
+
+
 @pytest.mark.parametrize(
     "kind, change, failing",
     [

@@ -83,7 +83,8 @@ def test_cli_stdout_matches_golden(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["verify_d5_seed11", "scenario_mux_d8_seed5", "verify_d10_seed4"]
+    "name",
+    ["verify_d5_seed11", "scenario_mux_d8_seed5", "verify_d10_seed4", "scenario_bell_d4"],
 )
 def test_golden_with_the_einsum_column_dot(monkeypatch, name):
     # numpy < 2 has no vecdot, so the norm check's dot products come from

@@ -667,6 +667,22 @@ def test_typed_refusals_of_mux_states_and_netlists(call, message):
             lambda: superposed_destination(0, 3, None),
             "not a sequence of destinations: NoneType",
         ),
+        (
+            lambda: superposed_destination(0, 3, [None]),
+            r"not a \(path, amplitude\) pair: None",
+        ),
+        (
+            lambda: superposed_destination(0, 3, [(0, "a")]),
+            r"not a \(path, amplitude\) pair: \(0, 'a'\)",
+        ),
+        (
+            lambda: random_unitary(2.5, np.random.default_rng(1)),
+            "not an integer dimension: float",
+        ),
+        (
+            lambda: netlist_dumps(oambs_netlist(2), replay_error="x"),
+            "not a replay error: str",
+        ),
     ],
     ids=[
         "mux_transmit",
@@ -680,6 +696,10 @@ def test_typed_refusals_of_mux_states_and_netlists(call, message):
         "oambs_netlist_error",
         "random_unitary",
         "superposed_destination",
+        "superposed_destination-entry",
+        "superposed_destination-amplitude",
+        "random_unitary-dimension",
+        "netlist_dumps-replay_error",
     ],
 )
 def test_typed_refusals_at_entry_points(call, message):
