@@ -492,7 +492,7 @@ def _replay_columns(
     for spread, moved, alpha, count, image_path, factor, sign, shift, dove in rounds:
         source = path
         if spread:
-            rows, pick = _fan_out(path, tables.start, count, width=1)
+            rows, pick = _fan_out(path, tables.start, count)
             lane, re, im = lane[rows], re[rows], im[rows]
             if moved:
                 source = path[rows]

@@ -323,8 +323,8 @@ class SimpleRoutingNetwork:
 
 # A star is rebuilt for every one-shot delivery (star_deliver), so its
 # space and reflectors are cached on the star's fields, not per instance.
-# typed: 3 and 3.0 make different spaces.  An invalid field raises on
-# every call, since lru_cache keeps no exceptions.
+# typed, so that ModeSpace refuses 3.0 even once 3 is cached.  An invalid
+# field raises on every call, since lru_cache keeps no exceptions.
 _mode_space = lru_cache(maxsize=None, typed=True)(ModeSpace)
 
 

@@ -70,21 +70,15 @@ last bit, as it did on a quarter to a third of random values on AVX-512
 hosts.  One fan-out (:func:`_fan_out`, a row into its label's images) and
 one row merge (:func:`_sum_equal_rows`) serve both ensemble evolution and
 the netlist certification of :mod:`oamnet.netlist`.
-
-The float64 arrays may also carry a second axis of K amplitude columns,
-K ensembles over the same label columns and code matrix (a block).  Each
-step then runs per column: an entry that its own column drops at
-``PRUNE_TOL`` becomes ``+0.0``, a row leaves only when every column drops
-it, ``MAX_ENSEMBLE_ROWS`` bounds rows × K, and the norm, bunching and
-fidelity checks run per column.  No command builds a block; the MUX check
-that did is kept as a test reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Protocol
@@ -109,8 +103,8 @@ LABEL_BOUND = 2**62
 # still fits, a larger one raises DomainError before anything is allocated
 MAX_ENSEMBLE_ROWS = 2**20
 
-# dot products down the rows, one per amplitude column (np.vecdot needs
-# numpy 2.0; einsum sums the same products, in its own order)
+# dot products down the rows, one per column (np.vecdot needs numpy 2.0;
+# einsum sums the same products, in its own order)
 _column_dot = (
     functools.partial(np.vecdot, axis=0)
     if hasattr(np, "vecdot")
@@ -163,19 +157,20 @@ class ModeSpace:
     more than a few multiples of the dimension.  Whatever the window, a
     label's path and |winding| stay within ``LABEL_BOUND`` (2**62), so that
     an ensemble's label columns hold them as int64; a winding beyond it
-    raises :class:`DomainError`.
+    raises :class:`DomainError`.  Both fields are kept as Python ints.
     """
 
     dimension: int
     oam_window: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dimension", _integer(self.dimension, "dimension"))
         if self.dimension < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dimension}")
         if self.dimension > LABEL_BOUND:
             raise DomainError(f"dimension must be <= 2**62, got {self.dimension}")
-        if self.oam_window is None:
-            object.__setattr__(self, "oam_window", 4 * self.dimension)
+        window = 4 * self.dimension if self.oam_window is None else self.oam_window
+        object.__setattr__(self, "oam_window", _integer(window, "oam_window"))
         if self.oam_window < 0:
             raise DomainError(f"oam_window must be >= 0, got {self.oam_window}")
 
@@ -194,6 +189,14 @@ class ModeSpace:
             raise DomainError(
                 f"winding number {label.oam} beyond the label bound 2**62"
             )
+
+
+def _integer(value: object, name: str) -> int:
+    """``value`` by ``operator.index``, which a bool may not pass."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise DomainError(f"not an integer {name}: {type(value).__name__}")
 
 
 class ModeOperator(Protocol):
@@ -248,13 +251,21 @@ class QubitSpec:
     beta: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
+        object.__setattr__(self, "alpha", _number(self.alpha))
+        object.__setattr__(self, "beta", _number(self.beta))
         try:
             norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         except OverflowError:
             norm_sq = math.inf
         _require_unit_norm(norm_sq, "|alpha|^2 + |beta|^2")
+
+
+def _number(value: object) -> complex:
+    """``value`` by ``complex()``, which a string may not pass."""
+    if not isinstance(value, str):
+        with suppress(TypeError):
+            return complex(value)
+    raise DomainError(f"not a number: {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -328,14 +339,13 @@ class EnsembleAmplitudes(Mapping):
     ``path``, ``winding`` and ``vpol`` give each label code's path, winding
     number and whether its polarization is V; ``codes`` is an int64 matrix
     with one row per tuple and one column per slot whose entries are label
-    codes, and ``re`` and ``im`` are float64 arrays holding each row's
-    amplitude (one column per ensemble in an amplitude block; see the
-    module docstring).  ``labels`` lists the codes' labels as
-    :class:`ModeLabel` values, built from the columns on first use and
-    kept, and so is the smallest amplitude modulus unless the step that
-    made the columns gave it.  ``len()`` is the row count and builds
-    nothing; the tuple-keyed dict behind every other read is built on first
-    use and kept.  The arrays are not writeable.
+    codes, and ``re`` and ``im`` are 1-D float64 arrays holding each row's
+    amplitude.  ``labels`` lists the codes' labels as :class:`ModeLabel`
+    values, built from the columns on first use and kept, and so is the
+    smallest amplitude modulus unless the step that made the columns gave
+    it.  ``len()`` is the row count and builds nothing; the tuple-keyed
+    dict behind every other read is built on first use and kept.  The
+    arrays are not writeable.
     """
 
     __slots__ = (
@@ -564,15 +574,6 @@ def fidelity(
     :class:`DomainError` when an argument is not a state, when the states
     are of different kinds or when the ensembles disagree on slot count.
     """
-    (value,) = _fidelities(a, b)
-    return value
-
-
-def _fidelities(
-    a: PhotonState | EnsembleState, b: PhotonState | EnsembleState
-) -> list[float]:
-    """:func:`fidelity` of each amplitude column: one value for two states,
-    K for two blocks of K columns."""
     for state in (a, b):
         if not isinstance(state, (PhotonState, EnsembleState)):
             raise DomainError(f"not a state: {type(state).__name__}")
@@ -583,15 +584,15 @@ def _fidelities(
             raise DomainError(
                 f"slot counts differ: {a.slot_count} vs {b.slot_count}"
             )
-        overlaps = _ensemble_overlap(a.amplitudes, b.amplitudes)
+        overlap = _ensemble_overlap(a.amplitudes, b.amplitudes)
     else:
         overlap = 0j
         for key, amp in a.amplitudes.items():
             other = b.amplitudes.get(key)
             if other is not None:
                 overlap += amp.conjugate() * other
-        overlaps = [overlap]
-    return _overlap_fidelities(overlaps)
+    (value,) = _overlap_fidelities([overlap])
+    return value
 
 
 def _overlap_fidelities(overlaps: Iterable[complex]) -> list[float]:
@@ -608,12 +609,9 @@ def _overlap_fidelities(overlaps: Iterable[complex]) -> list[float]:
     return values
 
 
-def _ensemble_overlap(
-    a: EnsembleAmplitudes, b: EnsembleAmplitudes
-) -> list[complex]:
-    """``<a|b>`` per amplitude column: each row of ``a`` joined to the equal
-    row of ``b``, adding ``conj(a) * b`` in split form and in ``a``'s row
-    order."""
+def _ensemble_overlap(a: EnsembleAmplitudes, b: EnsembleAmplitudes) -> complex:
+    """``<a|b>``: each row of ``a`` joined to the equal row of ``b``, adding
+    ``conj(a) * b`` in split form and in ``a``'s row order."""
     index = {label: code for code, label in enumerate(a.labels)}
     # a label that a lacks gets code -1, so rows holding it match nothing
     b_codes = np.array(
@@ -631,13 +629,12 @@ def _ensemble_overlap(
         ar, ai = a.re[found], a.im[found]
         br, bi = b.re[match[found]], b.im[match[found]]
     if not len(ar):
-        return [0j] * _width(ar)
+        return 0j
     nai = -ai
-    # a running sum down each column, as the dict loop's; a pairwise sum
-    # rounds differently
+    # a running sum, as the dict loop's; a pairwise sum rounds differently
     re = np.add.accumulate(ar * br - nai * bi)[-1]
     im = np.add.accumulate(ar * bi + nai * br)[-1]
-    return list(map(complex, re.reshape(-1).tolist(), im.reshape(-1).tolist()))
+    return complex(re, im)
 
 
 def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
@@ -649,71 +646,53 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
     """
     if not photons:
         raise DomainError("tensor of an empty photon list")
+    # Every photon's label codes and factors, one photon after another.  A
+    # product over the first photons is at least the product of their
+    # smallest moduli, give or take a rounding far under the factor 2, so
+    # while that stays above 2 * PRUNE_TOL nothing can drop out: those
+    # photons grow the rows in one group, the rest one by one with pruning.
+    index: dict[ModeLabel, int] = {}
+    label_codes: list[int] = []
+    factors: list[complex] = []
+    starts: list[int] = []
+    floor, safe = 1.0, 0
     for photon in photons:
         if not isinstance(photon, PhotonState):
             raise DomainError(f"not a photon state: {type(photon).__name__}")
         if photon.space != photons[0].space:
             raise DomainError("all photons must share one mode space")
-    return _product(
-        photons[0].space,
-        [
-            (photon.amplitudes, photon.amplitudes.values(),
-             min(map(abs, photon.amplitudes.values())))
-            for photon in photons
-        ],
-    )
-
-
-def _product(
-    space: ModeSpace,
-    slots: Sequence[tuple[Iterable[ModeLabel], Iterable, float]],
-) -> EnsembleState:
-    """The product state over ``slots``: per slot its labels, each label's
-    factor (a complex, or a list of one complex per amplitude column) and
-    the smallest factor modulus."""
-    # Every slot's label codes and factors, one slot after another.  A
-    # product over the first slots is at least the product of their
-    # smallest moduli, give or take a rounding far under the factor 2, so
-    # while that stays above 2 * PRUNE_TOL nothing can drop out: those
-    # slots grow the rows in one block, the rest one by one with pruning.
-    index: dict[ModeLabel, int] = {}
-    label_codes: list[int] = []
-    factors: list = []
-    starts: list[int] = []
-    floor, safe = 1.0, 0
-    for labels, values, low in slots:
+        amplitudes = photon.amplitudes
         starts.append(len(label_codes))
-        label_codes += [index.setdefault(label, len(index)) for label in labels]
-        factors += values
-        floor *= low
+        label_codes += [index.setdefault(label, len(index)) for label in amplitudes]
+        factors += amplitudes.values()
+        floor *= min(map(abs, amplitudes.values()))
         if safe == len(starts) - 1 and floor > 2 * PRUNE_TOL:
             safe += 1
     starts.append(len(label_codes))
-    blocks = [range(safe)] if safe else []
-    blocks += [range(p, p + 1) for p in range(safe, len(slots))]
+    groups = [range(safe)] if safe else []
+    groups += [range(p, p + 1) for p in range(safe, len(photons))]
     label_codes = np.array(label_codes, dtype=np.int64)
     factors = np.array(factors, dtype=np.complex128)
     offsets = np.array(starts, dtype=np.int64)
     codes = np.empty((1, 0), dtype=np.int64)
-    width = factors.shape[1:]
-    re, im = np.ones((1, *width)), np.zeros((1, *width))
-    for block in blocks:
-        # every row times every combination of the block's labels, in
+    re, im = np.ones(1), np.zeros(1)
+    for group in groups:
+        # every row times every combination of the group's labels, in
         # row-major order; picks index the flat label and factor arrays
-        shape = (len(re), *(starts[p + 1] - starts[p] for p in block))
-        _require_row_bound(math.prod(shape) * math.prod(width))
+        shape = (len(re), *(starts[p + 1] - starts[p] for p in group))
+        _require_row_bound(math.prod(shape))
         row, *digits = np.unravel_index(np.arange(math.prod(shape)), shape)
-        picks = np.array(digits) + offsets[block.start : block.stop, None]
+        picks = np.array(digits) + offsets[group.start : group.stop, None]
         codes = np.concatenate((codes[row], label_codes[picks].T), axis=1)
         re, im = re[row], im[row]
         # gather the factors of as many slots at a time as fit in
-        # MAX_ENSEMBLE_ROWS amplitudes, so a block's gathers stay bounded
-        step = max(1, MAX_ENSEMBLE_ROWS // re.size)
+        # MAX_ENSEMBLE_ROWS amplitudes, so a group's gathers stay bounded
+        step = max(1, MAX_ENSEMBLE_ROWS // len(re))
         for first in range(0, len(picks), step):
             chunk = picks[first : first + step]
             for fr, fi in zip(factors.real[chunk], factors.imag[chunk]):
                 re, im = re * fr - im * fi, re * fi + im * fr
-        if block.stop > safe:
+        if group.stop > safe:
             codes, re, im = _drop(np.hypot(re, im) > PRUNE_TOL, codes, re, im)
     labels = list(index)
     if len(labels) != len(label_codes):
@@ -727,10 +706,11 @@ def _product(
     magnitude = np.hypot(re, im)
     _require_unit_moduli(magnitude)
     columns = _LabelColumns.of(labels)
-    if safe < len(slots):
+    if safe < len(photons):
         columns, codes = _occupied(columns, codes)
     return EnsembleState._from_columns(
-        space, len(slots), columns, codes, re, im, float(magnitude.min())
+        photons[0].space, len(photons), columns, codes, re, im,
+        float(magnitude.min()),
     )
 
 
@@ -916,8 +896,7 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
         # skipped; the moduli, and with them the pruning, stay the same.
         alive = None
         if images.re is not None:
-            index = _per_row(codes.T, re)
-            fr_all, fi_all = images.re[index], images.im[index]
+            fr_all, fi_all = images.re[codes.T], images.im[codes.T]
             for slot in range(state.slot_count):
                 fr, fi = fr_all[slot], fi_all[slot]
                 re, im = re * fr - im * fi, re * fi + im * fr
@@ -946,9 +925,9 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
                 raised = failures[int(column[first])]
                 codes, re, im = codes[:first], re[:first], im[:first]
                 column = column[:first]
-            rows, pick = _fan_out(column, images.start, images.count, _width(re))
+            rows, pick = _fan_out(column, images.start, images.count)
             codes, re, im = codes[rows], re[rows], im[rows]
-            fr, fi = _per_row(images.re[pick], re), _per_row(images.im[pick], re)
+            fr, fi = images.re[pick], images.im[pick]
             re, im = re * fr - im * fi, re * fi + im * fr
             codes[:, slot] = images.target[pick]
             if prune:
@@ -973,31 +952,22 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
     else:
         groups: dict[tuple[int, ...], int] = {}
         group = [groups.setdefault(row, len(groups)) for row in map(tuple, codes.tolist())]
-        # one key per (group, amplitude column), numbered row by row, so
-        # that every column is summed on its own and in row order
-        width = _width(re)
-        key = np.array(group, dtype=np.int64)[:, None] * width + np.arange(width)
-        first, re_sums, im_sums = _sum_equal_rows(
-            key.ravel(), re.reshape(-1), im.reshape(-1), key.size
+        first, re, im = _sum_equal_rows(
+            np.array(group, dtype=np.int64), re, im, len(groups)
         )
-        shape = (len(first) // width, *re.shape[1:])
-        codes = codes[first[::width] // width]
-        re, im = re_sums.reshape(shape), im_sums.reshape(shape)
+        codes = codes[first]
         magnitude = np.hypot(re, im)
         bunched = _bunched_rows(codes)
-        loud = np.flatnonzero(
-            bunched & _any_column(magnitude > BUNCHING_TOL)
-        )
+        loud = np.flatnonzero(bunched & (magnitude > BUNCHING_TOL))
         if len(loud):
             named = EnsembleAmplitudes._build_labels(*labels)
             row_labels = [named[code] for code in codes[loud[0]].tolist()]
-            moduli = magnitude[loud[0]].reshape(-1)
             raise BunchingError(
                 "operator drove two slots onto "
                 + str(_first_duplicate(row_labels))
-                + f" with amplitude {float(moduli[moduli > BUNCHING_TOL][0]):.3e}"
+                + f" with amplitude {float(magnitude[loud[0]]):.3e}"
             )
-        keep = (magnitude > PRUNE_TOL) & ~_per_row(bunched, magnitude)
+        keep = (magnitude > PRUNE_TOL) & ~bunched
         codes, re, im, magnitude = _drop(keep, codes, re, im, magnitude)
     if low is None:
         _require_unit_moduli(magnitude)
@@ -1010,21 +980,20 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
 
 
 def _fan_out(
-    column: np.ndarray, start: np.ndarray, count: np.ndarray, width: int
+    column: np.ndarray, start: np.ndarray, count: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row turned into its label's images, in row then image order.
 
     Label ``c``'s images sit at ``start[c]`` to ``start[c] + count[c] - 1``
     of flat image arrays, and row ``r`` holds label ``column[r]``.  Returns
     ``rows``, the source row of each image row, and ``pick``, the index of
-    its image in the flat arrays.  Image rows whose amplitudes, ``width``
-    (amplitude columns) to a row, exceed ``MAX_ENSEMBLE_ROWS`` raise
-    :class:`DomainError` before they are allocated.
+    its image in the flat arrays.  More than ``MAX_ENSEMBLE_ROWS`` image
+    rows raise :class:`DomainError` before they are allocated.
     """
     fan = count[column]
     ends = fan.cumsum()
     if len(ends):
-        _require_row_bound(int(ends[-1]) * width)
+        _require_row_bound(int(ends[-1]))
     rows = np.arange(len(column)).repeat(fan)
     pick = np.arange(len(rows)) + (start[column] - (ends - fan)).repeat(fan)
     return rows, pick
@@ -1032,8 +1001,7 @@ def _fan_out(
 
 def _require_row_bound(rows: int) -> None:
     """Raise :class:`DomainError` for an ensemble step of more than
-    ``MAX_ENSEMBLE_ROWS`` rows, a block's rows counted once per amplitude
-    column."""
+    ``MAX_ENSEMBLE_ROWS`` rows."""
     if rows > MAX_ENSEMBLE_ROWS:
         raise DomainError(
             f"an ensemble step of {rows} rows exceeds the bound of "
@@ -1086,30 +1054,11 @@ def _sum_equal_rows(
     )
 
 
-def _width(parts: np.ndarray) -> int:
-    """Amplitude columns per row: 1 for a state, K for a block of K."""
-    return math.prod(parts.shape[1:])
-
-
-def _per_row(values: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """``values``, one per row along its last axis, shaped to broadcast
-    over the amplitude columns of ``parts``."""
-    return values.reshape(values.shape + (1,) * (parts.ndim - 1))
-
-
-def _any_column(mask: np.ndarray) -> np.ndarray:
-    """Per row, whether ``mask`` holds in some amplitude column."""
-    return mask.reshape(len(mask), _width(mask)).any(axis=1)
-
-
 def _drop(
     keep: np.ndarray, codes: np.ndarray, *parts: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """The rows that some amplitude column keeps, each entry that its own
-    column drops set to +0.0 (see the module docstring)."""
-    rows = _any_column(keep)
-    keep = keep[rows]
-    return (codes[rows], *(np.where(keep, part[rows], 0.0) for part in parts))
+    """The rows where the mask ``keep`` is true."""
+    return (codes[keep], *(part[keep] for part in parts))
 
 
 def _occupied(
@@ -1131,19 +1080,19 @@ def _bunched_rows(codes: np.ndarray) -> np.ndarray:
 
 
 def _require_unit_moduli(moduli: np.ndarray) -> None:
-    """The ensemble norm check on the kept amplitude moduli, per amplitude
-    column.
+    """The ensemble norm check on the kept amplitude moduli, down each
+    column of ``moduli`` (an ensemble's 1-D moduli are one column).
 
     A dot product lands within a few ulp of the term-by-term sum of
     ``modulus ** 2`` that the constructor makes.  A column near or past the
     tolerance is redone term by term, so the decision and the message see
     exactly the constructor's sum; so is one whose dot product is NaN or
-    overflows.  A block's zero entries add +0.0 to that sum.
+    overflows.
     """
-    norms = _column_dot(moduli, moduli)
-    for column, norm in enumerate(norms.reshape(-1).tolist()):
+    norms = _column_dot(moduli, moduli).reshape(-1)
+    for column, norm in enumerate(norms.tolist()):
         if not abs(norm - 1.0) <= NORM_TOL / 2:
-            columns = moduli.reshape(len(moduli), _width(moduli))
+            columns = moduli.reshape(len(moduli), len(norms))
             norm_sq = 0.0
             try:
                 for modulus in columns[:, column].tolist():

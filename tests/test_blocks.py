@@ -1,17 +1,14 @@
-"""The MUX check slot by slot, and the block engine it replaced.
+"""The MUX check slot by slot, against each round run alone.
 
 ``cli._mux_roundtrip(network, rng, K)`` draws K rounds of qubits as one
 array, which must give the bits of ``oracles.random_qubit`` called qubit by
 qubit, and computes each round's transmit and round-trip fidelity from the
-slots' label images (``cli._mux_fidelities``).  The block engine that sent
-the rounds through the network as the amplitude columns of one ensemble is
-kept in ``oracles`` as the reference: every transmit and round-trip
-fidelity of a block must equal, bit for bit, what the public per-state API
-(``tensor``, ``MuxNetwork.merge`` and ``receive``, ``fidelity``) gives for
-each round alone, also when the rounds' supports differ (qubits with a zero
-or near-zero part) and when blocks are split by ``MAX_ENSEMBLE_ROWS``.  The
-per-slot fidelities must lie within 1e-13 of the block's, and both must
-raise the error that the first failing round raises alone.
+slots' label images (``cli._mux_fidelities``).  The reference is each round
+run alone through the public per-state API (``tensor``,
+``MuxNetwork.merge`` and ``receive``, ``fidelity``).  The per-slot
+fidelities must lie within 1e-13 of it, also when the rounds' supports
+differ (qubits with a zero or near-zero part), and must raise the error
+that the first failing round raises alone.
 """
 
 import math
@@ -33,8 +30,7 @@ from oamnet import (
 )
 from oamnet import cli, states
 from oamnet.states import PRUNE_TOL
-import oracles
-from oracles import qubit_block, random_qubit
+from oracles import random_qubit
 
 # qubits whose supports differ from a random qubit's: a part that the photon
 # prunes (zero or not), or one just above PRUNE_TOL whose products prune later
@@ -58,17 +54,11 @@ def outcome(compute):
 
 
 def qubit_array(rounds):
-    """Rounds of ``QubitSpec``s as the (K, D, 2) array that blocks take."""
+    """Rounds of ``QubitSpec``s as the (K, D, 2) array of
+    ``cli._mux_fidelities``."""
     return np.array(
         [[(spec.alpha, spec.beta) for spec in qubits] for qubits in rounds],
         dtype=complex,
-    )
-
-
-def originals_block(space, rounds):
-    """The block of the rounds' products on paths 0, 1, ... at winding 0."""
-    return qubit_block(
-        space, qubit_array(rounds), [(path, 0) for path in range(len(rounds[0]))]
     )
 
 
@@ -133,16 +123,6 @@ def mixed_rounds(draw, dimension, count):
     ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), dimension=st.integers(1, 9), count=st.sampled_from((1, 2, 20)))
-def test_a_block_gives_the_bits_of_its_rounds_alone(data, dimension, count):
-    network = MuxNetwork(dimension)
-    rounds = data.draw(mixed_rounds(dimension, count))
-    assert bits(oracles.mux_block(network, qubit_array(rounds))) == rounds_alone(
-        network, rounds
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -150,14 +130,14 @@ def test_a_block_gives_the_bits_of_its_rounds_alone(data, dimension, count):
     count=st.sampled_from((1, 2, 3)),
     refuse=st.booleans(),
 )
-def test_per_slot_fidelities_match_the_block(data, dimension, count, refuse):
+def test_per_slot_fidelities_match_rounds_alone(data, dimension, count, refuse):
     # qubits with zero parts among them, and windows below D - 1 that
     # refuse the holograms' or the tags' windings
     window = data.draw(st.integers(0, dimension - 2)) if refuse and dimension > 1 else None
     network = MuxNetwork(dimension, window)
-    qubits = qubit_array(data.draw(mixed_rounds(dimension, count)))
-    expected = outcome(lambda: oracles.mux_block(network, qubits))
-    found = outcome(lambda: cli._mux_fidelities(network, qubits))
+    rounds = data.draw(mixed_rounds(dimension, count))
+    expected = outcome(lambda: [round_alone(network, qubits) for qubits in rounds])
+    found = outcome(lambda: cli._mux_fidelities(network, qubit_array(rounds)))
     if window is not None:
         assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
         assert found == expected
@@ -226,9 +206,7 @@ def test_a_failing_block_raises_the_first_rounds_error(data, dimension, count):
     rounds = data.draw(mixed_rounds(dimension, count))
     expected = outcome(lambda: rounds_alone(network, rounds))
     assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
-    qubits = qubit_array(rounds)
-    assert outcome(lambda: bits(oracles.mux_block(network, qubits))) == expected
-    assert outcome(lambda: cli._mux_fidelities(network, qubits)) == expected
+    assert outcome(lambda: cli._mux_fidelities(network, qubit_array(rounds))) == expected
 
 
 def test_per_slot_fidelities_refuse_a_qubit_of_non_unit_norm():
@@ -239,125 +217,21 @@ def test_per_slot_fidelities_refuse_a_qubit_of_non_unit_norm():
         cli._mux_fidelities(MuxNetwork(2, 0), qubits)
 
 
-def test_pruned_entries_are_positive_zeros_in_their_own_column():
-    space = MuxNetwork(3).space
-    rounds = [
-        # V on path 0 times the later parts drops below PRUNE_TOL in three
-        # of its four rows; round 1 holds no H on path 2
-        [
-            QubitSpec(math.sqrt(1 - 4e-30), 2 * PRUNE_TOL),
-            QubitSpec(0.6, 0.8),
-            QubitSpec(0.6, -0.8),
-        ],
-        [QubitSpec(0.8, 0.6j), QubitSpec(0.6, 0.8), QubitSpec(0, 1j)],
-    ]
-    columns = originals_block(space, rounds).amplitudes
-    assert columns.re.shape == columns.im.shape == (len(columns), 2)
-    rows = {row: i for i, row in enumerate(map(tuple, columns.codes.tolist()))}
-    kept = np.zeros((len(columns), 2), dtype=bool)
-    for k, qubits in enumerate(rounds):
-        alone = tensor(
-            [make_qubit_photon(spec, path, 0, space) for path, spec in enumerate(qubits)]
-        )
-        for key, amp in alone.amplitudes.items():
-            i = rows[tuple(columns.labels.index(label) for label in key)]
-            kept[i, k] = True
-            assert (columns.re[i, k].hex(), columns.im[i, k].hex()) == (
-                amp.real.hex(), amp.imag.hex()
-            )
-    # a row leaves only when every column drops it
-    assert kept.any(axis=1).all() and len(columns) == 6
-    assert (~kept).sum(axis=0).tolist() == [1, 2]
-    for part in (columns.re[~kept], columns.im[~kept]):
-        assert (part == 0.0).all() and not np.signbit(part).any()
-
-
-def test_a_row_leaves_when_every_column_drops_it():
-    space = MuxNetwork(2).space
-    rounds = [[QubitSpec(1, 0), QubitSpec(0, 1)], [QubitSpec(1, 0), QubitSpec(0.6, 0.8)]]
-    block = originals_block(space, rounds)
-    # slot 0 is H in both rounds, so no row holds V there
-    assert block.amplitudes.re.shape == (2, 2)
-    assert [str(label) for label in block.amplitudes.labels] == [
-        "|0^H>_0", "|0^H>_1", "|0^V>_1",
-    ]
-
-
 def test_a_slot_lists_h_before_v_when_rounds_prune_different_parts():
-    # round 0 prunes H on path 0 and round 1 prunes V there: the slot offers
-    # both labels, H first, each a factor of 0 in the column that prunes it
+    # round 0 prunes H on path 0 and round 1 prunes V there, so that slot
+    # crosses as its H label, which round 0 does not hold
     network = MuxNetwork(3)
     rounds = [
         [QubitSpec(0, 1j), QubitSpec(0.6, 0.8), QubitSpec(0.8, -0.6j)],
         [QubitSpec(1, 0), QubitSpec(0.6, -0.8j), QubitSpec(0.6, 0.8)],
     ]
-    block = originals_block(network.space, rounds)
-    assert [str(label) for label in block.amplitudes.labels] == [
-        "|0^H>_0", "|0^V>_0", "|0^H>_1", "|0^V>_1", "|0^H>_2", "|0^V>_2",
-    ]
-    qubits = qubit_array(rounds)
-    assert bits(oracles.mux_block(network, qubits)) == rounds_alone(network, rounds)
-    assert close(cli._mux_fidelities(network, qubits), oracles.mux_block(network, qubits))
-
-
-def photons_alone(space, qubits, slots):
-    """Every round's qubit specs, then its photons on ``slots``, built one
-    by one, and each round's product."""
-    rounds = [[QubitSpec(*qubit) for qubit in row] for row in qubits.tolist()]
-    photons = [
-        [make_qubit_photon(spec, *slot, space) for spec, slot in zip(specs, slots)]
-        for specs in rounds
-    ]
-    return [tensor(row) for row in photons]
-
-
-ON_PATHS = [(0, 0), (1, 0), (2, 0)]
-TAGGED = [(0, 0), (0, 1), (0, 2)]
-
-
-@pytest.mark.parametrize(
-    "window, slots, bad",
-    [
-        # a qubit whose norm is off, is NaN or overflows its square
-        (None, ON_PATHS, {(1, 2): (1, 1), (1, 0): (2, 0)}),
-        (None, ON_PATHS, {(0, 1): (math.nan, 0)}),
-        (None, ON_PATHS, {(1, 1): (1e200, 0)}),
-        # a label beyond the window or the paths, where some photon keeps
-        # a part
-        (1, TAGGED, {}),
-        (1, TAGGED, {(0, 2): (1, 0), (1, 2): (0, 1)}),
-        (None, [(0, 0), (1, 0), (3, 0)], {(0, 2): (0, 1j)}),
-        # every qubit's norm is tested before any photon's label
-        (1, TAGGED, {(1, 0): (2, 0)}),
-    ],
-)
-def test_the_block_raises_the_error_of_its_photons_built_one_by_one(
-    window, slots, bad
-):
-    space = MuxNetwork(3, window).space
-    qubits = cli._draw_qubits(np.random.default_rng(5), 2, 3)
-    for (k, n), parts in bad.items():
-        qubits[k, n] = parts
-    expected = outcome(lambda: photons_alone(space, qubits, slots))
-    assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
-    assert outcome(lambda: qubit_block(space, qubits, slots)) == expected
-
-
-def test_blocks_split_under_a_smaller_row_bound(monkeypatch):
-    monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 64)
-    sizes = round_counts(monkeypatch, oracles, "mux_block")
-    network = MuxNetwork(5)
-    batched = bits(oracles.block_mux_roundtrip(network, np.random.default_rng(9), 5))
-    # 64 amplitudes over 2**5 rows: two rounds per block
-    assert sizes == [2, 2, 1]
-    rng = np.random.default_rng(9)
-    rounds = [[random_qubit(rng) for _ in range(5)] for _ in range(5)]
-    assert batched == rounds_alone(network, rounds)
+    alone = [round_alone(network, qubits) for qubits in rounds]
+    assert close(cli._mux_fidelities(network, qubit_array(rounds)), alone)
 
 
 def test_a_round_beyond_the_row_bound_fails_as_alone(monkeypatch):
-    # 2**5 rows exceed a bound of 16 even for a block of one round, with the
-    # message that tensor gives for the round alone
+    # 2**5 rows exceed a bound of 16, with the message that tensor gives
+    # for the round alone
     monkeypatch.setattr(states, "MAX_ENSEMBLE_ROWS", 16)
     network = MuxNetwork(5)
     rng = np.random.default_rng(4)
@@ -367,9 +241,6 @@ def test_a_round_beyond_the_row_bound_fails_as_alone(monkeypatch):
         DomainError, "an ensemble step of 32 rows exceeds the bound of 16 rows"
     )
     assert outcome(lambda: cli._mux_roundtrip(network, np.random.default_rng(4), 3)) == expected
-    assert outcome(
-        lambda: oracles.block_mux_roundtrip(network, np.random.default_rng(4), 3)
-    ) == expected
 
 
 def test_scenario_and_verify_blocks_use_count_one_and_twenty(monkeypatch):

@@ -2,13 +2,13 @@
 
 Every subcommand in both report formats across dimensions 2 to 6, plus a
 star route at D=24, a MUX round trip and verify run at D=8, verify runs at
-D=5 (the benchmark's dimension), D=10 and D=16 (whose MUX check runs blocks
-of 16 and 4 round trips), a MUX round trip at D=12 (4096 tuples) and the
-OAMBS netlist at D=8 and D=12, whose replay error sums final supports of up
-to 5 labels.  The
-committed ``golden/*.out`` files pin the exact bytes, so any change in
-behaviour or float formatting shows up as a diff.  Regenerate them (only
-when an output change is intended) with::
+D=5 (the benchmark's dimension), D=10 and D=16 (whose MUX check runs its
+20 rounds slot by slot, not over 2**16-row product states), a MUX round
+trip at D=12 (4096 tuples) and the OAMBS netlist at D=8 and D=12, whose
+replay error sums final supports of up to 5 labels.  The committed
+``golden/*.out`` files pin the exact bytes, so any change in behaviour or
+float formatting shows up as a diff.  Regenerate them (only when an output
+change is intended) with::
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """

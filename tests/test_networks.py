@@ -683,6 +683,12 @@ def test_typed_refusals_of_mux_states_and_netlists(call, message):
             lambda: netlist_dumps(oambs_netlist(2), replay_error="x"),
             "not a replay error: str",
         ),
+        (lambda: ModeSpace(2.5), "not an integer dimension: float"),
+        (lambda: ModeSpace(3, 2.5), "not an integer oam_window: float"),
+        (lambda: ModeSpace(True), "not an integer dimension: bool"),
+        (lambda: ModeSpace("a"), "not an integer dimension: str"),
+        (lambda: QubitSpec("a", 0), "not a number: str"),
+        (lambda: QubitSpec(None, 0), "not a number: NoneType"),
     ],
     ids=[
         "mux_transmit",
@@ -700,11 +706,23 @@ def test_typed_refusals_of_mux_states_and_netlists(call, message):
         "superposed_destination-amplitude",
         "random_unitary-dimension",
         "netlist_dumps-replay_error",
+        "ModeSpace-float",
+        "ModeSpace-oam_window",
+        "ModeSpace-bool",
+        "ModeSpace-str",
+        "QubitSpec-str",
+        "QubitSpec-None",
     ],
 )
 def test_typed_refusals_at_entry_points(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
+
+
+def test_mode_space_takes_numpy_integers_as_python_ints():
+    space = ModeSpace(np.int64(3), np.int64(5))
+    assert space == ModeSpace(3, 5)
+    assert type(space.dimension) is int and type(space.oam_window) is int
 
 
 def test_transmit_refuses_the_first_entry_that_is_not_a_qubit():

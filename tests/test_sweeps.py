@@ -331,6 +331,8 @@ def test_an_invalid_override_port_raises_on_every_use():
 
 
 def test_the_space_cache_tells_an_int_dimension_from_a_float():
-    # as building each space would
-    assert type(networks._mode_space(3.0).dimension) is float
+    # as building each space would: the float is refused even once the
+    # int's space is cached
     assert type(StarNetwork(3).space.dimension) is int
+    with pytest.raises(DomainError, match="^not an integer dimension: float$"):
+        networks._mode_space(3.0)
