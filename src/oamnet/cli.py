@@ -22,10 +22,11 @@ import numpy as np
 from .elements import Direction
 from .errors import DomainError, OamNetError
 from .multiport import (
-    SymmetricMultiport,
+    GENPERM_TOL,
     UNITARITY_TOL,
+    _basis_map,
     _closed_form_walk,
-    device_matrix,
+    device_matrix,  # kept as a binding: bench/tracing.py wraps it
     global_phase_error,
     is_generalized_permutation,
     oambs,
@@ -58,7 +59,7 @@ from .states import (
     _overlap_fidelities,
     fidelity,
     path_probabilities,
-    tensor,  # unused here; bench/tracing.py wraps this binding
+    tensor,  # kept as a binding: bench/tracing.py wraps it
 )
 
 _VERIFY_RANDOM_UNITARIES = 5
@@ -168,30 +169,61 @@ def _write_output(text: str, config: RunConfig) -> int:
     return 0
 
 
-def _closed_form_error(matrix, dimension: int, direction: Direction) -> float:
-    """Worst deviation of the device matrix for ``direction`` from the
-    closed-form routing map over all basis inputs, sharing one global phase;
-    the residual is the largest entry off the expected row.
+def _closed_form_error(basis_map, dimension: int, direction: Direction) -> float:
+    """Worst deviation of a device, given by its ``multiport._basis_map``,
+    from the closed-form routing map for ``direction`` over all basis
+    inputs, sharing one global phase; the residual is the largest entry off
+    the expected row.  A device without a basis map gives 1.0.
 
-    Reads the entries of ``multiport``'s closed-form walk, the one the
-    netlist certification also reads, in one pass: the phase is the first
-    amplitude's numpy quotient (the certification keeps Python's, which
-    differs in the last bit), deviations are ``np.hypot`` of their parts
-    (numpy's scalar ``abs``), the residuals ``np.abs`` of the whole columns,
-    and the largest value is taken in walk order.
+    Reads the map along ``multiport``'s closed-form walk, the one the
+    netlist certification also reads, with the bits of these steps on the
+    dense matrix: the phase is the first amplitude's numpy quotient (the
+    certification keeps Python's, which differs in the last bit),
+    deviations are ``np.hypot`` of their parts, residuals ``np.abs`` of the
+    entries off their expected row, and the largest value is taken in walk
+    order.
     """
-    columns, rows = _closed_form_walk(dimension, direction)
-    amplitudes = matrix[rows, columns]
-    first = amplitudes[0]
-    if first == 0:
+    if basis_map is None:
         return 1.0
-    deviation = amplitudes - first / abs(first)
-    off = np.abs(matrix[:, columns])
-    off[rows, np.arange(len(rows))] = 0.0
-    walk = np.column_stack(
-        (np.hypot(deviation.real, deviation.imag), off.max(axis=0, initial=0.0))
-    )
+    image, amplitudes = basis_map
+    photons, expected = _closed_form_walk(dimension, direction)
+    hit = image[photons] == expected
+    entries = amplitudes[photons]
+    found = np.where(hit, entries, 0)
+    if found[0] == 0:
+        return 1.0
+    deviation = found - found[0] / abs(found[0])
+    off = np.where(hit, 0.0, np.abs(entries))
+    walk = np.column_stack((np.hypot(deviation.real, deviation.imag), off))
     return max(0.0, *walk.ravel().tolist())
+
+
+def _inverse_error(first, then) -> float:
+    """``global_phase_error`` of ``then``'s device matrix times ``first``'s
+    against the identity, from their ``multiport._basis_map`` (1.0 unless
+    both have one).  Each column of the product holds one entry, multiplied
+    in split form, so no value depends on the BLAS kernel."""
+    if first is None or then is None:
+        return 1.0
+    image, a = first
+    rows, b = then[0][image], then[1][image]
+    # adding 0.0 makes a zero part +0.0, as the dense product's sums of
+    # zero terms do; its sign decides the angle of a real negative entry
+    product = np.empty(len(a), dtype=complex)
+    product.real = b.real * a.real - b.imag * a.imag + 0.0
+    product.imag = b.real * a.imag + b.imag * a.real + 0.0
+    # the entries on the diagonal against 1, the others against 0
+    fixed = rows == np.arange(len(rows))
+    entries = np.append(np.where(fixed, product, 0), np.where(fixed, 0, product))
+    return global_phase_error(entries, np.repeat([1.0, 0.0], len(a)))
+
+
+def _is_permutation_map(basis_map) -> bool:
+    """``is_generalized_permutation``'s verdict on a device, from its
+    one-to-one ``multiport._basis_map``: every amplitude of unit modulus."""
+    if basis_map is None:
+        return False
+    return bool((np.abs(np.abs(basis_map[1]) - 1.0) <= GENPERM_TOL).all())
 
 
 def _draw_qubits(
@@ -224,7 +256,7 @@ def _mux_roundtrip(
     qubit per user from ``rng`` (:func:`_mux_fidelities`).  A round's
     product state holds ``2**D`` rows, so past ``MAX_ENSEMBLE_ROWS`` of
     them the check raises the ensemble's row bound before it draws."""
-    states._require_row_bound(2**network.dimension)
+    states._require_power_row_bound(network.dimension)
     return _mux_fidelities(
         network, _draw_qubits(rng, count, network.dimension)
     )
@@ -345,6 +377,9 @@ def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
             {"name": name, "pass": bool(passed), "measured_error": float(error)}
         )
 
+    # the MUX check's 2**D product rows bound verify, so they are counted
+    # before any other check does work
+    states._require_power_row_bound(dimension)
     s = symmetric_matrix(dimension)
     identity = np.eye(dimension)
     unitarity = float(np.max(np.abs(s.conj().T @ s - identity)))
@@ -352,15 +387,14 @@ def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
     err = max(unitarity, symmetry)
     add("symmetric_unitarity", err < UNITARITY_TOL, err)
 
-    forward_matrix = device_matrix(oambs(dimension))
-    reverse_matrix = device_matrix(sbmao(dimension))
-    err = _closed_form_error(forward_matrix, dimension, Direction.FORWARD)
+    forward = _basis_map(oambs(dimension))
+    reverse = _basis_map(sbmao(dimension))
+    err = _closed_form_error(forward, dimension, Direction.FORWARD)
     add("closed_form_forward", err < tol, err)
-    err = _closed_form_error(reverse_matrix, dimension, Direction.REVERSE)
+    err = _closed_form_error(reverse, dimension, Direction.REVERSE)
     add("closed_form_reverse", err < tol, err)
 
-    size = forward_matrix.shape[0]
-    err = global_phase_error(reverse_matrix @ forward_matrix, np.eye(size))
+    err = _inverse_error(forward, reverse)
     add("inverse_identity", err < tol, err)
 
     err = path_replay_error(reck_decompose(s), s)
@@ -396,12 +430,11 @@ def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
         worst = max(worst, 1.0 - transmit, 1.0 - roundtrip)
     add("mux_roundtrip", worst < tol, worst)
 
-    forward_ok, _ = is_generalized_permutation(forward_matrix)
-    reverse_ok, _ = is_generalized_permutation(reverse_matrix)
-    raw_ok, _ = is_generalized_permutation(
-        device_matrix(SymmetricMultiport(dimension))
-    )
-    passed = forward_ok and reverse_ok and (dimension == 1 or not raw_ok)
+    # the multiport's device matrix is a generalized permutation exactly
+    # when its scattering matrix is
+    raw_ok, _ = is_generalized_permutation(s)
+    passed = _is_permutation_map(forward) and _is_permutation_map(reverse)
+    passed = passed and (dimension == 1 or not raw_ok)
     add("generalized_permutation", passed, 0.0 if passed else 1.0)
 
     return checks

@@ -419,10 +419,11 @@ def _closed_form_walk(dimension: int, direction: Direction) -> np.ndarray:
     """Each basis photon ``|l>_n`` (``0 <= n, l < D``, path first) and its
     :func:`oambs_closed_form` image, as the two rows of a read-only array of
     positions in :func:`device_basis`: the one walk of both closed-form
-    checks, read as data by verify's matrix checks (``cli._closed_form_error``)
-    and by the netlist certification.  They keep numpy's and Python's phase
-    quotients, which differ in the last bit, so printed errors keep their
-    bits.  Only a :class:`Direction` reaches the cache; anything else raises.
+    checks, read along a :func:`_basis_map` by verify's
+    (``cli._closed_form_error``) and as data by the netlist certification.
+    They keep numpy's and Python's phase quotients, which differ in the last
+    bit, so printed errors keep their bits.  Only a :class:`Direction`
+    reaches the cache; anything else raises.
     """
     if not isinstance(direction, Direction):
         raise DomainError(f"not a direction: {direction!r}")
@@ -439,65 +440,51 @@ def _closed_form_walk(dimension: int, direction: Direction) -> np.ndarray:
     return walk
 
 
+def _basis_map(
+    device: CompositeDevice | Stage,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each :func:`device_basis` label's one image under ``device``, from one
+    ``label_images`` gather over the basis: the image's position in the
+    basis and its amplitude, in basis order.  ``None`` when the device does
+    not map the basis one to one: it has no gather, its gather refuses, or
+    an image leaves the basis."""
+    gather = getattr(device, "label_images", None)
+    path, winding, position = _basis_columns(device.dimension)
+    found = None if gather is None else gather(path, winding)
+    if found is None:
+        return None
+    image_path, image_winding, re, im = found
+    offset = image_winding + (device.dimension - 1)
+    rows, columns = position.shape
+    if image_path.max() >= rows or offset.min() < 0 or offset.max() >= columns:
+        return None
+    amplitudes = np.ones(len(path), dtype=complex)
+    if re is not None:
+        amplitudes.real, amplitudes.imag = re, im
+    return position[image_path, offset], amplitudes
+
+
 def device_matrix(
     device: CompositeDevice | SymmetricMultiport | DoveStage,
 ) -> np.ndarray:
-    """Explicit matrix of ``device`` over the :func:`device_basis` labels.
-
-    A device with ``label_images`` (a tabled :class:`CompositeDevice`, a
-    bank) gives the images of the whole basis in one gather, and each
-    column receives its one entry as the label loop would add it to zero.
-    A bare :class:`SymmetricMultiport` places every label's ``D`` images
-    straight from the cached Fourier matrix in one scatter: the factors
-    ``transit`` would multiply by ``1+0j``, which changes no bit but the
-    sign of a zero part, each added to zero (which makes every zero part
-    ``+0.0``) and pruned at ``PRUNE_TOL``, as the label loop does.  Any
-    other device, and a gather whose images leave the basis, goes label by
-    label through ``mode_images``.  Images falling outside the basis
-    raise :class:`DomainError`, naming the first basis label that has one,
-    and so does a matrix of more than ``MAX_MATRIX_ENTRIES`` entries,
-    before it is built, and an argument that is not a mode operator with a
+    """Explicit matrix of ``device`` over the :func:`device_basis` labels:
+    every basis label's ``mode_images`` added into a zero matrix, one entry
+    at a time.  Images falling outside the basis raise
+    :class:`DomainError`, naming the first basis label that has one, and so
+    does a matrix of more than ``MAX_MATRIX_ENTRIES`` entries, before it is
+    built, and an argument that is not a mode operator with a
     ``dimension``.
     """
     if not (hasattr(device, "mode_images") and hasattr(device, "dimension")):
         raise DomainError(f"not a device: {type(device).__name__}")
     dimension = device.dimension
-    values = default_oam_values(dimension)
-    size = dimension * len(values)
+    size = dimension * len(default_oam_values(dimension))
     if size * size > MAX_MATRIX_ENTRIES:
         raise DomainError(
             f"a device matrix of {size * size} entries exceeds the bound of "
             f"{MAX_MATRIX_ENTRIES} entries"
         )
     matrix = np.zeros((size, size), dtype=complex)
-    if type(device) is SymmetricMultiport and size:
-        # label |l>_p has image |+-l>_n with factor S[n, p] for every n;
-        # the windings +-l stay in the basis, whose window is symmetric
-        path, winding, position = _basis_columns(dimension)
-        image_winding = -winding if device.parity_flip else winding
-        factors = _symmetric_matrix_cached(dimension)[:, path]
-        kept = np.hypot(factors.real, factors.imag) > PRUNE_TOL
-        rows = position[:, image_winding - values[0]]
-        columns = np.broadcast_to(np.arange(size), rows.shape)
-        matrix[rows[kept], columns[kept]] += factors[kept]
-        return matrix
-    gather = getattr(device, "label_images", None)
-    if gather is not None and size:
-        path, winding, position = _basis_columns(dimension)
-        found = gather(path, winding)
-        if found is not None:
-            image_path, image_winding, re, im = found
-            offset = image_winding - values[0]
-            if (
-                int(image_path.max()) < dimension
-                and int(offset.min()) >= 0
-                and int(offset.max()) < len(values)
-            ):
-                amplitudes = np.ones(size, dtype=complex)
-                if re is not None:
-                    amplitudes.real, amplitudes.imag = re, im
-                matrix[position[image_path, offset], np.arange(size)] += amplitudes
-                return matrix
     basis = device_basis(dimension)
     index = {label: i for i, label in enumerate(basis)}
     for j, label in enumerate(basis):

@@ -45,7 +45,6 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple, get_args
 
 import numpy as np
@@ -78,6 +77,7 @@ from .states import (
     PhotonState,
     _fan_out,
     _first_rows,
+    _integer,
     _sum_equal_rows,
     apply_mode_map,
     compose_images,
@@ -542,8 +542,8 @@ def oambs_netlist_error(netlist: Netlist) -> float:
     residual is the root of the norm left off the expected label.
 
     Inputs and images come from ``multiport``'s closed-form walk, which
-    verify's matrix checks also read; the phase here is Python's complex
-    quotient, theirs numpy's.  All ``D**2`` basis photons cross the netlist
+    verify's closed-form checks also read; the phase here is Python's
+    complex quotient, theirs numpy's.  All ``D**2`` basis photons cross the netlist
     together as one row list in :func:`_replay_columns`, whose images equal
     ``netlist.mode_images`` bit for bit and in key order.  Each input's
     :class:`PhotonState` is then built in walk order, so pruning, the window
@@ -579,8 +579,7 @@ def random_unitary(dimension: int, rng: np.random.Generator) -> np.ndarray:
     not an integer or is below 1, and then an ``rng`` that is not a
     :class:`numpy.random.Generator`, raise :class:`DomainError` before
     ``rng`` draws."""
-    if not isinstance(dimension, Integral):
-        raise DomainError(f"not an integer dimension: {type(dimension).__name__}")
+    dimension = _integer(dimension, "dimension")
     if dimension < 1:
         raise DomainError(f"dimension must be >= 1, got {dimension}")
     if not isinstance(rng, np.random.Generator):

@@ -103,13 +103,8 @@ LABEL_BOUND = 2**62
 # still fits, a larger one raises DomainError before anything is allocated
 MAX_ENSEMBLE_ROWS = 2**20
 
-# dot products down the rows, one per column (np.vecdot needs numpy 2.0;
-# einsum sums the same products, in its own order)
-_column_dot = (
-    functools.partial(np.vecdot, axis=0)
-    if hasattr(np, "vecdot")
-    else functools.partial(np.einsum, "i...,i...->...")
-)
+# dot products down the rows, one per column
+_column_dot = functools.partial(np.einsum, "i...,i...->...")
 
 
 class Polarization(Enum):
@@ -251,9 +246,10 @@ class QubitSpec:
     beta: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _number(self.alpha))
-        object.__setattr__(self, "beta", _number(self.beta))
         try:
+            # a number too large for a float has an infinite norm too
+            object.__setattr__(self, "alpha", _number(self.alpha))
+            object.__setattr__(self, "beta", _number(self.beta))
             norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         except OverflowError:
             norm_sq = math.inf
@@ -650,7 +646,8 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
     # product over the first photons is at least the product of their
     # smallest moduli, give or take a rounding far under the factor 2, so
     # while that stays above 2 * PRUNE_TOL nothing can drop out: those
-    # photons grow the rows in one group, the rest one by one with pruning.
+    # photons grow the rows in groups of at most 32, within the 64 axes of
+    # np.unravel_index, and the rest one by one with pruning.
     index: dict[ModeLabel, int] = {}
     label_codes: list[int] = []
     factors: list[complex] = []
@@ -669,7 +666,9 @@ def tensor(photons: Sequence[PhotonState]) -> EnsembleState:
         if safe == len(starts) - 1 and floor > 2 * PRUNE_TOL:
             safe += 1
     starts.append(len(label_codes))
-    groups = [range(safe)] if safe else []
+    # counted as a whole, so that a refusal names every safe photon's rows
+    _require_row_bound(math.prod(starts[p + 1] - starts[p] for p in range(safe)))
+    groups = [range(p, min(p + 32, safe)) for p in range(0, safe, 32)]
     groups += [range(p, p + 1) for p in range(safe, len(photons))]
     label_codes = np.array(label_codes, dtype=np.int64)
     factors = np.array(factors, dtype=np.complex128)
@@ -1003,10 +1002,21 @@ def _require_row_bound(rows: int) -> None:
     """Raise :class:`DomainError` for an ensemble step of more than
     ``MAX_ENSEMBLE_ROWS`` rows."""
     if rows > MAX_ENSEMBLE_ROWS:
+        try:
+            count = str(rows)
+        except ValueError:  # more digits than int-to-str conversion allows
+            count = f"at least 2**{rows.bit_length() - 1}"
         raise DomainError(
-            f"an ensemble step of {rows} rows exceeds the bound of "
+            f"an ensemble step of {count} rows exceeds the bound of "
             f"{MAX_ENSEMBLE_ROWS} rows"
         )
+
+
+def _require_power_row_bound(exponent: int) -> None:
+    """:func:`_require_row_bound` of ``2**exponent`` rows, the product rows
+    of a MUX round of ``exponent`` users; a count past ``2**(2**24)`` is
+    refused as that one is, so that none fills memory."""
+    _require_row_bound(1 << min(exponent, 2**24))
 
 
 # a first-appearance table may hold this many entries per row before the

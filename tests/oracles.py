@@ -441,6 +441,29 @@ def seed_closed_form_error(matrix, dimension, direction):
     return seed_closed_form_walk(dimension, direction, deviation)
 
 
+def basis_map_matrix(basis_map):
+    """The dense matrix of a basis map (``multiport._basis_map``): each
+    column's one amplitude added into a zero matrix at its image's row, as
+    the label loop of ``device_matrix`` adds a one-to-one device's images;
+    the reference the basis-map checks are compared with."""
+    image, amplitudes = basis_map
+    matrix = np.zeros((len(image), len(image)), dtype=complex)
+    matrix[image, np.arange(len(image))] += amplitudes
+    return matrix
+
+
+def split_matrix_product(left, right):
+    """``left @ right`` from four real matrix products, in split form.  With
+    at most one nonzero term per entry, as between two matrices of one
+    entry per column, each real product is that term's rounded product
+    whatever the BLAS kernel, so the entries are the split-form products
+    of the amplitudes."""
+    product = np.empty((len(left), right.shape[1]), dtype=complex)
+    product.real = left.real @ right.real - left.imag @ right.imag
+    product.imag = left.real @ right.imag + left.imag @ right.real
+    return product
+
+
 def seed_netlist_path_matrix(netlist):
     """``netlist_path_matrix`` by the original product: a fresh identity and
     a fresh ``beamsplitter_block`` per element, multiplied from the left;

@@ -23,11 +23,13 @@ from oamnet import (
 )
 from oamnet import cli, states
 from oamnet.cli import _closed_form_error, main
+from oamnet.multiport import _basis_map
 from oamnet.serialize import (
     dumps_canonical,
     netlist_dumps,
     netlist_loads,
 )
+from oracles import seed_closed_form_error
 
 
 def run_cli(*argv):
@@ -160,6 +162,22 @@ def test_verify_past_the_row_bound_is_config_error():
     )
 
 
+@pytest.mark.parametrize("command", ["verify", "scenario"])
+@pytest.mark.parametrize(
+    "dimension, power", [(20000, 20000), (100000, 100000), (10**12, 2**24)]
+)
+def test_a_row_count_past_the_digit_limit_is_config_error(command, dimension, power):
+    # 2**D has more digits than Python prints for an int, so the message
+    # gives its power of two instead; no count past 2**(2**24) is built
+    argv = ["verify"] if command == "verify" else ["scenario", "mux-roundtrip"]
+    code, out, err = run_cli(*argv, "--dimension", str(dimension), "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: an ensemble step of at least 2**{power} rows exceeds the "
+        "bound of 1048576 rows\n"
+    )
+
+
 @pytest.mark.parametrize(
     "kind, change, failing",
     [
@@ -198,12 +216,13 @@ def test_verify_fails_a_routing_check_whose_report_fails(
 
 
 def test_verify_past_the_matrix_bound_is_config_error():
-    # (40 * 79)**2 dense entries: refused from the count, before the matrix
+    # verify builds no (40 * 79)**2 device matrix: the MUX check's 2**40
+    # product rows are counted first, before any other check
     code, out, err = run_cli("verify", "--dimension", "40", "--seed", "1")
     assert (code, out) == (2, "")
     assert err == (
-        "error: a device matrix of 9985600 entries exceeds the bound of "
-        "4194304 entries\n"
+        "error: an ensemble step of 1099511627776 rows exceeds the bound of "
+        "1048576 rows\n"
     )
 
 
@@ -351,8 +370,11 @@ def test_route_honours_tolerance():
 
 # ------------------------------------------------------------ closed form
 
-# exact values of the closed-form metric, measured before its basis walk
-# was shared with oambs_netlist_error; the goldens print it to 17 digits
+# exact values of the closed-form metric on the dense device matrix,
+# measured before its basis walk was shared with oambs_netlist_error; the
+# goldens print it to 17 digits.  Verify reads the device's basis map and
+# gives the same value, but a symmetric multiport maps no basis label one
+# to one: it has no basis map and fails with 1.0
 @pytest.mark.parametrize(
     "build, dimension, direction, expected",
     [
@@ -368,8 +390,14 @@ def test_route_honours_tolerance():
     ],
 )
 def test_closed_form_error_values(build, dimension, direction, expected):
-    matrix = device_matrix(build(dimension))
-    assert _closed_form_error(matrix, dimension, direction) == expected
+    device = build(dimension)
+    matrix = device_matrix(device)
+    assert seed_closed_form_error(matrix, dimension, direction) == expected
+    basis_map = _basis_map(device)
+    if build is SymmetricMultiport:
+        assert basis_map is None
+        expected = 1.0
+    assert _closed_form_error(basis_map, dimension, direction) == expected
 
 
 # ----------------------------------------------------------------- netlist

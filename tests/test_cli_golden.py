@@ -15,16 +15,13 @@ change is intended) with::
 
 from __future__ import annotations
 
-import functools
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from oamnet import states
 from oamnet.cli import main
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -80,22 +77,6 @@ def test_cli_stdout_matches_golden(name):
     assert code == 0
     expected = (GOLDEN_DIR / f"{name}.out").read_bytes()
     assert text.encode("utf-8") == expected
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["verify_d5_seed11", "scenario_mux_d8_seed5", "verify_d10_seed4", "scenario_bell_d4"],
-)
-def test_golden_with_the_einsum_column_dot(monkeypatch, name):
-    # numpy < 2 has no vecdot, so the norm check's dot products come from
-    # einsum instead; the reports must not change by a byte
-    einsum_dot = functools.partial(np.einsum, "i...,i...->...")
-    calls = []
-    monkeypatch.setattr(
-        states, "_column_dot", lambda a, b: calls.append(1) or einsum_dot(a, b)
-    )
-    test_cli_stdout_matches_golden(name)
-    assert calls
 
 
 if __name__ == "__main__":

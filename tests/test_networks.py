@@ -72,6 +72,12 @@ def test_mux_assigns_identifying_windings():
     assert abs(sent.amplitude(expected)) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_mux_of_64_one_label_qubits_is_one_tuple():
+    # one array axis per photon would pass numpy's limit of 64
+    sent = mux_transmit([QubitSpec(1, 0)] * 64)
+    assert len(sent.amplitudes) == 1
+
+
 def test_mux_matches_product_formula():
     rng = np.random.default_rng(21)
     for dimension in (2, 3, 5):
@@ -648,47 +654,64 @@ def test_typed_refusals_of_mux_states_and_netlists(call, message):
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, message, error",
     [
-        (lambda: mux_transmit(None), "not a sequence of QubitSpecs: NoneType"),
-        (lambda: MuxNetwork(2).transmit(5), "not a sequence of QubitSpecs: int"),
-        (lambda: star_deliver(0, 1, 3, None), "not a QubitSpec: NoneType"),
+        (lambda: mux_transmit(None), "not a sequence of QubitSpecs: NoneType", DomainError),
+        (lambda: MuxNetwork(2).transmit(5), "not a sequence of QubitSpecs: int", DomainError),
+        (lambda: star_deliver(0, 1, 3, None), "not a QubitSpec: NoneType", DomainError),
         (
             lambda: make_qubit_photon(None, 0, 0, ModeSpace(2)),
             "not a QubitSpec: NoneType",
+            DomainError,
         ),
-        (lambda: MuxNetwork(2).merge(None), "not an ensemble: NoneType"),
-        (lambda: MuxNetwork(2).merge(_photon()), "not an ensemble: PhotonState"),
-        (lambda: netlist_dumps(None), "not a netlist: NoneType"),
-        (lambda: netlist_to_dict(None), "not a netlist: NoneType"),
-        (lambda: oambs_netlist_error(None), "not a netlist: NoneType"),
-        (lambda: random_unitary(3, None), "not a random generator: NoneType"),
+        (lambda: MuxNetwork(2).merge(None), "not an ensemble: NoneType", DomainError),
+        (lambda: MuxNetwork(2).merge(_photon()), "not an ensemble: PhotonState", DomainError),
+        (lambda: netlist_dumps(None), "not a netlist: NoneType", DomainError),
+        (lambda: netlist_to_dict(None), "not a netlist: NoneType", DomainError),
+        (lambda: oambs_netlist_error(None), "not a netlist: NoneType", DomainError),
+        (lambda: random_unitary(3, None), "not a random generator: NoneType", DomainError),
         (
             lambda: superposed_destination(0, 3, None),
             "not a sequence of destinations: NoneType",
+            DomainError,
         ),
         (
             lambda: superposed_destination(0, 3, [None]),
             r"not a \(path, amplitude\) pair: None",
+            DomainError,
         ),
         (
             lambda: superposed_destination(0, 3, [(0, "a")]),
             r"not a \(path, amplitude\) pair: \(0, 'a'\)",
+            DomainError,
         ),
         (
             lambda: random_unitary(2.5, np.random.default_rng(1)),
             "not an integer dimension: float",
+            DomainError,
         ),
         (
             lambda: netlist_dumps(oambs_netlist(2), replay_error="x"),
             "not a replay error: str",
+            DomainError,
         ),
-        (lambda: ModeSpace(2.5), "not an integer dimension: float"),
-        (lambda: ModeSpace(3, 2.5), "not an integer oam_window: float"),
-        (lambda: ModeSpace(True), "not an integer dimension: bool"),
-        (lambda: ModeSpace("a"), "not an integer dimension: str"),
-        (lambda: QubitSpec("a", 0), "not a number: str"),
-        (lambda: QubitSpec(None, 0), "not a number: NoneType"),
+        (lambda: ModeSpace(2.5), "not an integer dimension: float", DomainError),
+        (lambda: ModeSpace(3, 2.5), "not an integer oam_window: float", DomainError),
+        (lambda: ModeSpace(True), "not an integer dimension: bool", DomainError),
+        (lambda: ModeSpace("a"), "not an integer dimension: str", DomainError),
+        (lambda: QubitSpec("a", 0), "not a number: str", DomainError),
+        (lambda: QubitSpec(None, 0), "not a number: NoneType", DomainError),
+        (
+            lambda: random_unitary(True, np.random.default_rng(1)),
+            "not an integer dimension: bool",
+            DomainError,
+        ),
+        # a number too large for a float has an infinite norm
+        (
+            lambda: QubitSpec(10**400, 0),
+            r"\|alpha\|\^2 \+ \|beta\|\^2 = inf, expected 1",
+            NormalizationError,
+        ),
     ],
     ids=[
         "mux_transmit",
@@ -712,10 +735,12 @@ def test_typed_refusals_of_mux_states_and_netlists(call, message):
         "ModeSpace-str",
         "QubitSpec-str",
         "QubitSpec-None",
+        "random_unitary-bool",
+        "QubitSpec-overflow",
     ],
 )
-def test_typed_refusals_at_entry_points(call, message):
-    with pytest.raises(DomainError, match=f"^{message}$"):
+def test_typed_refusals_at_entry_points(call, message, error):
+    with pytest.raises(error, match=f"^{message}$"):
         call()
 
 

@@ -1,6 +1,5 @@
 """State construction, fidelity, tensor products, and operator application."""
 
-import functools
 import math
 import pickle
 
@@ -116,9 +115,9 @@ def _norm_outcome(moduli):
 
 
 def test_column_norm_check_is_the_same_with_the_einsum_dot(monkeypatch):
-    # numpy < 2 has no vecdot; states then sums the column dot products with
-    # einsum, whose rounding may differ, but the check redoes any column near
-    # or past the tolerance term by term, so outcome and message agree
+    # the einsum dot products are only a screen: they may round otherwise
+    # than a plain sum, but the check redoes any column near or past the
+    # tolerance term by term, so outcome and message agree with any dot
     root = math.sqrt(0.5)
     columns = [
         np.array([[root, root], [root, root]]),
@@ -133,9 +132,7 @@ def test_column_norm_check_is_the_same_with_the_einsum_dot(monkeypatch):
                 np.array([[math.sqrt(norm_sq * split)], [math.sqrt(norm_sq * (1 - split))]])
             )
     native = [_norm_outcome(moduli) for moduli in columns]
-    monkeypatch.setattr(
-        states, "_column_dot", functools.partial(np.einsum, "i...,i...->...")
-    )
+    monkeypatch.setattr(states, "_column_dot", lambda a, b: (a * b).sum(axis=0))
     assert [_norm_outcome(moduli) for moduli in columns] == native
     assert native.count(None) not in (0, len(native))
 
@@ -460,6 +457,23 @@ def test_tensor_bound_counts_every_row(monkeypatch):
     assert len(tensor(equal_qubits(3)).amplitudes) == 8
     with pytest.raises(DomainError, match="^an ensemble step of 16 rows exceeds"):
         tensor(equal_qubits(4))
+
+
+@pytest.mark.parametrize("count", [64, 100])
+def test_tensor_of_more_photons_than_numpy_has_axes(count):
+    # numpy takes at most 64 axes, one per photon in a single group; the
+    # rows grow in groups of at most 32 photons, with the same bits
+    space = ModeSpace(count)
+    phases = [complex(a) for a in np.exp(1j * np.linspace(0.0, 3.0, count))]
+    labels = tuple(ModeLabel(path, 0, H) for path in range(count))
+    photons = [PhotonState(space, {label: a}) for label, a in zip(labels, phases)]
+    product = 1 + 0j
+    for a in phases:
+        product *= a
+    expected = EnsembleState(space, count, {labels: product}).amplitudes
+    measured = tensor(photons).amplitudes
+    for name in ("codes", "re", "im"):
+        assert getattr(measured, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def test_multi_image_fan_out_refuses_rows_past_the_bound(monkeypatch):

@@ -1,8 +1,8 @@
 """Verify's per-label sweeps as array passes, against the seed walks.
 
 Routing reports send all their photons through each device as label
-columns, ``device_matrix`` gathers a tabled device's images of the whole
-basis, and the closed-form check reads its matrix entries in one pass.
+columns, and the closed-form check reads a device's basis map, gathered
+over the whole basis, in one pass.
 Each must give the bits of the one-label-at-a-time walk kept in
 ``oracles``, and raise its error with its message.  The netlist path
 matrix, replayed as two-row updates, must lie within 1e-15 of the matrix
@@ -48,8 +48,10 @@ from oamnet.netlist import (
     reck_decompose,
     symmetric_netlist,
 )
+from oamnet.multiport import _basis_map
 from oamnet.states import LABEL_BOUND
 from oracles import (
+    basis_map_matrix,
     buffer_netlist_path_matrix,
     one_by_one_report_rows,
     seed_closed_form_error,
@@ -234,22 +236,24 @@ def test_device_matrix_names_the_first_label_leaving_the_basis(device):
         device_matrix(device)
 
 
-@pytest.mark.parametrize("dimension", range(1, 13))
+@pytest.mark.parametrize("dimension", range(1, 17))
 @pytest.mark.parametrize("build", [oambs, sbmao])
 @pytest.mark.parametrize("direction", list(Direction))
 def test_closed_form_error_bits_equal_the_walk(dimension, build, direction):
+    # the device's basis map against the seed walk over its dense matrix;
     # includes each device against the other direction's closed form, and
     # D=2 forward, whose value moves under numpy's complex abs
-    matrix = device_matrix(build(dimension))
-    expected = seed_closed_form_error(matrix, dimension, direction)
-    assert cli._closed_form_error(matrix, dimension, direction).hex() == float(
-        expected
-    ).hex()
+    device = build(dimension)
+    expected = seed_closed_form_error(device_matrix(device), dimension, direction)
+    measured = cli._closed_form_error(_basis_map(device), dimension, direction)
+    assert measured.hex() == float(expected).hex()
 
 
 def test_closed_form_error_of_a_zero_first_amplitude_is_one():
-    matrix = np.zeros((15, 15), dtype=complex)
-    assert cli._closed_form_error(matrix, 3, Direction.FORWARD) == 1.0
+    # every label one place on: the first photon's expected image is empty
+    basis_map = (np.roll(np.arange(15), 1), np.ones(15, dtype=complex))
+    matrix = basis_map_matrix(basis_map)
+    assert cli._closed_form_error(basis_map, 3, Direction.FORWARD) == 1.0
     assert seed_closed_form_error(matrix, 3, Direction.FORWARD) == 1.0
 
 
