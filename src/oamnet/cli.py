@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -45,7 +44,6 @@ from .networks import (
     MuxNetwork,
     SimpleRoutingNetwork,
     StarNetwork,
-    _crossing_images,
     delivery_row,
     routing_report,
     sender_tag,
@@ -56,7 +54,6 @@ from .networks import (
 from . import states
 from .serialize import dumps_canonical, netlist_dumps
 from .states import (
-    _overlap_fidelities,
     fidelity,
     path_probabilities,
     tensor,  # kept as a binding: bench/tracing.py wraps it
@@ -252,118 +249,13 @@ def _draw_qubits(
 def _mux_roundtrip(
     network: MuxNetwork, rng: np.random.Generator, count: int = 1
 ) -> list[tuple[float, float]]:
-    """Transmit and round-trip fidelities of ``count`` rounds, each of one
-    qubit per user from ``rng`` (:func:`_mux_fidelities`).  A round's
-    product state holds ``2**D`` rows, so past ``MAX_ENSEMBLE_ROWS`` of
-    them the check raises the ensemble's row bound before it draws."""
+    """``MuxNetwork._round_fidelities`` of ``count`` rounds of one qubit per
+    user from ``rng``; past ``MAX_ENSEMBLE_ROWS`` product rows (``2**D``)
+    it raises the ensemble's row bound before it draws."""
     states._require_power_row_bound(network.dimension)
-    return _mux_fidelities(
-        network, _draw_qubits(rng, count, network.dimension)
+    return network._round_fidelities(
+        _draw_qubits(rng, count, network.dimension)
     )
-
-
-def _mux_fidelities(
-    network: MuxNetwork, qubits: np.ndarray
-) -> list[tuple[float, float]]:
-    """The transmit and round-trip fidelities of the rounds of ``qubits``
-    (round ``k``'s (alpha, beta) for user ``n`` at ``qubits[k, n]``, as from
-    :func:`_draw_qubits`), computed slot by slot.
-
-    The slot model keeps a product state a product while every crossing
-    maps its labels one to one (see :mod:`oamnet.states`), so each overlap
-    is a product of one overlap per slot.  User ``n``'s qubit sits on ``(n,
-    0, H)`` and ``(n, 0, V)``, which share every image and factor, so the
-    slots cross each device as the one row of an ensemble
-    (:func:`_cross_slots`), and each qubit's parts take their slot's
-    factors in split form.  A slot overlap is ``conj(a) * b`` summed over H
-    then V, and a round's overlap is the product of its slot overlaps from
-    left to right in Python complex arithmetic, which is split form too, so
-    no value depends on the BLAS kernel.
-
-    The row is row 0 of the rounds' product states: each slot's H label, or
-    its V label where every round prunes alpha.  Each qubit first takes the
-    ensemble norm check (``states._require_unit_moduli``), as those product
-    states do; past it, errors depend only on the labels, so they come as
-    the round trip of those states raises them:
-    1. ``merge``'s window refusal, at the input holograms or the core;
-    2. the check of the tags ``(0, n)`` against the space;
-    3. the demux path and winding check;
-    4. a :class:`BunchingError` for a crossing that is not one to one.
-    """
-    dimension = network.dimension
-    space = network.space
-    users = np.arange(dimension)
-    # one norm column per qubit: a product of unit qubits has unit norm
-    states._require_unit_moduli(np.hypot(qubits.real, qubits.imag).transpose(2, 0, 1))
-    alpha = qubits[..., 0]
-    vpol = ~(np.hypot(alpha.real, alpha.imag) > states.PRUNE_TOL).any(axis=0)
-    origin = states._LabelColumns(users, np.zeros(dimension, dtype=np.int64), vpol)
-    sent, re, im = _cross_slots(
-        _slot_row(space, origin),
-        (network.input_holograms, network.core),
-        qubits.real,
-        qubits.imag,
-    )
-    for tag in users.tolist():
-        space.check_label(states.ModeLabel(0, tag))
-    columns = sent.amplitudes
-    tagged = not columns.path.any() and (columns.winding == users).all()
-    transmit = _overlap_fidelities(_slot_overlaps(re, im, qubits, tagged))
-    network._require_tagged(sent)
-    received, re, im = _cross_slots(
-        sent, (network.demux_core, network.output_holograms), re, im
-    )
-    columns = received.amplitudes
-    restored = (columns.path == users).all() and not columns.winding.any()
-    roundtrip = _overlap_fidelities(_slot_overlaps(re, im, qubits, restored))
-    return list(zip(transmit, roundtrip))
-
-
-def _slot_row(
-    space: states.ModeSpace, labels: states._LabelColumns
-) -> states.EnsembleState:
-    """The ensemble of one row holding label ``n`` in slot ``n``."""
-    slots = len(labels.path)
-    return states.EnsembleState._from_columns(
-        space, slots, labels, np.arange(slots)[None], np.ones(1), np.zeros(1), 1.0
-    )
-
-
-def _cross_slots(
-    row: states.EnsembleState,
-    devices: Sequence[Any],
-    re: np.ndarray,
-    im: np.ndarray,
-) -> tuple[states.EnsembleState, np.ndarray, np.ndarray]:
-    """``row`` (see :func:`_slot_row`) across ``devices`` slot-wise, as an
-    ensemble crosses them, with the qubit parts ``re`` and ``im`` (rounds,
-    slots, H and V) times each slot's factors in split form."""
-    for device in devices:
-        images = _crossing_images(row, device)
-        labels = images.labels
-        if images.target is not None:
-            labels = states._LabelColumns(*(part[images.target] for part in labels))
-        if images.re is not None:
-            fr, fi = images.re[:, None], images.im[:, None]
-            re, im = re * fr - im * fi, re * fi + im * fr
-        row = _slot_row(row.space, labels)
-    return row, re, im
-
-
-def _slot_overlaps(
-    re: np.ndarray, im: np.ndarray, qubits: np.ndarray, matched: bool
-) -> list[complex]:
-    """Each round's ``<a|b>`` of the product with parts ``re`` and ``im``
-    and the product of ``qubits``, or 0 unless their labels ``matched``."""
-    if not matched:
-        return [0j] * len(qubits)
-    br, bi = qubits.real, qubits.imag
-    # conj(a) * b in split form, as states' overlap forms it
-    parts_re, parts_im = re * br + im * bi, re * bi - im * br
-    slots = np.empty(qubits.shape[:-1], dtype=complex)
-    slots.real = parts_re[..., 0] + parts_re[..., 1]
-    slots.imag = parts_im[..., 0] + parts_im[..., 1]
-    return list(map(math.prod, slots.tolist()))
 
 
 def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
@@ -424,10 +316,9 @@ def _verify_checks(config: RunConfig) -> list[dict[str, Any]]:
             err = 1.0
         add(name, delivered and err < tol, err)
 
-    network = MuxNetwork(dimension, config.oam_window)
-    worst = 0.0
-    for transmit, roundtrip in _mux_roundtrip(network, rng, _VERIFY_MUX_VECTORS):
-        worst = max(worst, 1.0 - transmit, 1.0 - roundtrip)
+    qubits = _draw_qubits(rng, _VERIFY_MUX_VECTORS, dimension)
+    rounds = MuxNetwork(dimension, config.oam_window)._round_fidelities(qubits)
+    worst = max(1.0 - value for pair in rounds for value in pair)
     add("mux_roundtrip", worst < tol, worst)
 
     # the multiport's device matrix is a generalized permutation exactly

@@ -65,6 +65,7 @@ from .states import (
     ModeLabel,
     Polarization,
     WholeMapOperator,
+    _dimension,
     compose_images,
 )
 
@@ -119,9 +120,7 @@ def symmetric_matrix(dimension: int) -> np.ndarray:
     integer product ``n*m``), which is what makes forward and backward
     transits of the multiport identical.
     """
-    if dimension < 1:
-        raise DomainError(f"dimension must be >= 1, got {dimension}")
-    return _symmetric_matrix_cached(dimension).copy()
+    return _symmetric_matrix_cached(_dimension(dimension)).copy()
 
 
 @dataclass(frozen=True)
@@ -346,18 +345,18 @@ class _DenseTable:
         self.im[key] = amp.imag
 
 
-@lru_cache(maxsize=None)
+# typed, so that 3.0 or True never finds a cached device of an equal integer
+@lru_cache(maxsize=None, typed=True)
 def oambs(dimension: int) -> CompositeDevice:
     """Forward OAM beamsplitter: multiport, Dove stage, multiport."""
-    if dimension < 1:
-        raise DomainError(f"dimension must be >= 1, got {dimension}")
+    dimension = _dimension(dimension)
     s = SymmetricMultiport(dimension)
     return CompositeDevice(
         (s, DoveStage(dimension, Direction.FORWARD), s), dimension
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sbmao(dimension: int) -> CompositeDevice:
     """The OAM beamsplitter traversed right to left; exact inverse of forward."""
     return oambs(dimension).reversed()
@@ -374,8 +373,7 @@ def oambs_closed_form(
     The winding flips sign exactly (no modular wrap); only the output path is
     reduced modulo the dimension.
     """
-    if dimension < 1:
-        raise DomainError(f"dimension must be >= 1, got {dimension}")
+    dimension = _dimension(dimension)
     if not 0 <= path < dimension:
         raise DomainError(f"path {path} outside [0, {dimension - 1}]")
     if Direction.coerce(direction) is Direction.FORWARD:

@@ -75,9 +75,9 @@ from .states import (
     ModeLabel,
     ModeSpace,
     PhotonState,
+    _dimension,
     _fan_out,
     _first_rows,
-    _integer,
     _sum_equal_rows,
     apply_mode_map,
     compose_images,
@@ -96,8 +96,7 @@ class Netlist:
     parity_flip: bool = False
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", _dimension(self.dimension))
         object.__setattr__(self, "elements", tuple(self.elements))
         for element in self.elements:
             if not isinstance(element, PortElement):
@@ -579,9 +578,7 @@ def random_unitary(dimension: int, rng: np.random.Generator) -> np.ndarray:
     not an integer or is below 1, and then an ``rng`` that is not a
     :class:`numpy.random.Generator`, raise :class:`DomainError` before
     ``rng`` draws."""
-    dimension = _integer(dimension, "dimension")
-    if dimension < 1:
-        raise DomainError(f"dimension must be >= 1, got {dimension}")
+    dimension = _dimension(dimension)
     if not isinstance(rng, np.random.Generator):
         raise DomainError(f"not a random generator: {type(rng).__name__}")
     return _random_unitaries(dimension, rng, 1)[0]

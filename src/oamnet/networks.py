@@ -47,6 +47,7 @@ from .multiport import (
 from .states import (
     LABEL_BOUND,
     NORM_TOL,
+    PRUNE_TOL,
     EnsembleState,
     H,
     ModeLabel,
@@ -55,8 +56,11 @@ from .states import (
     QubitSpec,
     V,
     _Images,
+    _LabelColumns,
     _apply_ensemble,
     _label_images,
+    _overlap_fidelities,
+    _require_unit_moduli,
     _require_unit_norm,
     apply_mode_map,
     fidelity,  # kept as a binding: bench/tracing.py wraps networks.fidelity
@@ -144,6 +148,51 @@ def _crossing_images(state: EnsembleState, device) -> _Images:
         "device does not map the occupied labels one to one; "
         "ensembles cannot cross it slot-wise"
     )
+
+
+def _slot_row(space: ModeSpace, labels: _LabelColumns) -> EnsembleState:
+    """The ensemble of one row holding label ``n`` in slot ``n``."""
+    slots = len(labels.path)
+    return EnsembleState._from_columns(
+        space, slots, labels, np.arange(slots)[None], np.ones(1), np.zeros(1), 1.0
+    )
+
+
+def _cross_slots(
+    row: EnsembleState,
+    devices: Sequence[CompositeDevice | HologramBank],
+    re: np.ndarray,
+    im: np.ndarray,
+) -> tuple[EnsembleState, np.ndarray, np.ndarray]:
+    """``row`` (see :func:`_slot_row`) across ``devices`` slot-wise, as an
+    ensemble crosses them, with the qubit parts ``re`` and ``im`` (rounds,
+    slots, H and V) times each slot's factors in split form."""
+    for device in devices:
+        images = _crossing_images(row, device)
+        labels = images.labels
+        if images.target is not None:
+            labels = _LabelColumns(*(part[images.target] for part in labels))
+        if images.re is not None:
+            fr, fi = images.re[:, None], images.im[:, None]
+            re, im = re * fr - im * fi, re * fi + im * fr
+        row = _slot_row(row.space, labels)
+    return row, re, im
+
+
+def _slot_overlaps(
+    re: np.ndarray, im: np.ndarray, qubits: np.ndarray, matched: bool
+) -> list[complex]:
+    """Each round's ``<a|b>`` of the product with parts ``re`` and ``im``
+    and the product of ``qubits``, or 0 unless their labels ``matched``."""
+    if not matched:
+        return [0j] * len(qubits)
+    br, bi = qubits.real, qubits.imag
+    # conj(a) * b in split form, as states' overlap forms it
+    parts_re, parts_im = re * br + im * bi, re * bi - im * br
+    slots = np.empty(qubits.shape[:-1], dtype=complex)
+    slots.real = parts_re[..., 0] + parts_re[..., 1]
+    slots.imag = parts_im[..., 0] + parts_im[..., 1]
+    return list(map(math.prod, slots.tolist()))
 
 
 def _require_ensemble(state: EnsembleState) -> None:
@@ -247,6 +296,51 @@ class MuxNetwork:
         if restore_oam:
             separated = apply_mode_map(separated, self.output_holograms)
         return separated
+
+    def _round_fidelities(self, qubits: np.ndarray) -> list[tuple[float, float]]:
+        """The transmit and round-trip fidelities of the rounds of ``qubits``
+        (round ``k``'s (alpha, beta) for user ``n`` at ``qubits[k, n]``),
+        slot by slot through the optics of :meth:`merge` and of
+        :meth:`receive` with ``restore_oam``.
+
+        While every crossing maps labels one to one, a product state stays a
+        product (see :mod:`oamnet.states`), and its overlaps are products of
+        slot overlaps.  User ``n``'s ``(n, 0, H)`` and ``(n, 0, V)`` share
+        every image and factor, so the slots cross each device as the one
+        row of an ensemble (:func:`_cross_slots`): row 0 of the rounds'
+        product states, each slot's H label or, where every round prunes
+        alpha, its V label.  Qubit parts take their slot's factors, and
+        slot overlaps (``conj(a) * b`` over H then V) multiply from left to
+        right, all in split form, so no value depends on the BLAS kernel.
+
+        Each qubit first takes the ensemble norm check, as those product
+        states do; then errors come as their round trip raises them:
+        :meth:`merge`'s window refusal at the input holograms or the core
+        (which covers the tags ``(0, n)``, of the holograms' ``|n|``), the
+        demux path and winding check, and a :class:`BunchingError` for a
+        crossing that is not one to one.
+        """
+        users = np.arange(self.dimension)
+        # one norm column per qubit: a product of unit qubits has unit norm
+        _require_unit_moduli(np.hypot(qubits.real, qubits.imag).transpose(2, 0, 1))
+        alpha = qubits[..., 0]
+        vpol = ~(np.hypot(alpha.real, alpha.imag) > PRUNE_TOL).any(axis=0)
+        origin = _LabelColumns(users, np.zeros(self.dimension, dtype=np.int64), vpol)
+        start = _slot_row(self.space, origin)
+        sent, re, im = _cross_slots(
+            start, (self.input_holograms, self.core), qubits.real, qubits.imag
+        )
+        columns = sent.amplitudes
+        tagged = not columns.path.any() and (columns.winding == users).all()
+        transmit = _overlap_fidelities(_slot_overlaps(re, im, qubits, tagged))
+        self._require_tagged(sent)
+        received, re, im = _cross_slots(
+            sent, (self.demux_core, self.output_holograms), re, im
+        )
+        columns = received.amplitudes
+        restored = (columns.path == users).all() and not columns.winding.any()
+        roundtrip = _overlap_fidelities(_slot_overlaps(re, im, qubits, restored))
+        return list(zip(transmit, roundtrip))
 
     def _require_tagged(self, multiplexed: EnsembleState) -> None:
         """Raise :class:`RoutingDomainError` for the first label, in tuple
@@ -650,7 +744,7 @@ def superposed_destination(
         if not (
             isinstance(entry, Sequence)
             and len(entry) == 2
-            and isinstance(entry[0], Integral)
+            and isinstance(entry[0], Integral) and not isinstance(entry[0], bool)
             and isinstance(entry[1], Number)
         ):
             raise DomainError(f"not a (path, amplitude) pair: {entry!r}")

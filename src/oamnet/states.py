@@ -69,7 +69,9 @@ complex array: numpy's vectorized complex ``abs`` may differ from it in the
 last bit, as it did on a quarter to a third of random values on AVX-512
 hosts.  One fan-out (:func:`_fan_out`, a row into its label's images) and
 one row merge (:func:`_sum_equal_rows`) serve both ensemble evolution and
-the netlist certification of :mod:`oamnet.netlist`.
+the netlist certification of :mod:`oamnet.netlist`.  Evolution merges equal
+rows, and :func:`fidelity` joins two ensembles' rows, by one int64 row key
+(:func:`_row_key`), with no dict of row tuples.
 """
 
 from __future__ import annotations
@@ -159,9 +161,7 @@ class ModeSpace:
     oam_window: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dimension", _integer(self.dimension, "dimension"))
-        if self.dimension < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", _dimension(self.dimension))
         if self.dimension > LABEL_BOUND:
             raise DomainError(f"dimension must be <= 2**62, got {self.dimension}")
         window = 4 * self.dimension if self.oam_window is None else self.oam_window
@@ -192,6 +192,14 @@ def _integer(value: object, name: str) -> int:
         with suppress(TypeError):
             return operator.index(value)
     raise DomainError(f"not an integer {name}: {type(value).__name__}")
+
+
+def _dimension(value: object) -> int:
+    """``value`` as a path count: an integer (:func:`_integer`) of at least 1."""
+    dimension = _integer(value, "dimension")
+    if dimension < 1:
+        raise DomainError(f"dimension must be >= 1, got {dimension}")
+    return dimension
 
 
 class ModeOperator(Protocol):
@@ -606,24 +614,23 @@ def _overlap_fidelities(overlaps: Iterable[complex]) -> list[float]:
 
 
 def _ensemble_overlap(a: EnsembleAmplitudes, b: EnsembleAmplitudes) -> complex:
-    """``<a|b>``: each row of ``a`` joined to the equal row of ``b``, adding
-    ``conj(a) * b`` in split form and in ``a``'s row order."""
+    """``<a|b>``: each row of ``a`` joined to the equal row of ``b`` by one
+    :func:`_row_key` of both, adding ``conj(a) * b`` in split form and in
+    ``a``'s row order."""
     index = {label: code for code, label in enumerate(a.labels)}
-    # a label that a lacks gets code -1, so rows holding it match nothing
+    # a label that a lacks gets a code that no row of a holds
     b_codes = np.array(
-        [index.get(label, -1) for label in b.labels], dtype=np.int64
+        [index.get(label, len(index)) for label in b.labels], dtype=np.int64
     )[b.codes]
-    if b_codes.shape == a.codes.shape and (b_codes == a.codes).all():
-        ar, ai, br, bi = a.re, a.im, b.re, b.im  # the rows already line up
-    else:
-        b_rows = {row: i for i, row in enumerate(map(tuple, b_codes.tolist()))}
-        match = np.array(
-            [b_rows.get(row, -1) for row in map(tuple, a.codes.tolist())],
-            dtype=np.int64,
-        )
-        found = match >= 0
-        ar, ai = a.re[found], a.im[found]
-        br, bi = b.re[match[found]], b.im[match[found]]
+    codes = np.concatenate((a.codes, b_codes))
+    first, rank = _first_rows(*_row_key(codes, len(index) + 1))
+    # rows of one ensemble are distinct, so each rank names one row of b
+    b_row = np.full(len(first), -1)
+    b_row[rank[len(a) :]] = np.arange(len(b))
+    match = b_row[rank[: len(a)]]
+    found = match >= 0
+    ar, ai = a.re[found], a.im[found]
+    br, bi = b.re[match[found]], b.im[match[found]]
     if not len(ar):
         return 0j
     nai = -ai
@@ -949,11 +956,8 @@ def _apply_ensemble(state: EnsembleState, images: _Images) -> EnsembleState:
         else:
             magnitude = np.hypot(re, im)
     else:
-        groups: dict[tuple[int, ...], int] = {}
-        group = [groups.setdefault(row, len(groups)) for row in map(tuple, codes.tolist())]
-        first, re, im = _sum_equal_rows(
-            np.array(group, dtype=np.int64), re, im, len(groups)
-        )
+        key, bound = _row_key(codes, len(labels.path))
+        first, re, im = _sum_equal_rows(key, re, im, bound)
         codes = codes[first]
         magnitude = np.hypot(re, im)
         bunched = _bunched_rows(codes)
@@ -1044,6 +1048,21 @@ def _first_rows(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
         first_of = first_of[inverse.reshape(-1)]
     new = first_of == rows
     return new.nonzero()[0], (new.cumsum() - 1)[first_of]
+
+
+def _row_key(codes: np.ndarray, labels: int) -> tuple[np.ndarray, int]:
+    """An int64 key per row of ``codes`` (entries in ``[0, labels)``), equal
+    exactly where the rows are, and a bound on the keys: the columns packed
+    in mixed radix, renumbered by rank (below the row count) before a key
+    could pass 2**62, so none wraps while rows times labels fit in int64."""
+    key, bound = np.zeros(len(codes), dtype=np.int64), 1
+    for column in codes.T:
+        if bound * labels > LABEL_BOUND:
+            values, key = np.unique(key, return_inverse=True)
+            bound = len(values)
+        key = key * labels + column
+        bound *= labels
+    return key, bound
 
 
 def _sum_equal_rows(

@@ -191,6 +191,14 @@ def dict_fidelity(a, b):
     return min(1.0, abs(overlap) ** 2)
 
 
+def dict_row_numbering(codes):
+    """Each row of an integer code matrix numbered in order of first
+    appearance, by a dict of row tuples: the seed's key for summing equal
+    ensemble rows and for joining the rows of two ensembles."""
+    groups = {}
+    return [groups.setdefault(row, len(groups)) for row in map(tuple, codes.tolist())]
+
+
 def amplitude_bits(amplitudes):
     """Keys with both float parts in hex, in insertion order: equal only when
     two mappings agree bit for bit, signs of zeros included."""

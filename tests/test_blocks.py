@@ -3,8 +3,8 @@
 ``cli._mux_roundtrip(network, rng, K)`` draws K rounds of qubits as one
 array, which must give the bits of ``oracles.random_qubit`` called qubit by
 qubit, and computes each round's transmit and round-trip fidelity from the
-slots' label images (``cli._mux_fidelities``).  The reference is each round
-run alone through the public per-state API (``tensor``,
+slots' label images (``MuxNetwork._round_fidelities``).  The reference is
+each round run alone through the public per-state API (``tensor``,
 ``MuxNetwork.merge`` and ``receive``, ``fidelity``).  The per-slot
 fidelities must lie within 1e-13 of it, also when the rounds' supports
 differ (qubits with a zero or near-zero part), and must raise the error
@@ -55,7 +55,7 @@ def outcome(compute):
 
 def qubit_array(rounds):
     """Rounds of ``QubitSpec``s as the (K, D, 2) array of
-    ``cli._mux_fidelities``."""
+    ``MuxNetwork._round_fidelities``."""
     return np.array(
         [[(spec.alpha, spec.beta) for spec in qubits] for qubits in rounds],
         dtype=complex,
@@ -137,7 +137,7 @@ def test_per_slot_fidelities_match_rounds_alone(data, dimension, count, refuse):
     network = MuxNetwork(dimension, window)
     rounds = data.draw(mixed_rounds(dimension, count))
     expected = outcome(lambda: [round_alone(network, qubits) for qubits in rounds])
-    found = outcome(lambda: cli._mux_fidelities(network, qubit_array(rounds)))
+    found = outcome(lambda: network._round_fidelities(qubit_array(rounds)))
     if window is not None:
         assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
         assert found == expected
@@ -206,7 +206,7 @@ def test_a_failing_block_raises_the_first_rounds_error(data, dimension, count):
     rounds = data.draw(mixed_rounds(dimension, count))
     expected = outcome(lambda: rounds_alone(network, rounds))
     assert isinstance(expected, tuple) and issubclass(expected[0], OamNetError)
-    assert outcome(lambda: cli._mux_fidelities(network, qubit_array(rounds))) == expected
+    assert outcome(lambda: network._round_fidelities(qubit_array(rounds))) == expected
 
 
 def test_per_slot_fidelities_refuse_a_qubit_of_non_unit_norm():
@@ -214,7 +214,7 @@ def test_per_slot_fidelities_refuse_a_qubit_of_non_unit_norm():
     qubits = qubit_array([[QubitSpec(0.6, 0.8), QubitSpec(1, 0)]] * 2)
     qubits[1, 1, 0] = 1.1
     with pytest.raises(NormalizationError, match=r"ensemble norm\^2 = 1\.21"):
-        cli._mux_fidelities(MuxNetwork(2, 0), qubits)
+        MuxNetwork(2, 0)._round_fidelities(qubits)
 
 
 def test_a_slot_lists_h_before_v_when_rounds_prune_different_parts():
@@ -226,7 +226,7 @@ def test_a_slot_lists_h_before_v_when_rounds_prune_different_parts():
         [QubitSpec(1, 0), QubitSpec(0.6, -0.8j), QubitSpec(0.6, 0.8)],
     ]
     alone = [round_alone(network, qubits) for qubits in rounds]
-    assert close(cli._mux_fidelities(network, qubit_array(rounds)), alone)
+    assert close(network._round_fidelities(qubit_array(rounds)), alone)
 
 
 def test_a_round_beyond_the_row_bound_fails_as_alone(monkeypatch):
@@ -245,7 +245,7 @@ def test_a_round_beyond_the_row_bound_fails_as_alone(monkeypatch):
 
 def test_scenario_and_verify_blocks_use_count_one_and_twenty(monkeypatch):
     # one array of rounds each: the scenario's single round, verify's twenty
-    sizes = round_counts(monkeypatch, cli, "_mux_fidelities")
+    sizes = round_counts(monkeypatch, MuxNetwork, "_round_fidelities")
     assert cli.main(["scenario", "mux-roundtrip", "--dimension", "4", "--output", "/dev/null"]) == 0
     assert cli.main(["verify", "--dimension", "4", "--output", "/dev/null"]) == 0
     assert sizes == [1, cli._VERIFY_MUX_VECTORS]

@@ -162,6 +162,20 @@ def test_verify_past_the_row_bound_is_config_error():
     )
 
 
+def test_verify_and_the_scenario_count_the_mux_rows_once(monkeypatch):
+    counted = []
+    real = states._require_power_row_bound
+
+    def spy(exponent):
+        counted.append(exponent)
+        real(exponent)
+
+    monkeypatch.setattr(states, "_require_power_row_bound", spy)
+    assert run_cli("verify", "--dimension", "4")[0] == 0
+    assert run_cli("scenario", "mux-roundtrip", "--dimension", "3")[0] == 0
+    assert counted == [4, 3]
+
+
 @pytest.mark.parametrize("command", ["verify", "scenario"])
 @pytest.mark.parametrize(
     "dimension, power", [(20000, 20000), (100000, 100000), (10**12, 2**24)]

@@ -43,10 +43,17 @@ from oamnet import (
     tensor,
 )
 from oamnet import cli
-from oamnet.states import BUNCHING_TOL, PRUNE_TOL, EnsembleAmplitudes
+from oamnet.states import (
+    BUNCHING_TOL,
+    PRUNE_TOL,
+    EnsembleAmplitudes,
+    _first_rows,
+    _row_key,
+)
 from oracles import (
     amplitude_bits,
     dict_fidelity,
+    dict_row_numbering,
     nested_tensor_amplitudes,
     prefix_expansion_amplitudes,
     random_qubit,
@@ -241,6 +248,73 @@ def test_mux_round_trip_fidelities_match_the_dict_overlap(dimension):
     received = network.receive(sent, restore_oam=True)
     for a, b in ((sent, tagged), (received, originals), (originals, sent)):
         assert fidelity(a, b) == dict_fidelity(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 8),
+    entries=st.lists(st.integers(0, 3), max_size=80),
+    labels=st.one_of(st.integers(4, 40), st.sampled_from((2**20, 2**31, 2**40))),
+)
+def test_the_row_key_numbers_rows_as_the_dict_of_row_tuples(width, entries, labels):
+    # few distinct entries, so that equal rows are common; a large label
+    # count makes the packed keys renumber after one, two or a few columns
+    codes = np.array(entries[: len(entries) // width * width], dtype=np.int64)
+    codes = codes.reshape(-1, width)
+    key, bound = _row_key(codes, labels)
+    assert key.dtype == np.int64 and key.shape == (len(codes),)
+    assert (key >= 0).all() and (key < bound).all()
+    assert _first_rows(key, bound)[1].tolist() == dict_row_numbering(codes)
+
+
+def test_the_row_key_renumbers_before_a_key_could_wrap():
+    # 2**40 labels: every column after the first renumbers the keys first,
+    # to the ranks 1, 1, 0 both times
+    top = 2**40 - 1
+    codes = np.array([[top, 0, 5], [top, 0, 5], [0, top, 5]], dtype=np.int64)
+    key, bound = _row_key(codes, 2**40)
+    assert key.tolist() == [2**40 + 5, 2**40 + 5, 5]
+    assert bound == 2 * 2**40
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fidelity_joins_rows_permuted_or_partly_shared(data):
+    a = data.draw(ensembles())
+    items = list(a.amplitudes.items())
+    order = data.draw(st.permutations(range(len(items))))
+    permuted = EnsembleState(a.space, a.slot_count, dict(items[i] for i in order))
+    # some of a's tuples, in drawn order, among tuples of labels a may lack
+    shared = [items[i][0] for i in order if data.draw(st.booleans())]
+    slot = labels(a.space.dimension)
+    others = data.draw(
+        st.lists(
+            st.lists(slot, min_size=a.slot_count, max_size=a.slot_count, unique=True)
+            .map(tuple),
+            max_size=4,
+        )
+    )
+    keys = list(dict.fromkeys(shared + others)) or [items[0][0]]
+    amplitude = 1 / math.sqrt(len(keys))
+    partial = EnsembleState(a.space, a.slot_count, dict.fromkeys(keys, amplitude))
+    for b in (permuted, partial):
+        assert fidelity(a, b) == dict_fidelity(a, b)
+        assert fidelity(b, a) == dict_fidelity(b, a)
+
+
+def test_fidelity_of_reordered_and_partly_shared_rows():
+    space = ModeSpace(3)
+    x, y, z = ModeLabel(0, 1, H), ModeLabel(1, -1, V), ModeLabel(2, 0, H)
+    half = 1 / math.sqrt(2)
+    a = EnsembleState(space, 2, {(x, y): half, (y, z): half})
+    reordered = EnsembleState(space, 2, {(y, z): half, (x, y): half})
+    # one row shared, one built of a label that a lacks
+    w = ModeLabel(2, 3, V)
+    partial = EnsembleState(space, 2, {(w, x): half, (y, z): -half})
+    assert fidelity(a, reordered) == dict_fidelity(a, reordered)
+    assert fidelity(a, reordered) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity(a, partial) == dict_fidelity(a, partial)
+    assert fidelity(a, partial) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_merge_of_the_product_is_transmit():

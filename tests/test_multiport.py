@@ -161,7 +161,7 @@ def test_device_matrix_counts_its_entries_before_building(monkeypatch):
     assert device_matrix(device).shape == (28, 28)
 
 
-def test_the_matrix_bound_spares_verify_up_to_d20_and_stops_d40():
+def test_the_matrix_bound_spares_device_matrix_at_d20_and_stops_it_at_d40():
     assert (20 * 39) ** 2 <= multiport.MAX_MATRIX_ENTRIES < (40 * 79) ** 2
 
 
@@ -546,6 +546,57 @@ def test_an_ensemble_through_table_entries_of_several_images_is_the_expansion():
 def test_device_helpers_refuse_arguments_out_of_domain(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: oambs("a"), "not an integer dimension: str"),
+        (lambda: sbmao("a"), "not an integer dimension: str"),
+        (lambda: symmetric_matrix("a"), "not an integer dimension: str"),
+        (lambda: Netlist("a", ()), "not an integer dimension: str"),
+        (lambda: oambs(3.0), "not an integer dimension: float"),
+        (lambda: Netlist(2.0, ()), "not an integer dimension: float"),
+        (lambda: Netlist(True, ()), "not an integer dimension: bool"),
+        (lambda: symmetric_matrix(2.0), "not an integer dimension: float"),
+        (lambda: oambs(True), "not an integer dimension: bool"),
+        (lambda: oambs_closed_form(0, 0, 2.5), "not an integer dimension: float"),
+        (lambda: sbmao(0), "dimension must be >= 1, got 0"),
+        (lambda: symmetric_matrix(-1), "dimension must be >= 1, got -1"),
+        (lambda: Netlist(0, ()), "dimension must be >= 1, got 0"),
+    ],
+    ids=[
+        "oambs-str",
+        "sbmao-str",
+        "symmetric_matrix-str",
+        "Netlist-str",
+        "oambs-float",
+        "Netlist-float",
+        "Netlist-bool",
+        "symmetric_matrix-float",
+        "oambs-bool",
+        "oambs_closed_form-float",
+        "sbmao-zero",
+        "symmetric_matrix-negative",
+        "Netlist-zero",
+    ],
+)
+def test_every_dimension_takes_the_one_integer_rule(call, message):
+    # the devices of numpy's 1 and 3, which equal True and 3.0 and hash as
+    # they do, are cached first, so a cache that is not typed would return
+    # them; each refusal is raised again on a second call
+    for dimension in (np.int64(1), np.int64(3)):
+        oambs(dimension), sbmao(dimension)
+    for _ in range(2):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+
+
+def test_a_numpy_integer_dimension_builds_the_device_of_its_int():
+    device = oambs(np.int64(3))
+    assert type(device.dimension) is int
+    assert device == oambs(3)
+    assert type(Netlist(np.int64(2), ()).dimension) is int
 
 
 @pytest.mark.parametrize(

@@ -686,6 +686,11 @@ def test_typed_refusals_of_mux_states_and_netlists(call, message):
             DomainError,
         ),
         (
+            lambda: superposed_destination(0, 3, [(True, 1.0)]),
+            r"not a \(path, amplitude\) pair: \(True, 1\.0\)",
+            DomainError,
+        ),
+        (
             lambda: random_unitary(2.5, np.random.default_rng(1)),
             "not an integer dimension: float",
             DomainError,
@@ -727,6 +732,7 @@ def test_typed_refusals_of_mux_states_and_netlists(call, message):
         "superposed_destination",
         "superposed_destination-entry",
         "superposed_destination-amplitude",
+        "superposed_destination-bool-path",
         "random_unitary-dimension",
         "netlist_dumps-replay_error",
         "ModeSpace-float",
